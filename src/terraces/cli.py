@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .enumerate import BudgetExceeded, EnumMode, enumerate_basic, search_first
+from .enumerate import DEFAULT_SEARCH_CAP, BudgetExceeded, EnumMode, enumerate_basic, search_first
 from .groups import (
     element_order,
     inverse_pair_classes,
@@ -52,12 +52,10 @@ class RunConfig:
     outdir: str = "runs"
     threads: int = 1
     seed: int = 0
-    max_steps: int = 1_000_000
-    max_restarts: int = 0
-    restart_policy: str = "teleport-only"
-    enum_cap_terrace: int = 16
-    enum_cap_directed: int = 24
-    search_cap: int = 64
+    max_steps: int = ClimbParams.max_steps
+    max_restarts: int = ClimbParams.max_restarts
+    restart_policy: str = ClimbParams.restart_policy
+    search_cap: int = DEFAULT_SEARCH_CAP
 
 
 _INT_FIELDS = {f.name for f in fields(RunConfig) if f.type in ("int", int)}
@@ -207,20 +205,12 @@ def _cli_mode(args) -> EnumMode:
                     essentially_different=getattr(args, "essential", False))
 
 
-def _enum_cap(args, cfg: RunConfig, mode: EnumMode) -> int:
-    if args.cap is not None:
-        return args.cap
-    if mode.kind in ("directed", "directed_tk", "directed_half_and_half"):
-        return cfg.enum_cap_directed
-    return cfg.enum_cap_terrace
-
-
 def cmd_enumerate(args, cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     g = parse_group_spec(args.group)
     mode = _cli_mode(args)
     threads = cfg.threads if mode.count_only else 1
-    res = enumerate_basic(g, mode, cap=_enum_cap(args, cfg, mode), threads=threads,
+    res = enumerate_basic(g, mode, cap=args.cap, threads=threads,
                           max_witnesses=args.witnesses)
     result = {
         "group": g.spec,

@@ -1,15 +1,19 @@
 """Exhaustive backtracking over basic arrangements.
 
-All enumerations fix a_1 = e (left translation is quotiented out up front)
-and extend prefixes depth-first with candidates in ascending id order,
-pruning as soon as the partial quotient list violates the target kind.
+Every count, witness stream and first-witness search of every kind runs
+one depth-first kernel, `_dfs`.  It fixes a_1 = e (left translation is
+quotiented out up front), extends prefixes with candidates in ascending id
+order, and prunes as soon as the partial quotient list violates the kind.
 
-Essentially-different counting uses the fact that the automorphism group
-acts freely on complete basic arrangements (an automorphism fixing every
-entry fixes the whole group), so each orbit contains exactly |Aut(G)|
-sequences and exactly one lexicographically-least canonical form.  The
-directed and terrace counters prune non-canonical prefixes on the fly;
-the other kinds filter at the leaves.
+Essentially-different runs of every kind prune by Aut(G) (orderly
+generation, after Read 1978 and McKay, J. Algorithms 26, 1998): a prefix
+that some automorphism maps to a lexicographically smaller one is cut, so
+exactly the canonical forms are reached.  This is exact because every kind
+is Aut(G)-invariant and Aut(G) acts freely on complete basic arrangements
+(an automorphism fixing every entry fixes the whole group): each orbit
+holds |Aut(G)| sequences and one lexicographically-least canonical form,
+so the raw count is essential * |Aut(G)|.  First-witness searches do not
+prune by symmetry.
 """
 
 from __future__ import annotations
@@ -95,502 +99,172 @@ def _nonidentity_auts(group: Group) -> list[tuple[int, ...]] | None:
 
 
 # ---------------------------------------------------------------------------
-# Pure counters for the two headline kinds.  `active` carries the
-# automorphisms that still agree with the prefix; a candidate with a
-# strictly smaller image under one of them cannot start a canonical
-# completion and is skipped (orderly generation).
+# The search kernel
 
 
-def _count_directed(group: Group, active0=None, a2: int | None = None) -> int:
+def _dfs(
+    group: Group,
+    mode: EnumMode,
+    a2: int | None = None,
+    auts: list[tuple[int, ...]] | None = None,
+    sink: list[Arrangement] | None = None,
+    limit: int | None = None,
+    budget: list[int] | None = None,
+) -> int:
+    """Number of leaves (complete arrangements of mode.kind) below a_1 = e.
+
+    a2 fixes the second entry.  auts, the non-identity automorphisms, turns
+    on orderly pruning: a prefix that some automorphism maps to a
+    lexicographically smaller one has no canonical completion, so only
+    canonical forms are reached.  With sink set every leaf is appended to
+    it and the search stops after `limit` of them.  budget is a one-cell
+    node allowance; every call of the inner recursion spends one node.
+    """
     n = group.order
-    if n == 1:
-        return 1
-    ldiv = group.ldiv
-    used = bytearray(n)
-    used[0] = 1
-    vused = bytearray(n)
-    rng = range(1, n)
-    n1 = n - 1
-
-    def rec(last, depth, active):
-        row = ldiv[last]
-        total = 0
-        if depth == n1:
-            for y in rng:
-                if used[y] or vused[row[y]]:
-                    continue
-                if active is not None:
-                    ok = True
-                    for phi in active:
-                        if phi[y] < y:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                total += 1
-            return total
-        for y in rng:
-            if used[y]:
-                continue
-            v = row[y]
-            if vused[v]:
-                continue
-            na = None
-            if active is not None:
-                rej = False
-                for phi in active:
-                    t = phi[y]
-                    if t < y:
-                        rej = True
-                        break
-                    if t == y:
-                        if na is None:
-                            na = [phi]
-                        else:
-                            na.append(phi)
-                if rej:
-                    continue
-            used[y] = 1
-            vused[v] = 1
-            total += rec(y, depth + 1, na)
-            used[y] = 0
-            vused[v] = 0
-        return total
-
-    if a2 is None:
-        return rec(0, 1, active0)
-    y = a2
-    na = None
-    if active0 is not None:
-        for phi in active0:
-            t = phi[y]
-            if t < y:
-                return 0
-            if t == y:
-                na = [phi] if na is None else na + [phi]
-    if n1 == 1:
-        return 1
-    used[y] = 1
-    vused[y] = 1
-    return rec(y, 2, na)
-
-
-def _count_terrace(group: Group, active0=None, a2: int | None = None) -> int:
-    n = group.order
-    if n == 1:
-        return 1
+    kind = mode.kind
     ldiv = group.ldiv
     _classes, caps, cindex = _class_data(group)
-    rem = list(caps)
-    cls = list(cindex)
-    used = bytearray(n)
-    used[0] = 1
-    rng = range(1, n)
-    n1 = n - 1
-
-    def rec(last, depth, active):
-        row = ldiv[last]
-        total = 0
-        if depth == n1:
-            for y in rng:
-                if used[y] or not rem[cls[row[y]]]:
-                    continue
-                if active is not None:
-                    ok = True
-                    for phi in active:
-                        if phi[y] < y:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                total += 1
-            return total
-        for y in rng:
-            if used[y]:
-                continue
-            c = cls[row[y]]
-            if not rem[c]:
-                continue
-            na = None
-            if active is not None:
-                rej = False
-                for phi in active:
-                    t = phi[y]
-                    if t < y:
-                        rej = True
-                        break
-                    if t == y:
-                        if na is None:
-                            na = [phi]
-                        else:
-                            na.append(phi)
-                if rej:
-                    continue
-            used[y] = 1
-            rem[c] -= 1
-            total += rec(y, depth + 1, na)
-            used[y] = 0
-            rem[c] += 1
-        return total
-
-    if a2 is None:
-        return rec(0, 1, active0)
-    y = a2
-    na = None
-    if active0 is not None:
-        for phi in active0:
-            t = phi[y]
-            if t < y:
-                return 0
-            if t == y:
-                na = [phi] if na is None else na + [phi]
-    if n1 == 1:
-        return 1
-    used[y] = 1
-    rem[cls[y]] -= 1
-    return rec(y, 2, na)
-
-
-# ---------------------------------------------------------------------------
-# Count-or-collect runners for the remaining kinds.  These track the actual
-# sequence, so they also back witness streaming and first-witness searches.
-# `auts_filter` enables leaf-level canonical filtering; `sink`/`limit` turn
-# collection on; `budget` is a mutable one-cell node allowance.
-
-
-def _leaf_canonical(seq, auts_filter) -> bool:
-    for phi in auts_filter:
-        for x in seq:
-            t = phi[x]
-            if t > x:
-                break
-            if t < x:
-                return False
-    return True
-
-
-class _Runner:
-    """Shared state for the sequence-tracking enumerations."""
-
-    __slots__ = ("group", "n", "seq", "used", "raw", "essential", "auts_filter", "sink", "limit", "budget")
-
-    def __init__(self, group, auts_filter, sink, limit, budget):
-        self.group = group
-        self.n = group.order
-        self.seq = [0] * self.n
-        self.used = bytearray(self.n)
-        self.used[0] = 1
-        self.raw = 0
-        self.essential = 0
-        self.auts_filter = auts_filter
-        self.sink = sink
-        self.limit = limit
-        self.budget = budget
-
-    def node(self) -> None:
-        b = self.budget
-        if b is not None:
-            if b[0] <= 0:
-                raise BudgetExceeded("search node budget exhausted")
-            b[0] -= 1
-
-    def leaf(self) -> None:
-        self.raw += 1
-        if self.auts_filter is not None:
-            if not _leaf_canonical(self.seq, self.auts_filter):
-                return
-            self.essential += 1
-        if self.sink is not None:
-            self.sink.append(Arrangement(self.group, tuple(self.seq)))
-            if self.limit is not None and len(self.sink) >= self.limit:
-                raise _Stop
-
-
-def _run_tk(group: Group, k: int, st: _Runner, a2: int | None = None) -> None:
-    """Directed T_k enumeration; k = 1 is the plain directed kind."""
-    n = group.order
-    ldiv = group.ldiv
-    seq, used = st.seq, st.used
-    marks = [bytearray(n) for _ in range(k + 1)]  # marks[m] = used b^(m) values
-    rng = range(1, n)
-    leaf, node = st.leaf, st.node
-    n1 = n - 1
-
-    if k == 2:
-        m1, m2 = marks[1], marks[2]
-
-        def rec(depth):
-            node()
-            row1 = ldiv[seq[depth - 1]]
-            row2 = ldiv[seq[depth - 2]]
-            last = depth == n1
-            for y in rng:
-                if used[y]:
-                    continue
-                v1 = row1[y]
-                if m1[v1]:
-                    continue
-                v2 = row2[y]
-                if m2[v2]:
-                    continue
-                seq[depth] = y
-                if last:
-                    leaf()
-                    continue
-                used[y] = 1
-                m1[v1] = 1
-                m2[v2] = 1
-                rec(depth + 1)
-                used[y] = 0
-                m1[v1] = 0
-                m2[v2] = 0
-
-    else:
-
-        def rec(depth):
-            node()
-            row = ldiv[seq[depth - 1]]
-            mtop = k if k < depth else depth
-            rows = [ldiv[seq[depth - m]] for m in range(2, mtop + 1)]
-            last = depth == n1
-            for y in rng:
-                if used[y]:
-                    continue
-                v1 = row[y]
-                if marks[1][v1]:
-                    continue
-                vals = [r[y] for r in rows]
-                ok = True
-                for m, v in enumerate(vals, start=2):
-                    if marks[m][v]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                seq[depth] = y
-                if last:
-                    leaf()
-                    continue
-                used[y] = 1
-                marks[1][v1] = 1
-                for m, v in enumerate(vals, start=2):
-                    marks[m][v] = 1
-                rec(depth + 1)
-                used[y] = 0
-                marks[1][v1] = 0
-                for m, v in enumerate(vals, start=2):
-                    marks[m][v] = 0
-
-    def rec1(depth):
-        # depth 1 has no b^(2) entry yet; feed rec a dummy row via seq[-1]=0
-        node()
-        row = ldiv[seq[0]]
-        for y in rng:
-            if used[y]:
-                continue
-            v1 = row[y]
-            if marks[1][v1]:
-                continue
-            seq[1] = y
-            if n == 2:
-                leaf()
-                continue
-            used[y] = 1
-            marks[1][v1] = 1
-            rec(2)
-            used[y] = 0
-            marks[1][v1] = 0
-
-    if n == 1:
-        leaf()
-        return
-    if a2 is None:
-        rec1(1)
-        return
-    seq[1] = a2
-    used[a2] = 1
-    marks[1][a2] = 1
-    if n == 2:
-        leaf()
-    else:
-        rec(2)
-
-
-def _run_terrace_collect(group: Group, st: _Runner, a2: int | None = None) -> None:
-    n = group.order
-    ldiv = group.ldiv
-    _classes, caps, cindex = _class_data(group)
-    rem = list(caps)
-    cls = list(cindex)
-    seq, used = st.seq, st.used
-    rng = range(1, n)
-    leaf, node = st.leaf, st.node
-
-    def rec(depth):
-        node()
-        row = ldiv[seq[depth - 1]]
-        for y in rng:
-            if used[y]:
-                continue
-            c = cls[row[y]]
-            if not rem[c]:
-                continue
-            seq[depth] = y
-            used[y] = 1
-            rem[c] -= 1
-            if depth + 1 == n:
-                leaf()
-            else:
-                rec(depth + 1)
-            used[y] = 0
-            rem[c] += 1
-
-    if n == 1:
-        leaf()
-        return
-    if a2 is None:
-        rec(1)
-        return
-    seq[1] = a2
-    used[a2] = 1
-    rem[cls[a2]] -= 1
-    if n == 2:
-        leaf()
-    else:
-        rec(2)
-
-
-def _run_half_and_half(group: Group, st: _Runner, a2: int | None = None, directed: bool = False) -> None:
-    """Half-and-half kinds: one entry per inverse pair in the first half of b."""
-    n = group.order
-    ldiv = group.ldiv
-    _classes, caps, cindex = _class_data(group)
-    rem = list(caps)
-    cls = list(cindex)
     half = (n - 1) // 2
-    cfirst = bytearray(len(caps))
-    vused = bytearray(n)
-    seq, used = st.seq, st.used
-    rng = range(1, n)
-    leaf, node = st.leaf, st.node
+    # Layer 1: b_depth lands in a bucket with a capacity.  Directed kinds
+    # bucket by the quotient itself (capacity 1); the others by its
+    # inverse-pair class (capacities 1 and 2, or 1 for the first half of a
+    # narcissistic b, whose second half is the mirror image).  Bucket -1
+    # has capacity 0.
+    if kind in _DIRECTED_KINDS:
+        bucket, rem = list(ldiv), [0] + [1] * (n - 1) + [0]
+    else:
+        bucket = [[cindex[v] for v in row] for row in ldiv]
+        rem = ([1] * len(caps) if kind == "narcissistic" else list(caps)) + [0]
+    if a2 is not None:
+        # e is a_1 only, so its row is read at depth 1 alone: let only a2 pass.
+        bucket[0] = [c if y == a2 else -1 for y, c in enumerate(bucket[0])]
+    # Layer 2, capacity 1, at the depths where the kind has one: the values
+    # of b^(2) for T_k, or the classes already in the first half of b for
+    # the half-and-half kinds.  T_k layers m >= 3 come as a list.
+    slot2: list = [None] * n
+    deep_at: list = [None] * n
+    m2 = marks = None
+    back2 = 0
+    k = mode.k if kind == "directed_tk" else 1
+    if k >= 2:
+        marks = [[0] * n for _ in range(k + 1)]
+        m2, back2 = marks[2], 2
+        for d in range(2, n):
+            slot2[d] = ldiv
+            if k >= 3 and d >= 3:
+                deep_at[d] = range(3, min(k, d) + 1)
+    elif kind in ("half_and_half", "directed_half_and_half"):
+        ctab = [[cindex[v] for v in row] for row in ldiv]
+        m2, back2 = [0] * len(caps), 1
+        for d in range(1, half + 1):
+            slot2[d] = ctab
+    end = half if kind == "narcissistic" else n - 1  # depth of the last free choice
+    seq = [0] * n
+    free = list(range(1, n))
 
-    def rec(depth):
-        node()
-        row = ldiv[seq[depth - 1]]
-        in_first = depth <= half
-        for y in rng:
-            if used[y]:
-                continue
-            v = row[y]
-            if directed:
-                if vused[v]:
-                    continue
-            c = cls[v]
+    # The T_k rows for m >= 3, the narcissistic tail and witness output sit
+    # in helpers so that the frame of rec stays small.  CPython 3.11 keeps
+    # frames in 16 KiB chunks and frees a chunk as soon as its first frame
+    # returns, so a search whose stack keeps crossing a chunk edge pays an
+    # allocation per crossing; small frames make that less likely.
+
+    def deep_rows(depth):
+        return [(ldiv[seq[depth - m]], marks[m]) for m in deep_at[depth]]
+
+    def mirror():
+        # b_j = b_{n-j} forces a_{end+1} .. a_{n-1}; each must be unused.
+        # An automorphism fixing the (n+1)/2 entries placed fixes a subgroup
+        # of more than half the group, so it is the identity: no orderly
+        # check is left for the tail.
+        placed = set(seq[: end + 1])
+        mul = group.mul
+        x = seq[end]
+        for j in range(end + 1, n):
+            x = mul[x][ldiv[seq[n - j - 1]][seq[n - j]]]
+            if x in placed:
+                return False
+            placed.add(x)
+            seq[j] = x
+        return True
+
+    def leaf():
+        sink.append(Arrangement(group, tuple(seq)))
+        if limit is not None and len(sink) >= limit:
+            raise _Stop
+
+    forced_tail = mirror if kind == "narcissistic" else None
+
+    def rec(depth, active):
+        if budget is not None:
+            if budget[0] <= 0:
+                raise BudgetExceeded("search node budget exhausted")
+            budget[0] -= 1
+        brow = bucket[seq[depth - 1]]
+        row2 = slot2[depth]
+        if row2 is not None:
+            row2 = row2[seq[depth - back2]]
+        deep = None if deep_at[depth] is None else deep_rows(depth)
+        at_end = depth == end
+        total = 0
+        for i, y in enumerate(free):
+            c = brow[y]
             if not rem[c]:
                 continue
-            if in_first and cfirst[c]:
-                continue
+            if row2 is not None:
+                c2 = row2[y]
+                if m2[c2]:
+                    continue
+            if deep is not None:
+                clash = False
+                for row, mk in deep:
+                    if mk[row[y]]:
+                        clash = True
+                        break
+                if clash:
+                    continue
+            na = None
+            if active is not None:
+                rej = False
+                for phi in active:
+                    t = phi[y]
+                    if t < y:
+                        rej = True
+                        break
+                    if t == y:
+                        if na is None:
+                            na = [phi]
+                        else:
+                            na.append(phi)
+                if rej:
+                    continue
             seq[depth] = y
-            used[y] = 1
+            if at_end:
+                if forced_tail is None or forced_tail():
+                    total += 1
+                    if sink is not None:
+                        leaf()
+                continue
             rem[c] -= 1
-            if directed:
-                vused[v] = 1
-            if in_first:
-                cfirst[c] = 1
-            if depth + 1 == n:
-                leaf()
-            else:
-                rec(depth + 1)
-            used[y] = 0
+            if row2 is not None:
+                m2[c2] = 1
+            if deep is not None:
+                for row, mk in deep:
+                    mk[row[y]] = 1
+            del free[i]
+            total += rec(depth + 1, na)
+            free.insert(i, y)
             rem[c] += 1
-            if directed:
-                vused[v] = 0
-            if in_first:
-                cfirst[c] = 0
+            if row2 is not None:
+                m2[c2] = 0
+            if deep is not None:
+                for row, mk in deep:
+                    mk[row[y]] = 0
+        return total
 
-    if n == 1:
-        leaf()
-        return
-    if a2 is None:
-        rec(1)
-        return
-    seq[1] = a2
-    used[a2] = 1
-    rem[cls[a2]] -= 1
-    if half >= 1:
-        cfirst[cls[a2]] = 1
-    if directed:
-        vused[a2] = 1
-    rec(2)
-
-
-def _run_narcissistic(group: Group, st: _Runner, a2: int | None = None) -> None:
-    """Palindromic-b terraces; the second half of the sequence is forced."""
-    n = group.order
-    mul = group.mul
-    ldiv = group.ldiv
-    _classes, caps, cindex = _class_data(group)
-    cls = list(cindex)
-    half = (n - 1) // 2  # free b entries; h = half + 1 elements are chosen
-    cfirst = bytearray(len(caps))
-    bvals = [0] * (half + 1)
-    seq, used = st.seq, st.used
-    rng = range(1, n)
-    leaf, node = st.leaf, st.node
-
-    def close_out():
-        # b_j = b_{n-j} for j > half; a_{j+1} = a_j * b_j (1-based).
-        x = seq[half]
-        placed = []
-        ok = True
-        for j in range(half + 1, n):
-            x = mul[x][bvals[n - j]]
-            if used[x]:
-                ok = False
-                break
-            used[x] = 1
-            seq[j] = x
-            placed.append(x)
-        if ok:
-            leaf()
-        for x in placed:
-            used[x] = 0
-
-    def rec(depth):
-        node()
-        row = ldiv[seq[depth - 1]]
-        for y in rng:
-            if used[y]:
-                continue
-            v = row[y]
-            c = cls[v]
-            if cfirst[c]:
-                continue
-            seq[depth] = y
-            used[y] = 1
-            cfirst[c] = 1
-            bvals[depth] = v
-            if depth == half:
-                close_out()
-            else:
-                rec(depth + 1)
-            used[y] = 0
-            cfirst[c] = 0
-
-    if n == 1:
-        leaf()
-        return
-    if a2 is None:
-        rec(1)
-        return
-    seq[1] = a2
-    used[a2] = 1
-    cfirst[cls[a2]] = 1
-    bvals[1] = a2
-    if half == 1:
-        close_out()
-    else:
-        rec(2)
+    try:
+        return rec(1, auts)
+    except _Stop:
+        return len(sink)
 
 
 # ---------------------------------------------------------------------------
@@ -606,47 +280,9 @@ def _check_tk_range(group: Group, mode: EnumMode) -> None:
         raise ValueError(f"k={mode.k} out of range 1..{group.order - 1}")
 
 
-def _run_kind(group: Group, mode: EnumMode, st: _Runner, a2: int | None = None) -> None:
-    kind = mode.kind
-    if kind in ("directed", "directed_tk"):
-        _run_tk(group, mode.k if kind == "directed_tk" else 1, st, a2)
-    elif kind == "terrace":
-        _run_terrace_collect(group, st, a2)
-    elif kind == "half_and_half":
-        _run_half_and_half(group, st, a2, directed=False)
-    elif kind == "directed_half_and_half":
-        _run_half_and_half(group, st, a2, directed=True)
-    else:
-        _run_narcissistic(group, st, a2)
-
-
-def _count_branch(group: Group, mode: EnumMode, a2: int | None) -> tuple[int, int | None]:
-    """(raw, essential|None) for one a2 branch (or the whole tree)."""
-    kind = mode.kind
-    if mode.essentially_different:
-        if kind == "directed":
-            ess = _count_directed(group, _nonidentity_auts(group), a2)
-            return -1, ess  # raw of an orderly branch is not meaningful
-        if kind == "terrace":
-            ess = _count_terrace(group, _nonidentity_auts(group), a2)
-            return -1, ess
-        auts = automorphisms(group)
-        st = _Runner(group, [p for p in auts if any(p[i] != i for i in range(group.order))] or [], None, None, None)
-        _run_kind(group, mode, st, a2)
-        return st.raw, st.essential
-    if kind == "directed":
-        return _count_directed(group, None, a2), None
-    if kind == "terrace":
-        return _count_terrace(group, None, a2), None
-    st = _Runner(group, None, None, None, None)
-    _run_kind(group, mode, st, a2)
-    return st.raw, None
-
-
-def _branch_worker(args) -> tuple[int, int | None]:
-    mul, words, spec, mode, a2 = args
-    group = Group(mul, words, spec)
-    return _count_branch(group, mode, a2)
+def _branch_worker(args) -> int:
+    mul, words, spec, mode, a2, auts = args
+    return _dfs(Group(mul, words, spec), mode, a2, auts)
 
 
 def enumerate_basic(
@@ -658,9 +294,9 @@ def enumerate_basic(
 ) -> EnumResult:
     """Count (and optionally collect) basic sequences of the given kind.
 
-    With essentially_different set, the essential count equals the number
-    of distinct canonical forms; the free Aut-action makes the raw count
-    exactly essential * |Aut(G)|.
+    With essentially_different set, only canonical forms are visited and
+    the essential count is the number of them; the free Aut-action makes
+    the raw count exactly essential * |Aut(G)|.
     """
     cap = _default_cap(mode.kind) if cap is None else cap
     if group.order > cap:
@@ -673,38 +309,25 @@ def enumerate_basic(
         wit = None if mode.count_only else (Arrangement(group, (0,)),)
         return EnumResult(1, 1 if mode.essentially_different else None, wit)
 
+    auts = _nonidentity_auts(group) if mode.essentially_different else None
+    witnesses = None
     if not mode.count_only:
         if threads != 1:
             raise ValueError("witness collection runs single-threaded")
-        auts_filter = None
-        if mode.essentially_different:
-            auts = automorphisms(group)
-            auts_filter = [p for p in auts if any(p[i] != i for i in range(n))] or []
         sink: list[Arrangement] = []
-        st = _Runner(group, auts_filter, sink, max_witnesses, None)
-        try:
-            _run_kind(group, mode, st)
-        except _Stop:
-            pass
-        essential = st.essential if mode.essentially_different else None
-        return EnumResult(st.raw, essential, tuple(sink))
-
-    if threads > 1:
+        leaves = _dfs(group, mode, auts=auts, sink=sink, limit=max_witnesses)
+        witnesses = tuple(sink)
+    elif threads > 1:
         ctx = multiprocessing.get_context("fork")
-        jobs = [(group.mul, group.element_words, group.spec, mode, a2) for a2 in range(1, n)]
+        jobs = [(group.mul, group.element_words, group.spec, mode, a2, auts) for a2 in range(1, n)]
         with ctx.Pool(threads) as pool:
-            parts = pool.map(_branch_worker, jobs)
+            leaves = sum(pool.map(_branch_worker, jobs))
     else:
-        parts = [_count_branch(group, mode, a2) for a2 in range(1, n)]
+        leaves = _dfs(group, mode, auts=auts)
 
     if mode.essentially_different:
-        essential = sum(p[1] for p in parts)
-        if mode.kind in ("directed", "terrace"):
-            raw = essential * len(automorphisms(group))
-        else:
-            raw = sum(p[0] for p in parts)
-        return EnumResult(raw, essential, None)
-    return EnumResult(sum(p[0] for p in parts), None, None)
+        return EnumResult(leaves * len(automorphisms(group)), leaves, witnesses)
+    return EnumResult(leaves, None, witnesses)
 
 
 def count_table(group: Group, threads: int = 1) -> tuple[int, int]:
@@ -736,10 +359,5 @@ def search_first(
     if group.order == 1:
         return Arrangement(group, (0,))
     sink: list[Arrangement] = []
-    budget = None if max_nodes is None else [max_nodes]
-    st = _Runner(group, None, sink, 1, budget)
-    try:
-        _run_kind(group, mode, st)
-    except _Stop:
-        pass
+    _dfs(group, mode, sink=sink, limit=1, budget=None if max_nodes is None else [max_nodes])
     return sink[0] if sink else None

@@ -730,8 +730,33 @@ def _build_atom(atom: SpecAtom) -> Group:
     return _CATALOGUE[params[0]]()  # type: ignore[operator]
 
 
+def _atom_order(atom: SpecAtom) -> int:
+    """The order an atom names; 1 for a catalogue name, whose closure is
+    capped while it is built."""
+    if atom.kind == "SD":
+        return atom.params[0] * atom.params[1]
+    if atom.kind == "NAME":
+        return 1
+    return atom.params[0]
+
+
+def _check_order(order: int, spec: GroupSpec) -> None:
+    if order > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"{spec.format()}: order {order} exceeds the cap {DEFAULT_CLOSURE_CAP}")
+
+
 def build_group(spec: GroupSpec) -> Group:
+    """Build the group a spec names; orders above DEFAULT_CLOSURE_CAP are
+    rejected before any Cayley table is built."""
+    order = 1
+    for atom in spec.atoms:
+        order *= _atom_order(atom)
+        _check_order(order, spec)
     groups = [_build_atom(a) for a in spec.atoms]
+    order = 1
+    for h in groups:
+        order *= h.order
+    _check_order(order, spec)
     g = groups[0]
     for h in groups[1:]:
         g = direct_product(g, h)

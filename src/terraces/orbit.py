@@ -29,7 +29,6 @@ class TerraceSet:
 
     group: Group
     members: dict[tuple[int, ...], Arrangement] = field(default_factory=dict)
-    adjacency: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -95,21 +94,16 @@ def _closure(
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        fresh = 0
         for nb in two_piece_moves(cur, allow_piece_reversal):
             cf = canonical_form(nb)
             if cf.seq in ts.members:
                 continue
             ts.members[cf.seq] = cf
-            fresh += 1
             if predicate is not None and predicate(cf):
-                ts.adjacency[cur.seq] = ts.adjacency.get(cur.seq, 0) + fresh
                 return ts, cf
             if limit is not None and len(ts.members) >= limit:
-                ts.adjacency[cur.seq] = ts.adjacency.get(cur.seq, 0) + fresh
                 return ts, None
             queue.append(cf)
-        ts.adjacency[cur.seq] = fresh
     return ts, None
 
 

@@ -133,9 +133,10 @@ def test_verify_malformed_input_exits_2(tmp_path, capsys):
 
 
 def test_bad_group_spec_exits_2(tmp_path, capsys):
-    code = main(["group", "--group", "Z4xW9", "--outdir", str(tmp_path)])
-    capsys.readouterr()
-    assert code == 2
+    for spec in ["Z4xW9", "Z100000"]:
+        code = main(["group", "--group", spec, "--outdir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 2, spec
 
 
 def test_square_roman_check(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from conftest import KNOWN_COUNTS, basic_arrangements, get_group, naive_basic_count
@@ -132,17 +134,66 @@ def test_half_and_half_counts_against_props_filter():
         assert got_dh == want_dh, spec
 
 
-def test_exotic_kind_essential_counts_match_dedup():
-    g = get_group("Z9")
-    forms = {
-        P.canonical_form(a).seq
-        for a in basic_arrangements(g)
-        if P.is_terrace(a) and P.is_narcissistic(a)
-    }
-    res = enumerate_basic(g, EnumMode("narcissistic", essentially_different=True))
-    assert res.essential_count == len(forms)
-    assert res.raw_count == sum(1 for a in basic_arrangements(g)
-                                if P.is_terrace(a) and P.is_narcissistic(a))
+ORDER_LE_8 = ["Z1", "Z2", "Z3", "Z4", "E4", "Z5", "Z6", "D6", "Z7", "Z8", "Z4xZ2", "E8", "D8", "Q8"]
+ODD_KINDS = ("half_and_half", "narcissistic", "directed_half_and_half")
+KIND_CASES = {
+    "directed": (EnumMode("directed"), P.is_directed_terrace),
+    "terrace": (EnumMode("terrace"), P.is_terrace),
+    "directed_t2": (EnumMode("directed_tk", k=2), lambda a: P.is_directed_tk(a, 2)),
+    "directed_t3": (EnumMode("directed_tk", k=3), lambda a: P.is_directed_tk(a, 3)),
+    "half_and_half": (EnumMode("half_and_half"), lambda a: P.is_terrace(a) and P.is_half_and_half(a)),
+    "narcissistic": (EnumMode("narcissistic"), lambda a: P.is_terrace(a) and P.is_narcissistic(a)),
+    "directed_half_and_half": (
+        EnumMode("directed_half_and_half"),
+        lambda a: P.is_directed_terrace(a) and P.is_half_and_half(a),
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _naive_list(spec):
+    return tuple(basic_arrangements(get_group(spec)))
+
+
+@pytest.mark.parametrize("label", list(KIND_CASES))
+def test_exotic_kind_essential_counts_match_dedup(label):
+    """Orderly pruning by Aut(G) reaches exactly the canonical forms, for
+    every kind: checked against the naive filter over all permutations."""
+    mode, pred = KIND_CASES[label]
+    odd = mode.kind in ODD_KINDS
+    for spec in ORDER_LE_8 + (["Z9"] if odd else []):
+        g = get_group(spec)
+        if (odd and g.order % 2 == 0) or g.order <= mode.k:
+            continue
+        hits = [a for a in _naive_list(spec) if pred(a)]
+        forms = sorted({P.canonical_form(a).seq for a in hits})
+        raw = enumerate_basic(g, mode).raw_count
+        assert raw == len(hits), spec
+        ess = enumerate_basic(g, EnumMode(mode.kind, mode.k, essentially_different=True))
+        assert ess.essential_count == len(forms), spec
+        assert ess.raw_count == raw == ess.essential_count * len(G.automorphisms(g)), spec
+        stream = enumerate_basic(
+            g, EnumMode(mode.kind, mode.k, count_only=False, essentially_different=True)
+        )
+        assert [w.seq for w in stream.witnesses] == forms, spec
+
+
+@pytest.mark.parametrize(
+    "spec, mode, nodes, found",
+    [
+        ("Q8", EnumMode("directed"), 746, False),
+        ("D8", EnumMode("directed_tk", k=2), 554, False),
+        ("Z9", EnumMode("directed_half_and_half"), 1545, False),
+        ("A4", EnumMode("directed_tk", k=2), 487, True),
+    ],
+)
+def test_max_nodes_edge(spec, mode, nodes, found):
+    """A search visits a fixed number of nodes: max_nodes=N finishes, N-1 does not."""
+    g = get_group(spec)
+    w = search_first(g, mode, max_nodes=nodes)
+    assert (w is not None) == found
+    with pytest.raises(BudgetExceeded):
+        search_first(g, mode, max_nodes=nodes - 1)
 
 
 def test_streamed_witnesses_pass_their_verifiers():

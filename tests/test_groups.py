@@ -228,6 +228,14 @@ def test_parse_errors_carry_position():
         assert "position" in str(exc)
 
 
+def test_parse_rejects_orders_above_the_cap():
+    assert G.parse_group_spec("Z1024").order == G.DEFAULT_CLOSURE_CAP
+    assert G.parse_group_spec("Z2xA6").order == 720
+    for bad in ["Z100000", "Z1025", "Z1000xZ1000", "SD(1000,2,1)", "Z2xPSL2_11"]:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            G.parse_group_spec(bad)
+
+
 def test_spec_strings_rebuild_identically():
     for spec in ["Z12", "D12", "Q12", "SD(7,3,4)", "A4", "Z4xZ2"]:
         a = G.parse_group_spec(spec)
