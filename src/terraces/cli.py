@@ -95,6 +95,17 @@ def _effective(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 # Result emission
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory and rename it over
+    `path`, so a reader sees the old file or the new one, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _emit(command: str, echo: list[str], cfg: RunConfig, result: dict, extra_files: dict | None = None) -> dict:
     """Write the deterministic result file + index line; return the payload."""
     payload = {
@@ -109,9 +120,9 @@ def _emit(command: str, echo: list[str], cfg: RunConfig, result: dict, extra_fil
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{command}-{digest}.json"
-    path.write_text(blob, encoding="utf-8")
+    _write_atomic(path, blob)
     for suffix, text in (extra_files or {}).items():
-        (outdir / f"{command}-{digest}{suffix}").write_text(text, encoding="utf-8")
+        _write_atomic(outdir / f"{command}-{digest}{suffix}", text)
     stamp = datetime.now(timezone.utc).isoformat()
     with (outdir / "runs.index").open("a", encoding="utf-8") as fh:
         fh.write(f"{stamp}\t{path.name}\t{payload['echo']}\n")

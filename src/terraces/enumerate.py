@@ -12,8 +12,13 @@ exactly the canonical forms are reached.  This is exact because every kind
 is Aut(G)-invariant and Aut(G) acts freely on complete basic arrangements
 (an automorphism fixing every entry fixes the whole group): each orbit
 holds |Aut(G)| sequences and one lexicographically-least canonical form,
-so the raw count is essential * |Aut(G)|.  First-witness searches do not
-prune by symmetry.
+so the raw count is essential * |Aut(G)|.
+
+First-witness searches prune by Aut(G) too, for every group of order up to
+`groups.DEFAULT_AUT_CAP` except the elementary abelian 2-groups.  The least
+witness in DFS order is the lexicographically least one, hence least in its
+own Aut(G)-orbit, so the pruned search reaches it first: it returns the
+same witness as an unpruned walk and visits a subset of its nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 
-from .groups import Group, _class_data, automorphisms
+from .groups import DEFAULT_AUT_CAP, Group, _class_data, automorphisms
 from .props import Arrangement
 
 __all__ = [
@@ -346,11 +351,15 @@ def search_first(
     cap: int = DEFAULT_SEARCH_CAP,
     max_nodes: int | None = None,
 ) -> Arrangement | None:
-    """First witness in DFS order, or None after exhausting the space.
+    """The lexicographically least witness, or None after exhausting the space.
 
     A None return is a nonexistence certificate; running past `max_nodes`
-    raises BudgetExceeded instead.  Canonical filtering is irrelevant for
-    existence, so essentially_different is ignored here.
+    raises BudgetExceeded instead.  The walk prunes by Aut(G) up to order
+    DEFAULT_AUT_CAP, which leaves the witness unchanged (it is a canonical
+    form) and only lowers the node count.  Elementary abelian 2-groups,
+    where every non-identity element is an involution, are walked unpruned:
+    |Aut(E_{2^m})| = |GL(m, 2)| grows like 2^(m^2), and listing it for E32
+    takes over a minute.  essentially_different is ignored here.
     """
     if group.order > cap:
         raise ValueError(f"search capped at order {cap}, group has {group.order}")
@@ -358,6 +367,9 @@ def search_first(
     _check_tk_range(group, mode)
     if group.order == 1:
         return Arrangement(group, (0,))
+    elementary_2 = all(x == y for x, y in enumerate(group.inv))
+    auts = _nonidentity_auts(group) if group.order <= DEFAULT_AUT_CAP and not elementary_2 else None
     sink: list[Arrangement] = []
-    _dfs(group, mode, sink=sink, limit=1, budget=None if max_nodes is None else [max_nodes])
+    budget = None if max_nodes is None else [max_nodes]
+    _dfs(group, mode, auts=auts, sink=sink, limit=1, budget=budget)
     return sink[0] if sink else None

@@ -679,8 +679,9 @@ class _SpecParser:
         if head in "ZDQE" and i + 1 < len(t) and t[i + 1].isdigit():
             self.pos = i + 1
             return SpecAtom(head, (self.integer(),))
+        # No catalogue name contains "x", so a name ends at the product sign.
         j = i
-        while j < len(t) and (t[j].isalnum() or t[j] == "_"):
+        while j < len(t) and (t[j].isalnum() or t[j] == "_") and t[j] != "x":
             j += 1
         name = t[i:j]
         if name in _CATALOGUE:

@@ -246,6 +246,35 @@ def test_result_files_replay_byte_identical(tmp_path, capsys):
     assert index_lines[0].split("\t")[1] == path.name
 
 
+def test_side_files_replay_byte_identical_without_temp_files(tmp_path, capsys):
+    argv = ["climb", "--group", "Q12", "--mode", "directed", "--seed", "1",
+            "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 3 and any(n.endswith(".terrace.json") for n in names)
+    first = {n: (tmp_path / n).read_bytes() for n in names if n != "runs.index"}
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert {n: (tmp_path / n).read_bytes() for n in first} == first
+
+
+def test_failed_rename_keeps_the_old_result(tmp_path, capsys, monkeypatch):
+    argv = ["enumerate", "--group", "Z6", "--mode", "terrace", "--outdir", str(tmp_path)]
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    (tmp_path / payload["file"].split("/")[-1]).write_bytes(b"old\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("terraces.cli.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        main(argv)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     cfgdir = tmp_path / "from-config"
     cfg = tmp_path / "terraces.cfg"

@@ -209,6 +209,10 @@ def test_parse_examples():
     assert G.parse_group_spec("D8").order == 8
     assert G.parse_group_spec("Q12").order == 12
     assert G.parse_group_spec("E8").order == 8
+    assert not any("x" in name for name in G.CATALOGUE_NAMES)  # a name ends at "x"
+    assert G.parse_group_spec("A4xZ3").order == 36
+    assert G.parse_group_spec("G16_13xZ2").order == 32
+    assert G.parse_spec("A4xZ3").format() == "A4xZ3"
 
 
 def test_parse_roundtrip():
