@@ -88,6 +88,8 @@ def _effective(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(out, f.name, flag)
+    if out.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {out.threads}")
     return out
 
 

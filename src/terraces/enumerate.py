@@ -19,11 +19,20 @@ First-witness searches prune by Aut(G) too, for every group of order up to
 witness in DFS order is the lexicographically least one, hence least in its
 own Aut(G)-orbit, so the pruned search reaches it first: it returns the
 same witness as an unpruned walk and visits a subset of its nodes.
+
+Counts with threads > 1 split by live prefix.  The parent runs `_dfs` down
+to depth 2 and keeps every prefix (a2, a3) that survives its checks,
+orderly ones included; each is one task.  A worker places the prefix in a
+fresh ledger and resumes `_dfs` below it, with the automorphisms that fix
+every prefix entry still active.  `count_table` streams the tasks of both
+kinds through one forked pool, whose workers read the group and its
+automorphisms from the parent's memory.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from .groups import DEFAULT_AUT_CAP, Group, _class_data, automorphisms
@@ -110,20 +119,26 @@ def _nonidentity_auts(group: Group) -> list[tuple[int, ...]] | None:
 def _dfs(
     group: Group,
     mode: EnumMode,
-    a2: int | None = None,
     auts: list[tuple[int, ...]] | None = None,
-    sink: list[Arrangement] | None = None,
+    sink: list | None = None,
     limit: int | None = None,
     budget: list[int] | None = None,
+    prefix: tuple[int, ...] = (),
+    stop_at: int | None = None,
 ) -> int:
     """Number of leaves (complete arrangements of mode.kind) below a_1 = e.
 
-    a2 fixes the second entry.  auts, the non-identity automorphisms, turns
-    on orderly pruning: a prefix that some automorphism maps to a
-    lexicographically smaller one has no canonical completion, so only
-    canonical forms are reached.  With sink set every leaf is appended to
-    it and the search stops after `limit` of them.  budget is a one-cell
-    node allowance; every call of the inner recursion spends one node.
+    auts, the non-identity automorphisms, turns on orderly pruning: a
+    prefix that some automorphism maps to a lexicographically smaller one
+    has no canonical completion, so only canonical forms are reached.  With
+    sink set every leaf is appended to it and the search stops after
+    `limit` of them.  budget is a one-cell node allowance; every call of
+    the inner recursion spends one node.
+
+    prefix resumes the search below a live prefix (a_2, ..., a_{d+1}), as
+    `_live_prefixes` returns it: its entries are placed before the search
+    starts.  stop_at (below `_end_depth`) cuts the search at that depth and
+    appends each surviving prefix (a_2, ..., a_{stop_at+1}) to sink.
     """
     n = group.order
     kind = mode.kind
@@ -140,9 +155,6 @@ def _dfs(
     else:
         bucket = [[cindex[v] for v in row] for row in ldiv]
         rem = ([1] * len(caps) if kind == "narcissistic" else list(caps)) + [0]
-    if a2 is not None:
-        # e is a_1 only, so its row is read at depth 1 alone: let only a2 pass.
-        bucket[0] = [c if y == a2 else -1 for y, c in enumerate(bucket[0])]
     # Layer 2, capacity 1, at the depths where the kind has one: the values
     # of b^(2) for T_k, or the classes already in the first half of b for
     # the half-and-half kinds.  T_k layers m >= 3 come as a list.
@@ -163,7 +175,7 @@ def _dfs(
         m2, back2 = [0] * len(caps), 1
         for d in range(1, half + 1):
             slot2[d] = ctab
-    end = half if kind == "narcissistic" else n - 1  # depth of the last free choice
+    end = _end_depth(n, kind)
     seq = [0] * n
     free = list(range(1, n))
 
@@ -192,12 +204,19 @@ def _dfs(
             seq[j] = x
         return True
 
-    def leaf():
-        sink.append(Arrangement(group, tuple(seq)))
-        if limit is not None and len(sink) >= limit:
-            raise _Stop
+    if stop_at is None:
+        forced_tail = mirror if kind == "narcissistic" else None
 
-    forced_tail = mirror if kind == "narcissistic" else None
+        def leaf():
+            sink.append(Arrangement(group, tuple(seq)))
+            if limit is not None and len(sink) >= limit:
+                raise _Stop
+
+    else:
+        end, forced_tail = stop_at, None
+
+        def leaf():
+            sink.append(tuple(seq[1 : end + 1]))
 
     def rec(depth, active):
         if budget is not None:
@@ -266,10 +285,33 @@ def _dfs(
                     mk[row[y]] = 0
         return total
 
+    # Place the prefix with the ledger updates rec makes.  A live prefix is
+    # canonical: no automorphism maps it lower, and one that maps an entry
+    # higher maps every completion higher, so it prunes nothing below.  The
+    # active automorphisms are exactly those fixing every entry.
+    active = auts
+    for depth, y in enumerate(prefix, 1):
+        seq[depth] = y
+        rem[bucket[seq[depth - 1]][y]] -= 1
+        if slot2[depth] is not None:
+            m2[slot2[depth][seq[depth - back2]][y]] = 1
+        if deep_at[depth] is not None:
+            for row, mk in deep_rows(depth):
+                mk[row[y]] = 1
+        free.remove(y)
+        if active is not None:
+            active = [phi for phi in active if phi[y] == y] or None
+
     try:
-        return rec(1, auts)
+        return rec(len(prefix) + 1, active)
     except _Stop:
         return len(sink)
+
+
+def _end_depth(n: int, kind: str) -> int:
+    """Depth of the last free choice: a_{n}, or the middle entry for the
+    narcissistic kind, whose second half mirrors the first."""
+    return (n - 1) // 2 if kind == "narcissistic" else n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +327,57 @@ def _check_tk_range(group: Group, mode: EnumMode) -> None:
         raise ValueError(f"k={mode.k} out of range 1..{group.order - 1}")
 
 
-def _branch_worker(args) -> int:
-    mul, words, spec, mode, a2, auts = args
-    return _dfs(Group(mul, words, spec), mode, a2, auts)
+# Parallel counts (see the module docstring).  Pool workers are forked and
+# get the group and its automorphisms as initializer arguments, which fork
+# hands over without pickling, so a task carries only (index, mode, prefix).
+
+_SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
+_WORKER_STATE: tuple | None = None  # (group, auts), set in each pool worker
+
+
+def _live_prefixes(group: Group, mode: EnumMode, auts) -> list[tuple[int, ...]]:
+    """The prefixes (a2, a3) that pass every check of `_dfs`, in DFS order;
+    [()], the whole tree, when the tree is too shallow to split."""
+    if _end_depth(group.order, mode.kind) <= _SPLIT_DEPTH:
+        return [()]
+    out: list[tuple[int, ...]] = []
+    _dfs(group, mode, auts, sink=out, stop_at=_SPLIT_DEPTH)
+    return out
+
+
+def _run_task(group: Group, auts, task) -> tuple[int, int]:
+    i, mode, prefix = task
+    return i, _dfs(group, mode, auts if mode.essentially_different else None, prefix=prefix)
+
+
+def _init_worker(group: Group, auts) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = (group, auts)
+
+
+def _pool_task(task) -> tuple[int, int]:
+    return _run_task(*_WORKER_STATE, task)
+
+
+def _count_split(group: Group, modes, auts, threads: int) -> list[int]:
+    """Leaf counts of the count-only `modes`, split by live prefix over one
+    pool of at most min(threads, cpu count, tasks) forked processes."""
+    tasks = [
+        (i, mode, p)
+        for i, mode in enumerate(modes)
+        for p in _live_prefixes(group, mode, auts if mode.essentially_different else None)
+    ]
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    totals = [0] * len(modes)
+    if workers <= 1:
+        for task in tasks:
+            i, leaves = _run_task(group, auts, task)
+            totals[i] += leaves
+        return totals
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (group, auts)) as pool:
+        for i, leaves in pool.imap_unordered(_pool_task, tasks):
+            totals[i] += leaves
+    return totals
 
 
 def enumerate_basic(
@@ -301,7 +391,9 @@ def enumerate_basic(
 
     With essentially_different set, only canonical forms are visited and
     the essential count is the number of them; the free Aut-action makes
-    the raw count exactly essential * |Aut(G)|.
+    the raw count exactly essential * |Aut(G)|.  A count with threads > 1
+    is split by live prefix over one forked pool; witness collection runs
+    in one process.
     """
     cap = _default_cap(mode.kind) if cap is None else cap
     if group.order > cap:
@@ -323,10 +415,7 @@ def enumerate_basic(
         leaves = _dfs(group, mode, auts=auts, sink=sink, limit=max_witnesses)
         witnesses = tuple(sink)
     elif threads > 1:
-        ctx = multiprocessing.get_context("fork")
-        jobs = [(group.mul, group.element_words, group.spec, mode, a2, auts) for a2 in range(1, n)]
-        with ctx.Pool(threads) as pool:
-            leaves = sum(pool.map(_branch_worker, jobs))
+        leaves = _count_split(group, [mode], auts, threads)[0]
     else:
         leaves = _dfs(group, mode, auts=auts)
 
@@ -339,10 +428,13 @@ def count_table(group: Group, threads: int = 1) -> tuple[int, int]:
     """(t, d): essentially different terraces and directed terraces, |G| <= 15."""
     if group.order > 15:
         raise ValueError(f"count_table covers orders up to 15, group has {group.order}")
-    t = enumerate_basic(group, EnumMode("terrace", essentially_different=True), threads=threads)
-    d = enumerate_basic(group, EnumMode("directed", essentially_different=True), threads=threads)
-    assert t.essential_count is not None and d.essential_count is not None
-    return t.essential_count, d.essential_count
+    modes = [EnumMode(kind, essentially_different=True) for kind in ("terrace", "directed")]
+    if threads > 1 and group.order > 1:
+        t, d = _count_split(group, modes, _nonidentity_auts(group), threads)
+    else:
+        t, d = (enumerate_basic(group, mode).essential_count for mode in modes)
+    assert t is not None and d is not None
+    return t, d
 
 
 def search_first(

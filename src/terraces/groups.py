@@ -7,7 +7,6 @@ written against a group-spec string stay valid across runs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +29,6 @@ __all__ = [
     "is_abelian",
     "parse_spec",
     "parse_group_spec",
-    "validate_group",
 ]
 
 DEFAULT_CLOSURE_CAP = 1024
@@ -527,39 +525,6 @@ def _closure_set(group: Group, seed: set[int]) -> set[int]:
                         nxt.append(z)
         frontier = nxt
     return out
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-def validate_group(group: Group, sample_triples: int = 100_000, seed: int = 0) -> None:
-    """Check the Group invariants; raises ValueError on the first failure.
-
-    Associativity is checked exhaustively for order <= 64 and by random
-    sampling of `sample_triples` triples above that.
-    """
-    n = group.order
-    mul, inv = group.mul, group.inv
-    full = set(range(n))
-    for x in range(n):
-        if set(mul[x]) != full:
-            raise ValueError(f"row {x} is not a permutation")
-        if {mul[y][x] for y in range(n)} != full:
-            raise ValueError(f"column {x} is not a permutation")
-    if any(mul[0][x] != x or mul[x][0] != x for x in range(n)):
-        raise ValueError("identity law fails")
-    for x in range(n):
-        if mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0:
-            raise ValueError(f"inverse law fails at {x}")
-    if n <= 64:
-        triples = ((x, y, z) for x in range(n) for y in range(n) for z in range(n))
-    else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(sample_triples))
-    for x, y, z in triples:
-        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-            raise ValueError(f"associativity fails at ({x},{y},{z})")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ randrange per teleport.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -26,7 +27,6 @@ from .props import Arrangement, altitude_directed, altitude_undirected, is_direc
 __all__ = [
     "ClimbParams",
     "ClimbResult",
-    "neighbors",
     "teleport",
     "climb",
     "climb_seeds",
@@ -104,30 +104,6 @@ def _materialize(seq, cuts, order, mask):
     for k in order:
         p = pieces[k]
         out.extend(p[::-1] if (mask >> k) & 1 else p)
-    return out
-
-
-def neighbors(a: Arrangement, cuts: int, allow_reversal: bool) -> list[Arrangement]:
-    """All reassemblies of the given cut count, in the documented order.
-
-    Per cut choice this yields 1 (one cut), 5 (two cuts), 7 (one cut with
-    reversal) or 47 (two cuts with reversal) arrangements; the identity
-    reassembly is the only one excluded.
-    """
-    n = a.group.order
-    if n < 2:
-        raise ValueError("neighbourhoods need order >= 2")
-    if cuts == 1:
-        cut_choices = [(c,) for c in range(1, n)]
-    elif cuts == 2:
-        cut_choices = [(c1, c2) for c1 in range(1, n - 1) for c2 in range(c1 + 1, n)]
-    else:
-        raise ValueError("cuts must be 1 or 2")
-    seq = list(a.seq)
-    out = []
-    for cc in cut_choices:
-        for order, mask in _iter_combos(len(cc) + 1, allow_reversal):
-            out.append(Arrangement(a.group, tuple(_materialize(seq, cc, order, mask))))
     return out
 
 
@@ -409,8 +385,9 @@ def _seed_worker(args) -> ClimbResult:
 def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> ClimbResult:
     """Run one climb per seed; return the first found result in seed order.
 
-    With threads > 1 all seeds run (in parallel); the returned result is
-    the same as sequential execution would give.
+    With threads > 1 all seeds run, in at most min(threads, cpu count,
+    seeds) processes; the returned result is the same as sequential
+    execution would give.
     """
     seeds = list(seeds)
     if not seeds:
@@ -424,7 +401,7 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
         assert last is not None
         return last
     jobs = [(group.mul, group.element_words, group.spec, asdict(params), s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1, len(seeds))) as ex:
         results = list(ex.map(_seed_worker, jobs))
     for r in results:
         if r.outcome == "found":

@@ -16,6 +16,7 @@ import pytest
 
 from terraces import groups as G
 from terraces import props as P
+from terraces.hillclimb import _iter_combos, _materialize
 
 # Known enumeration results for 5 <= |G| <= 15: spec -> (t, d).
 KNOWN_COUNTS = {
@@ -76,6 +77,59 @@ def naive_is_terrace(a: P.Arrangement) -> bool:
         elif counts.get(x, 0) + counts.get(g.inv[x], 0) != 2:
             return False
     return True
+
+
+def validate_group(group: G.Group, sample_triples: int = 100_000, seed: int = 0) -> None:
+    """Check the Group invariants; raises ValueError on the first failure.
+
+    Associativity is checked exhaustively for order <= 64 and by random
+    sampling of `sample_triples` triples above that.
+    """
+    n = group.order
+    mul, inv = group.mul, group.inv
+    full = set(range(n))
+    for x in range(n):
+        if set(mul[x]) != full:
+            raise ValueError(f"row {x} is not a permutation")
+        if {mul[y][x] for y in range(n)} != full:
+            raise ValueError(f"column {x} is not a permutation")
+    if any(mul[0][x] != x or mul[x][0] != x for x in range(n)):
+        raise ValueError("identity law fails")
+    for x in range(n):
+        if mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0:
+            raise ValueError(f"inverse law fails at {x}")
+    if n <= 64:
+        triples = ((x, y, z) for x in range(n) for y in range(n) for z in range(n))
+    else:
+        rng = random.Random(seed)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(sample_triples))
+    for x, y, z in triples:
+        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+            raise ValueError(f"associativity fails at ({x},{y},{z})")
+
+
+def neighbors(a: P.Arrangement, cuts: int, allow_reversal: bool) -> list[P.Arrangement]:
+    """All reassemblies of the given cut count, in the documented order.
+
+    Per cut choice this yields 1 (one cut), 5 (two cuts), 7 (one cut with
+    reversal) or 47 (two cuts with reversal) arrangements; the identity
+    reassembly is the only one excluded.
+    """
+    n = a.group.order
+    if n < 2:
+        raise ValueError("neighbourhoods need order >= 2")
+    if cuts == 1:
+        cut_choices = [(c,) for c in range(1, n)]
+    elif cuts == 2:
+        cut_choices = [(c1, c2) for c1 in range(1, n - 1) for c2 in range(c1 + 1, n)]
+    else:
+        raise ValueError("cuts must be 1 or 2")
+    seq = list(a.seq)
+    out = []
+    for cc in cut_choices:
+        for order, mask in _iter_combos(len(cc) + 1, allow_reversal):
+            out.append(P.Arrangement(a.group, tuple(_materialize(seq, cc, order, mask))))
+    return out
 
 
 def random_arrangement(group: G.Group, rng: random.Random) -> P.Arrangement:

@@ -304,6 +304,18 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_exit_2(tmp_path, capsys, monkeypatch, value):
+    code = main(["enumerate", "--group", "Z5", "--outdir", str(tmp_path), "--threads", value])
+    assert code == 2 and "threads" in capsys.readouterr().err
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text(f"threads = {value}\n")
+    monkeypatch.setenv("TERRACE_CONFIG", str(cfg))
+    code = main(["enumerate", "--group", "Z5", "--outdir", str(tmp_path)])
+    assert code == 2 and "threads" in capsys.readouterr().err
+    assert not list(tmp_path.glob("enumerate-*.json"))
+
+
 def test_effective_config_echoed(tmp_path, capsys):
     code, payload = run_json(
         capsys, "group", "--group", "Z4", "--outdir", str(tmp_path), "--threads", "2"

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import KNOWN_COUNTS, basic_arrangements, get_group, naive_basic_count
+from terraces import enumerate as E
 from terraces import groups as G
+from terraces import hillclimb as H
 from terraces import props as P
 from terraces.enumerate import (
     BudgetExceeded,
@@ -104,9 +109,9 @@ def test_max_witnesses_truncates_in_dfs_order():
 
 
 def test_parallel_split_matches_single_thread():
-    g = get_group("Z10")
-    for mode in [EnumMode("terrace", essentially_different=True), EnumMode("directed")]:
-        assert enumerate_basic(g, mode, threads=2).raw_count == enumerate_basic(g, mode).raw_count
+    for spec in ["Z1", "Z2", "Z3", "Z4", "Z12", "D12"]:
+        g = get_group(spec)
+        assert count_table(g, threads=2) == count_table(g, threads=1), spec
 
 
 def test_tk_counts_against_props_filter():
@@ -177,6 +182,108 @@ def test_exotic_kind_essential_counts_match_dedup(label):
             g, EnumMode(mode.kind, mode.k, count_only=False, essentially_different=True)
         )
         assert [w.seq for w in stream.witnesses] == forms, spec
+
+
+@pytest.mark.parametrize("label", list(KIND_CASES))
+def test_parallel_kinds_match_single_thread(label):
+    """threads=2 splits each count over its live prefixes; the pieces add
+    up to the single-process count, pruned or not, for every kind."""
+    mode, _pred = KIND_CASES[label]
+    if mode.kind in ODD_KINDS:
+        specs = ["Z5", "Z7", "Z9", "Z3xZ3"]
+    else:
+        specs = ["Z4", "Z6", "D6", "Z8", "Q8", "Z10", "D10", "Z11"]
+    for spec in specs:
+        g = get_group(spec)
+        if g.order <= mode.k:
+            continue
+        for ess in (False, True):
+            m = EnumMode(mode.kind, mode.k, essentially_different=ess)
+            one, two = enumerate_basic(g, m), enumerate_basic(g, m, threads=2)
+            assert (two.raw_count, two.essential_count) == (one.raw_count, one.essential_count), (spec, ess)
+
+
+def _walk(g, mode, auts, **kw) -> tuple[int, int]:
+    """(nodes, leaves) of one _dfs call."""
+    budget = [10**12]
+    leaves = E._dfs(g, mode, auts, budget=budget, **kw)
+    return 10**12 - budget[0], leaves
+
+
+@pytest.mark.parametrize("spec", ["Z10", "D10", "A4"])
+def test_prefix_resume_adds_up_to_the_unsplit_count(spec):
+    """Resuming _dfs below every live (a2, a3) prefix, in one process,
+    walks the rest of the unsplit tree: the nodes above the cut plus the
+    nodes and leaves below each prefix are those of one unsplit walk.  The
+    T3 case cuts one level deeper, where the replay also places b^(3) marks."""
+    g = get_group(spec)
+    auts = E._nonidentity_auts(g)
+    for mode, depth in [
+        (EnumMode("terrace", essentially_different=True), 2),
+        (EnumMode("directed", essentially_different=True), 2),
+        (EnumMode("directed"), 2),
+        (EnumMode("directed_tk", k=3), 3),
+    ]:
+        active = auts if mode.essentially_different else None
+        prefixes: list = []
+        top, _ = _walk(g, mode, active, sink=prefixes, stop_at=depth)
+        if depth == E._SPLIT_DEPTH:
+            assert prefixes == E._live_prefixes(g, mode, active)
+        assert prefixes and all(len(p) == depth for p in prefixes)
+        assert prefixes == sorted(set(prefixes))
+        below = [_walk(g, mode, active, prefix=p) for p in prefixes]
+        split = (top + sum(nodes for nodes, _ in below), sum(leaves for _, leaves in below))
+        assert split == _walk(g, mode, active), (spec, mode)
+
+
+class _FakePool:
+    """Stands in for a process pool: records its size, runs tasks inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes=None, initializer=None, initargs=(), max_workers=None):
+        _FakePool.sizes.append(processes if max_workers is None else max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, tasks):
+        return map(fn, tasks)
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=_FakePool))
+    monkeypatch.setattr(H, "ProcessPoolExecutor", _FakePool)
+    return _FakePool.sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 64])
+def test_pool_size_is_capped_without_starting_processes(fake_pools, monkeypatch, cpus):
+    """One pool per count_table, of min(threads, cpu count, tasks) workers;
+    climb_seeds caps its pool the same way.  No process is started."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    g = get_group("Z10")
+    auts = E._nonidentity_auts(g)
+    tasks = sum(len(E._live_prefixes(g, EnumMode(k, essentially_different=True), auts))
+                for k in ("terrace", "directed"))
+    assert count_table(g, threads=10**6) == KNOWN_COUNTS["Z10"]
+    assert count_table(g, threads=2) == KNOWN_COUNTS["Z10"]
+    want = [w for w in (min(cpus, tasks), min(2, cpus)) if w > 1]
+    assert fake_pools == want
+    fake_pools.clear()
+    params = H.ClimbParams(mode="directed", max_steps=50)
+    H.climb_seeds(get_group("Z6"), params, seeds=[1, 2, 3], threads=10**6)
+    assert fake_pools == [min(cpus, 3)]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import get_group
+from conftest import get_group, validate_group
 from terraces import groups as G
 
 ALL_CATALOGUE_SMALL = [
@@ -170,12 +170,12 @@ def test_automorphism_cap():
 
 @pytest.mark.parametrize("spec", ALL_CATALOGUE_SMALL)
 def test_constructed_groups_satisfy_axioms(spec):
-    G.validate_group(get_group(spec))
+    validate_group(get_group(spec))
 
 
 def test_validate_group_on_permutation_catalogue():
     for spec in ["A4", "S4", "PSL2_3", "PGL2_3", "G27_3"]:
-        G.validate_group(get_group(spec))
+        validate_group(get_group(spec))
 
 
 def test_catalogue_orders():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import get_group, random_arrangement
+from conftest import get_group, neighbors, random_arrangement
 from terraces import hillclimb as H
 from terraces import props as P
 
@@ -33,20 +33,20 @@ def test_neighbor_counts_per_cut_choice():
     g = get_group("Z10")
     a = P.Arrangement(g, tuple(range(10)))
     n = g.order
-    assert len(H.neighbors(a, 1, False)) == (n - 1) * 1
-    assert len(H.neighbors(a, 1, True)) == (n - 1) * 7
+    assert len(neighbors(a, 1, False)) == (n - 1) * 1
+    assert len(neighbors(a, 1, True)) == (n - 1) * 7
     pairs = (n - 1) * (n - 2) // 2
-    assert len(H.neighbors(a, 2, False)) == pairs * 5
-    assert len(H.neighbors(a, 2, True)) == pairs * 47
+    assert len(neighbors(a, 2, False)) == pairs * 5
+    assert len(neighbors(a, 2, True)) == pairs * 47
 
 
 def test_one_cut_examples():
     g = get_group("Z6")
     a = P.Arrangement(g, (0, 1, 2, 3, 4, 5))
-    swaps = H.neighbors(a, 1, False)
+    swaps = neighbors(a, 1, False)
     # cut at position 3: second piece first
     assert swaps[2].seq == (3, 4, 5, 0, 1, 2)
-    rev = H.neighbors(a, 1, True)
+    rev = neighbors(a, 1, True)
     # per cut: (A^r B), (A B^r), (A^r B^r), (B A), (B A^r), (B^r A), (B^r A^r)
     per_cut_3 = rev[7 * 2 : 7 * 3]
     assert per_cut_3[1].seq == (0, 1, 2, 5, 4, 3)  # reverse the second piece
@@ -68,8 +68,8 @@ def test_neighbors_exclude_original(rng):
     g = get_group("D8")
     for _ in range(10):
         a = random_arrangement(g, rng)
-        assert all(nb.seq != a.seq for nb in H.neighbors(a, 1, False))
-        assert all(nb.seq != a.seq for nb in H.neighbors(a, 2, False))
+        assert all(nb.seq != a.seq for nb in neighbors(a, 1, False))
+        assert all(nb.seq != a.seq for nb in neighbors(a, 2, False))
 
 
 def test_teleport_examples():
@@ -91,7 +91,7 @@ def test_move_altitude_bounds(rng):
                 (2, P.altitude_undirected, True),
             ):
                 base = alt_fn(a)
-                nbs = H.neighbors(a, cuts, allow)
+                nbs = neighbors(a, cuts, allow)
                 nb = nbs[rng.randrange(len(nbs))]
                 assert -cuts <= alt_fn(nb) - base <= 2 * cuts
 
@@ -172,7 +172,7 @@ def _reference_climb(group, params):
             return "exhausted", None, steps, teleports, tuple(trace)
         nxt = None
         for cuts in range(1, params.max_cuts + 1):
-            for nb in H.neighbors(a, cuts, allow):
+            for nb in neighbors(a, cuts, allow):
                 if alt_fn(nb) > alt:
                     nxt = nb
                     break
