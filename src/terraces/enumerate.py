@@ -20,13 +20,14 @@ witness in DFS order is the lexicographically least one, hence least in its
 own Aut(G)-orbit, so the pruned search reaches it first: it returns the
 same witness as an unpruned walk and visits a subset of its nodes.
 
-Counts with threads > 1 split by live prefix.  The parent runs `_dfs` down
-to depth 2 and keeps every prefix (a2, a3) that survives its checks,
-orderly ones included; each is one task.  A worker places the prefix in a
-fresh ledger and resumes `_dfs` below it, with the automorphisms that fix
-every prefix entry still active.  `count_table` streams the tasks of both
-kinds through one forked pool, whose workers read the group and its
-automorphisms from the parent's memory.
+Counts with threads > 1 split by live prefix, for groups of order 11 and
+up (smaller trees take less time than forking a pool).  The parent runs
+`_dfs` down to depth 2 and keeps every prefix (a2, a3) that survives its
+checks, orderly ones included; each is one task.  A worker places the
+prefix in a fresh ledger and resumes `_dfs` below it, with the
+automorphisms that fix every prefix entry still active.  `count_table`
+streams the tasks of both kinds through one forked pool, whose workers
+read the group and its automorphisms from the parent's memory.
 """
 
 from __future__ import annotations
@@ -332,6 +333,12 @@ def _check_tk_range(group: Group, mode: EnumMode) -> None:
 # hands over without pickling, so a task carries only (index, mode, prefix).
 
 _SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
+# Groups of smaller order count in one process.  On 2 cores every count of
+# every kind below order 11 took at most 0.12 s in one process and longer on
+# a two-worker pool, whose fork costs 20-70 ms.  At order 11 count_table
+# breaks even and the largest count, unpruned terraces, runs 1.9x faster;
+# from order 12 up count_table runs 1.1-1.9x faster on the pool.
+_FORK_MIN_ORDER = 11
 _WORKER_STATE: tuple | None = None  # (group, auts), set in each pool worker
 
 
@@ -345,9 +352,13 @@ def _live_prefixes(group: Group, mode: EnumMode, auts) -> list[tuple[int, ...]]:
     return out
 
 
-def _run_task(group: Group, auts, task) -> tuple[int, int]:
-    i, mode, prefix = task
-    return i, _dfs(group, mode, auts if mode.essentially_different else None, prefix=prefix)
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask where the
+    OS has one (a cgroup cpuset narrows it too), else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _init_worker(group: Group, auts) -> None:
@@ -356,24 +367,28 @@ def _init_worker(group: Group, auts) -> None:
 
 
 def _pool_task(task) -> tuple[int, int]:
-    return _run_task(*_WORKER_STATE, task)
+    group, auts = _WORKER_STATE
+    i, mode, prefix = task
+    return i, _dfs(group, mode, auts, prefix=prefix)
 
 
-def _count_split(group: Group, modes, auts, threads: int) -> list[int]:
-    """Leaf counts of the count-only `modes`, split by live prefix over one
-    pool of at most min(threads, cpu count, tasks) forked processes."""
-    tasks = [
-        (i, mode, p)
-        for i, mode in enumerate(modes)
-        for p in _live_prefixes(group, mode, auts if mode.essentially_different else None)
-    ]
-    workers = min(threads, os.cpu_count() or 1, len(tasks))
-    totals = [0] * len(modes)
+def _count(group: Group, modes, auts, threads: int) -> list[int]:
+    """Leaf counts of the count-only `modes`, which are all essential (auts
+    the non-identity automorphisms) or all not (auts None): one `_dfs` walk
+    each, or, with threads > 1 and order at least _FORK_MIN_ORDER, tasks
+    split by live prefix over one pool of at most min(threads, usable cpus,
+    tasks) forked processes."""
+    workers = min(threads, usable_cpus()) if group.order >= _FORK_MIN_ORDER else 1
+    if workers > 1:
+        tasks = [
+            (i, mode, p)
+            for i, mode in enumerate(modes)
+            for p in _live_prefixes(group, mode, auts)
+        ]
+        workers = min(workers, len(tasks))
     if workers <= 1:
-        for task in tasks:
-            i, leaves = _run_task(group, auts, task)
-            totals[i] += leaves
-        return totals
+        return [_dfs(group, mode, auts) for mode in modes]
+    totals = [0] * len(modes)
     with multiprocessing.get_context("fork").Pool(workers, _init_worker, (group, auts)) as pool:
         for i, leaves in pool.imap_unordered(_pool_task, tasks):
             totals[i] += leaves
@@ -392,8 +407,8 @@ def enumerate_basic(
     With essentially_different set, only canonical forms are visited and
     the essential count is the number of them; the free Aut-action makes
     the raw count exactly essential * |Aut(G)|.  A count with threads > 1
-    is split by live prefix over one forked pool; witness collection runs
-    in one process.
+    of a group of order 11 or more is split by live prefix over one forked
+    pool; witness collection runs in one process.
     """
     cap = _default_cap(mode.kind) if cap is None else cap
     if group.order > cap:
@@ -414,10 +429,8 @@ def enumerate_basic(
         sink: list[Arrangement] = []
         leaves = _dfs(group, mode, auts=auts, sink=sink, limit=max_witnesses)
         witnesses = tuple(sink)
-    elif threads > 1:
-        leaves = _count_split(group, [mode], auts, threads)[0]
     else:
-        leaves = _dfs(group, mode, auts=auts)
+        [leaves] = _count(group, [mode], auts, threads)
 
     if mode.essentially_different:
         return EnumResult(leaves * len(automorphisms(group)), leaves, witnesses)
@@ -428,12 +441,10 @@ def count_table(group: Group, threads: int = 1) -> tuple[int, int]:
     """(t, d): essentially different terraces and directed terraces, |G| <= 15."""
     if group.order > 15:
         raise ValueError(f"count_table covers orders up to 15, group has {group.order}")
+    if group.order == 1:
+        return 1, 1
     modes = [EnumMode(kind, essentially_different=True) for kind in ("terrace", "directed")]
-    if threads > 1 and group.order > 1:
-        t, d = _count_split(group, modes, _nonidentity_auts(group), threads)
-    else:
-        t, d = (enumerate_basic(group, mode).essential_count for mode in modes)
-    assert t is not None and d is not None
+    t, d = _count(group, modes, _nonidentity_auts(group), threads)
     return t, d
 
 

@@ -15,12 +15,12 @@ randrange per teleport.
 
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import permutations
 
+from .enumerate import usable_cpus
 from .groups import Group, _class_data
 from .props import Arrangement, altitude_directed, altitude_undirected, is_directed_terrace, is_terrace
 
@@ -385,14 +385,15 @@ def _seed_worker(args) -> ClimbResult:
 def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> ClimbResult:
     """Run one climb per seed; return the first found result in seed order.
 
-    With threads > 1 all seeds run, in at most min(threads, cpu count,
-    seeds) processes; the returned result is the same as sequential
-    execution would give.
+    With more than one worker (min(threads, usable cpus, seeds)) all seeds
+    run, in that many processes; the returned result is the same as
+    sequential execution would give.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    if threads <= 1:
+    workers = min(threads, usable_cpus(), len(seeds))
+    if workers <= 1:
         last = None
         for s in seeds:
             last = climb(group, ClimbParams(**{**asdict(params), "seed": s}))
@@ -401,7 +402,7 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
         assert last is not None
         return last
     jobs = [(group.mul, group.element_words, group.spec, asdict(params), s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1, len(seeds))) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         results = list(ex.map(_seed_worker, jobs))
     for r in results:
         if r.outcome == "found":

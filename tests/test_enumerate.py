@@ -108,7 +108,14 @@ def test_max_witnesses_truncates_in_dfs_order():
     assert [w.seq for w in cut.witnesses] == [w.seq for w in full.witnesses[:5]]
 
 
-def test_parallel_split_matches_single_thread():
+@pytest.fixture
+def split_small_groups(monkeypatch):
+    """Send counts of every order through the pool, so small groups test
+    the split as well."""
+    monkeypatch.setattr(E, "_FORK_MIN_ORDER", 1)
+
+
+def test_parallel_split_matches_single_thread(split_small_groups):
     for spec in ["Z1", "Z2", "Z3", "Z4", "Z12", "D12"]:
         g = get_group(spec)
         assert count_table(g, threads=2) == count_table(g, threads=1), spec
@@ -185,7 +192,7 @@ def test_exotic_kind_essential_counts_match_dedup(label):
 
 
 @pytest.mark.parametrize("label", list(KIND_CASES))
-def test_parallel_kinds_match_single_thread(label):
+def test_parallel_kinds_match_single_thread(split_small_groups, label):
     """threads=2 splits each count over its live prefixes; the pieces add
     up to the single-process count, pruned or not, for every kind."""
     mode, _pred = KIND_CASES[label]
@@ -264,15 +271,35 @@ def fake_pools(monkeypatch):
     monkeypatch.setattr(_FakePool, "sizes", [])
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=_FakePool))
     monkeypatch.setattr(H, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(E, "_WORKER_STATE", None)
     return _FakePool.sizes
+
+
+def _set_cpus(monkeypatch, affinity: int, host: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: host)
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    _set_cpus(monkeypatch, affinity=1, host=64)
+    assert E.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert E.usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert E.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 3, 64])
 def test_pool_size_is_capped_without_starting_processes(fake_pools, monkeypatch, cpus):
-    """One pool per count_table, of min(threads, cpu count, tasks) workers;
-    climb_seeds caps its pool the same way.  No process is started."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    """One pool per count_table, of min(threads, usable cpus, tasks)
+    workers, and none when that is 1 or the group is small; climb_seeds
+    caps its pool the same way.  The host count is larger than the
+    affinity mask, which is the one that binds.  No process is started."""
+    _set_cpus(monkeypatch, affinity=cpus, host=128)
     g = get_group("Z10")
+    assert count_table(g, threads=2) == KNOWN_COUNTS["Z10"]
+    assert fake_pools == []  # Z10 is below _FORK_MIN_ORDER
+    monkeypatch.setattr(E, "_FORK_MIN_ORDER", 10)
     auts = E._nonidentity_auts(g)
     tasks = sum(len(E._live_prefixes(g, EnumMode(k, essentially_different=True), auts))
                 for k in ("terrace", "directed"))
@@ -283,7 +310,7 @@ def test_pool_size_is_capped_without_starting_processes(fake_pools, monkeypatch,
     fake_pools.clear()
     params = H.ClimbParams(mode="directed", max_steps=50)
     H.climb_seeds(get_group("Z6"), params, seeds=[1, 2, 3], threads=10**6)
-    assert fake_pools == [min(cpus, 3)]
+    assert fake_pools == [w for w in (min(cpus, 3),) if w > 1]
 
 
 @pytest.mark.parametrize(
