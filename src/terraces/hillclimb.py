@@ -1,24 +1,33 @@
 """First-improvement hill climbing over arrangements with k-cut moves.
 
-The climb cuts the arrangement into at most three pieces and reassembles
+The climb cuts the arrangement into two or three pieces and reassembles
 them; only the junction entries of the quotient list change, so candidate
-moves are scored from O(1) count updates.  Directed mode counts distinct
-quotient values; terrace mode counts inverse-pair classes with caps, which
-makes piece reversal altitude-neutral and therefore worth offering as a
-move (it is forbidden in directed mode, where reversal scrambles values).
+moves are scored from O(1) count updates.  Terrace mode counts inverse-pair
+classes with caps, which makes piece reversal altitude-neutral and
+therefore worth offering as a move; directed mode is the same count with
+one class per quotient value and every cap 1, and offers no reversal,
+which scrambles values.
+
+One scan serves both modes and both cut counts.  It walks a move table
+built once at import: for each (piece order, reversal mask), the pairs of
+piece ends the move joins.  An exact prefilter skips every cut tuple and
+every move that forms no junction in a class with room, since such a move
+cannot raise the altitude; only the rest reach the gain test.
 
 A teleport (move one random element to the end) escapes local maxima and
 costs at most two altitude points.  Trajectories are fully determined by
 the seed: the Mersenne Twister drives one shuffle for the start and one
-randrange per teleport.
+randrange per teleport.  `climb_seeds` runs seeds on a forked pool and
+returns the first found result in seed order as soon as the seeds before it
+are done.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from itertools import permutations
+from dataclasses import dataclass, replace
+from itertools import combinations, permutations
 
 from .enumerate import usable_cpus
 from .groups import Group, _class_data
@@ -107,6 +116,33 @@ def _materialize(seq, cuts, order, mask):
     return out
 
 
+def _move_table(npieces: int, allow_reversal: bool):
+    """(pairs, moves) for one piece count, moves in `_iter_combos` order.
+
+    The ends of the pieces are indexed heads first, then tails:
+    (seq[0], seq[c1], ..., seq[c1 - 1], ..., seq[n - 1]).  A move is
+    (order, mask, junctions, broken): the (last end, first end) pairs it
+    joins that the arrangement does not, and the ones it breaks; the two
+    lists have equal length.  `pairs` holds every end pair some move joins.
+    """
+    p = npieces
+    joined = [(p + k, k + 1) for k in range(p - 1)]
+    moves = []
+    for order, mask in _iter_combos(p, allow_reversal):
+        joins = [
+            (a if (mask >> a) & 1 else p + a, p + b if (mask >> b) & 1 else b)
+            for a, b in zip(order, order[1:])
+        ]
+        junctions = tuple(j for j in joins if j not in joined)
+        broken = tuple(j for j in joined if j not in joins)
+        moves.append((order, mask, junctions, broken))
+    pairs = tuple(dict.fromkeys(j for m in moves for j in m[2]))
+    return pairs, tuple(moves)
+
+
+_MOVES = {(p, rev): _move_table(p, rev) for p in (2, 3) for rev in (False, True)}
+
+
 def teleport(a: Arrangement, rng: random.Random) -> Arrangement:
     """Move one uniformly chosen element to the end (altitude drop <= 2)."""
     n = a.group.order
@@ -119,50 +155,35 @@ def teleport(a: Arrangement, rng: random.Random) -> Arrangement:
 
 
 # ---------------------------------------------------------------------------
-# Incremental climber
+# Incremental climber.  The altitude is the number of quotients that fit in
+# their class: sum over classes of min(count, cap).  Terrace mode uses the
+# inverse-pair classes; directed mode is the same with one class per
+# quotient value and every cap 1.
 
 
 class _Climber:
-    def __init__(self, group: Group, mode: str):
+    def __init__(self, group: Group, mode: str, seq: list[int]):
         self.group = group
         self.mode = mode
-        self.n = group.order
+        self.n = n = group.order
         self.ldiv = group.ldiv
         if mode == "terrace":
             _cl, caps, cindex = _class_data(group)
-            self.cls = list(cindex)
-            self.cap = list(caps)
-            self.ccnt = [0] * len(caps)
+            self.cls, self.cap = list(cindex), list(caps)
         else:
-            self.vcnt = [0] * self.n
-        self.seq: list[int] = list(range(self.n))
-        self.alt = 0
+            self.cls, self.cap = list(range(n)), [1] * n
+        self.reset(seq)
 
     def reset(self, seq: list[int]) -> None:
         self.seq = seq
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        ldiv, seq = self.ldiv, self.seq
+        ldiv, cls, cap = self.ldiv, self.cls, self.cap
+        ccnt = self.ccnt = [0] * len(cap)
         alt = 0
-        if self.mode == "directed":
-            vcnt = self.vcnt
-            for i in range(self.n):
-                vcnt[i] = 0
-            for i in range(self.n - 1):
-                v = ldiv[seq[i]][seq[i + 1]]
-                if not vcnt[v]:
-                    alt += 1
-                vcnt[v] += 1
-        else:
-            ccnt, cls, cap = self.ccnt, self.cls, self.cap
-            for i in range(len(ccnt)):
-                ccnt[i] = 0
-            for i in range(self.n - 1):
-                c = cls[ldiv[seq[i]][seq[i + 1]]]
-                if ccnt[c] < cap[c]:
-                    alt += 1
-                ccnt[c] += 1
+        for i in range(self.n - 1):
+            c = cls[ldiv[seq[i]][seq[i + 1]]]
+            if ccnt[c] < cap[c]:
+                alt += 1
+            ccnt[c] += 1
         self.alt = alt
 
     def check(self) -> None:
@@ -171,151 +192,62 @@ class _Climber:
         if ref != self.alt:
             raise AssertionError(f"incremental altitude {self.alt} != recomputed {ref}")
 
-    def apply(self, cuts, order, mask) -> None:
-        self.seq = _materialize(self.seq, cuts, order, mask)
-        self._rebuild()
-
-    def teleport_in_place(self, rng: random.Random) -> None:
-        i = rng.randrange(self.n)
-        self.seq.append(self.seq.pop(i))
-        self._rebuild()
-
-    # -- first-improvement scans -------------------------------------------
-
-    def try_improve(self, max_cuts: int) -> bool:
-        if self.mode == "directed":
-            if self._scan1_directed():
-                return True
-            return max_cuts >= 2 and self._scan2_directed()
-        if self._scan1_terrace():
-            return True
-        return max_cuts >= 2 and self._scan2_terrace()
-
-    def _scan1_directed(self) -> bool:
-        seq, ldiv, vcnt, n = self.seq, self.ldiv, self.vcnt, self.n
-        a1 = ldiv[seq[n - 1]][seq[0]]  # the only new junction: end -> start
-        if vcnt[a1]:
-            return False
-        for c in range(1, n):
-            r1 = ldiv[seq[c - 1]][seq[c]]
-            if a1 != r1 and vcnt[r1] > 1:
-                self.apply((c,), (1, 0), 0)
-                return True
-        return False
-
-    def _scan2_directed(self) -> bool:
-        seq, ldiv, vcnt, n = self.seq, self.ldiv, self.vcnt, self.n
-        s0 = seq[0]
-        sl = seq[n - 1]
-
-        def gain2(r1, r2, a1, a2):
-            d = 0
-            vcnt[r1] -= 1
-            if not vcnt[r1]:
-                d -= 1
-            vcnt[r2] -= 1
-            if not vcnt[r2]:
-                d -= 1
-            if not vcnt[a1]:
-                d += 1
-            vcnt[a1] += 1
-            if not vcnt[a2]:
-                d += 1
-            vcnt[a2] += 1
-            vcnt[a2] -= 1
-            vcnt[a1] -= 1
-            vcnt[r2] += 1
-            vcnt[r1] += 1
-            return d
-
-        for c1 in range(1, n - 1):
-            e0 = seq[c1 - 1]
-            s1 = seq[c1]
-            r1 = ldiv[e0][s1]
-            for c2 in range(c1 + 1, n):
-                e1 = seq[c2 - 1]
-                s2 = seq[c2]
-                r2 = ldiv[e1][s2]
-                # piece orders in lexicographic order: 021, 102, 120, 201, 210
-                if gain2(r1, r2, ldiv[e0][s2], ldiv[sl][s1]) > 0:
-                    self.apply((c1, c2), (0, 2, 1), 0)
-                    return True
-                if gain2(r1, r2, ldiv[e1][s0], ldiv[e0][s2]) > 0:
-                    self.apply((c1, c2), (1, 0, 2), 0)
-                    return True
-                if gain2(r1, r2, ldiv[e1][s2], ldiv[sl][s0]) > 0:
-                    self.apply((c1, c2), (1, 2, 0), 0)
-                    return True
-                if gain2(r1, r2, ldiv[sl][s0], ldiv[e0][s1]) > 0:
-                    self.apply((c1, c2), (2, 0, 1), 0)
-                    return True
-                if gain2(r1, r2, ldiv[sl][s1], ldiv[e1][s0]) > 0:
-                    self.apply((c1, c2), (2, 1, 0), 0)
-                    return True
-        return False
-
-    def _class_gain(self, removed, added) -> int:
+    def _gain(self, removed, added) -> int:
+        """Altitude change from replacing the quotients `removed` by `added`."""
         ccnt, cls, cap = self.ccnt, self.cls, self.cap
         d = 0
-        rcls = [cls[v] for v in removed]
-        for c in rcls:
-            if ccnt[c] <= cap[c]:
-                d -= 1
+        for v in removed:
+            c = cls[v]
+            d -= ccnt[c] <= cap[c]
             ccnt[c] -= 1
-        acls = [cls[v] for v in added]
-        for c in acls:
-            if ccnt[c] < cap[c]:
-                d += 1
+        for v in added:
+            c = cls[v]
+            d += ccnt[c] < cap[c]
             ccnt[c] += 1
-        for c in acls:
-            ccnt[c] -= 1
-        for c in rcls:
-            ccnt[c] += 1
+        for v in added:
+            ccnt[cls[v]] -= 1
+        for v in removed:
+            ccnt[cls[v]] += 1
         return d
 
-    def _scan1_terrace(self) -> bool:
+    def try_improve(self, max_cuts: int) -> bool:
+        """Apply the first move that raises the altitude (one cut, then two)."""
+        ccnt, cap = self.ccnt, self.cap
+        # room[v]: the class of quotient v holds fewer than cap entries.
+        # Within one class, a move that removes k entries and adds j can
+        # raise the altitude only if j > k and the class had room before the
+        # move; so a move none of whose new junctions lands in room cannot
+        # gain, and skipping it (or a cut tuple with no such end pair at
+        # all) leaves the first improving move unchanged.
+        room = [ccnt[c] < cap[c] for c in self.cls]
+        return self._scan(2, room) or (max_cuts >= 2 and self._scan(3, room))
+
+    def _scan(self, npieces: int, room: list[bool]) -> bool:
         seq, ldiv, n = self.seq, self.ldiv, self.n
-        gain = self._class_gain
-        for c in range(1, n):
-            r1 = ldiv[seq[c - 1]][seq[c]]
-            # combos for pieces (A, B): order (0,1) masks 1..3, order (1,0) masks 0..3
-            combos = (
-                ((0, 1), 1, ldiv[seq[0]][seq[c]]),
-                ((0, 1), 2, ldiv[seq[c - 1]][seq[n - 1]]),
-                ((0, 1), 3, ldiv[seq[0]][seq[n - 1]]),
-                ((1, 0), 0, ldiv[seq[n - 1]][seq[0]]),
-                ((1, 0), 1, ldiv[seq[n - 1]][seq[c - 1]]),
-                ((1, 0), 2, ldiv[seq[c]][seq[0]]),
-                ((1, 0), 3, ldiv[seq[c]][seq[c - 1]]),
-            )
-            for order, mask, a1 in combos:
-                if gain((r1,), (a1,)) > 0:
-                    self.apply((c,), order, mask)
+        pairs, moves = _MOVES[npieces, self.mode == "terrace"]
+        s0, sl, k = seq[0], seq[n - 1], npieces - 1
+        # cut c splits seq[c - 1] (a tail) from seq[c] (a head)
+        for cuts, heads, tails in zip(
+            combinations(range(1, n), k), combinations(seq[1:], k), combinations(seq[:-1], k)
+        ):
+            ends = (s0, *heads, *tails, sl)
+            for i, j in pairs:
+                if room[ldiv[ends[i]][ends[j]]]:
+                    break
+            else:
+                continue
+            for order, mask, junctions, broken in moves:
+                for i, j in junctions:
+                    if room[ldiv[ends[i]][ends[j]]]:
+                        break
+                else:
+                    continue
+                added = [ldiv[ends[i]][ends[j]] for i, j in junctions]
+                removed = [ldiv[ends[i]][ends[j]] for i, j in broken]
+                if self._gain(removed, added) > 0:
+                    self.reset(_materialize(seq, cuts, order, mask))
                     return True
         return False
-
-    def _scan2_terrace(self) -> bool:
-        seq, ldiv, n = self.seq, self.ldiv, self.n
-        gain = self._class_gain
-        for c1 in range(1, n - 1):
-            for c2 in range(c1 + 1, n):
-                r1 = ldiv[seq[c1 - 1]][seq[c1]]
-                r2 = ldiv[seq[c2 - 1]][seq[c2]]
-                head = (seq[0], seq[c1], seq[c2])
-                tail = (seq[c1 - 1], seq[c2 - 1], seq[n - 1])
-                for order, mask in _COMBOS3_REV:
-                    k0, k1, k2 = order
-                    l0 = head[k0] if (mask >> k0) & 1 else tail[k0]
-                    f1 = tail[k1] if (mask >> k1) & 1 else head[k1]
-                    l1 = head[k1] if (mask >> k1) & 1 else tail[k1]
-                    f2 = tail[k2] if (mask >> k2) & 1 else head[k2]
-                    if gain((r1, r2), (ldiv[l0][f1], ldiv[l1][f2])) > 0:
-                        self.apply((c1, c2), order, mask)
-                        return True
-        return False
-
-
-_COMBOS3_REV = tuple(_iter_combos(3, True))
 
 
 def climb(group: Group, params: ClimbParams) -> ClimbResult:
@@ -327,11 +259,9 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
         raise ValueError("climb needs order >= 2")
     rng = random.Random(params.seed)
     directed = params.mode == "directed"
-    climber = _Climber(group, params.mode)
     start = list(range(n))
     rng.shuffle(start)
-    climber.reset(start)
-    target = n - 1
+    climber = _Climber(group, params.mode, start)
     steps = teleports = restarts = 0
     trace: list[int] | None = [] if params.record_trace else None
 
@@ -347,7 +277,7 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
         )
 
     while True:
-        if climber.alt == target:
+        if climber.alt == n - 1:
             arr = Arrangement(group, tuple(climber.seq))
             ok = is_directed_terrace(arr) if directed else is_terrace(arr)
             if not ok:
@@ -370,43 +300,55 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
             climber.reset(fresh)
             restarts += 1
             continue
-        climber.teleport_in_place(rng)
+        seq = climber.seq
+        seq.append(seq.pop(rng.randrange(n)))
+        climber.reset(seq)
         if params.debug_check:
             climber.check()
         teleports += 1
 
 
-def _seed_worker(args) -> ClimbResult:
-    mul, words, spec, params, seed = args
-    group = Group(mul, words, spec)
-    return climb(group, ClimbParams(**{**params, "seed": seed}))
+# Seeds on a pool: workers are forked and get the group and parameters as
+# initializer arguments, so a task carries only its seed.
+
+_SEED_STATE: tuple | None = None  # (group, params), set in each pool worker
+
+
+def _init_seed_worker(group: Group, params: ClimbParams) -> None:
+    global _SEED_STATE
+    _SEED_STATE = (group, params)
+
+
+def _seed_task(seed: int) -> ClimbResult:
+    group, params = _SEED_STATE
+    return climb(group, replace(params, seed=seed))
+
+
+def _first_found(results) -> ClimbResult:
+    for r in results:
+        if r.outcome == "found":
+            break
+    return r
 
 
 def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> ClimbResult:
-    """Run one climb per seed; return the first found result in seed order.
+    """Run one climb per seed; return the first found result in seed order,
+    or the last seed's result when no seed finds one.
 
-    With more than one worker (min(threads, usable cpus, seeds)) all seeds
-    run, in that many processes; the returned result is the same as
-    sequential execution would give.
+    With more than one worker (min(threads, usable cpus, seeds)) the seeds
+    run in that many forked processes and are read back in seed order; the
+    first found result is returned as soon as every earlier seed is done,
+    and the seeds still running are stopped.  The result is the one the
+    serial loop returns.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     workers = min(threads, usable_cpus(), len(seeds))
     if workers <= 1:
-        last = None
-        for s in seeds:
-            last = climb(group, ClimbParams(**{**asdict(params), "seed": s}))
-            if last.outcome == "found":
-                return last
-        assert last is not None
-        return last
-    jobs = [(group.mul, group.element_words, group.spec, asdict(params), s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        results = list(ex.map(_seed_worker, jobs))
-    for r in results:
-        if r.outcome == "found":
-            return r
-    return results[-1]
-
-
+        return _first_found(climb(group, replace(params, seed=s)) for s in seeds)
+    with multiprocessing.get_context("fork").Pool(workers, _init_seed_worker, (group, params)) as pool:
+        r = _first_found(pool.imap(_seed_task, seeds))
+    if r.arrangement is not None:  # a worker's result holds a copy of the group
+        r.arrangement = Arrangement(group, r.arrangement.seq)
+    return r

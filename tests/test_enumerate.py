@@ -248,8 +248,8 @@ class _FakePool:
 
     sizes: list[int] = []
 
-    def __init__(self, processes=None, initializer=None, initargs=(), max_workers=None):
-        _FakePool.sizes.append(processes if max_workers is None else max_workers)
+    def __init__(self, processes=None, initializer=None, initargs=()):
+        _FakePool.sizes.append(processes)
         if initializer is not None:
             initializer(*initargs)
 
@@ -262,7 +262,7 @@ class _FakePool:
     def imap_unordered(self, fn, tasks):
         return map(fn, tasks)
 
-    def map(self, fn, tasks):
+    def imap(self, fn, tasks):
         return map(fn, tasks)
 
 
@@ -270,8 +270,8 @@ class _FakePool:
 def fake_pools(monkeypatch):
     monkeypatch.setattr(_FakePool, "sizes", [])
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=_FakePool))
-    monkeypatch.setattr(H, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(E, "_WORKER_STATE", None)
+    monkeypatch.setattr(H, "_SEED_STATE", None)
     return _FakePool.sizes
 
 
@@ -311,6 +311,20 @@ def test_pool_size_is_capped_without_starting_processes(fake_pools, monkeypatch,
     params = H.ClimbParams(mode="directed", max_steps=50)
     H.climb_seeds(get_group("Z6"), params, seeds=[1, 2, 3], threads=10**6)
     assert fake_pools == [w for w in (min(cpus, 3),) if w > 1]
+
+
+def test_climb_seeds_pool_stops_at_the_first_find(fake_pools, monkeypatch):
+    """The pool's results are read in seed order and the first found one is
+    returned without asking for the later seeds; it equals the serial result."""
+    _set_cpus(monkeypatch, affinity=2, host=2)
+    g = get_group("Q12")
+    params = H.ClimbParams(mode="directed", max_steps=10_000)
+    serial = H.climb_seeds(g, params, seeds=[4, 5, 6])
+    ran = []
+    climb = H.climb
+    monkeypatch.setattr(H, "climb", lambda group, p: ran.append(p.seed) or climb(group, p))
+    pooled = H.climb_seeds(g, params, seeds=[4, 5, 6], threads=2)
+    assert fake_pools == [2] and ran == [4] and pooled == serial
 
 
 @pytest.mark.parametrize(

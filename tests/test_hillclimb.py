@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -80,19 +81,26 @@ def test_teleport_examples():
 
 
 def test_move_altitude_bounds(rng):
+    """One uniformly drawn neighbour per arrangement and move kind: a cut
+    tuple and a (piece order, reversal mask), as `neighbors` lists them."""
+    kinds = [
+        (cuts, alt_fn, list(H._iter_combos(cuts + 1, allow)))
+        for cuts, alt_fn, allow in (
+            (1, P.altitude_directed, False),
+            (2, P.altitude_directed, False),
+            (1, P.altitude_undirected, True),
+            (2, P.altitude_undirected, True),
+        )
+    ]
     for spec in ["Z12", "D12", "Q12"]:
         g = get_group(spec)
         for _ in range(150):
             a = random_arrangement(g, rng)
-            for cuts, alt_fn, allow in (
-                (1, P.altitude_directed, False),
-                (2, P.altitude_directed, False),
-                (1, P.altitude_undirected, True),
-                (2, P.altitude_undirected, True),
-            ):
+            for cuts, alt_fn, combos in kinds:
                 base = alt_fn(a)
-                nbs = neighbors(a, cuts, allow)
-                nb = nbs[rng.randrange(len(nbs))]
+                at = sorted(rng.sample(range(1, g.order), cuts))
+                order, mask = combos[rng.randrange(len(combos))]
+                nb = P.Arrangement(g, tuple(H._materialize(list(a.seq), at, order, mask)))
                 assert -cuts <= alt_fn(nb) - base <= 2 * cuts
 
 
@@ -149,9 +157,103 @@ def test_climb_determinism():
 
 
 def test_climb_debug_check_agrees():
-    for spec, mode in [("Z12", "directed"), ("D10", "terrace"), ("Q16", "directed")]:
+    for spec, mode in [("Z12", "directed"), ("D10", "terrace"), ("Q16", "directed"), ("Q64", "terrace")]:
         r = H.climb(get_group(spec), H.ClimbParams(mode=mode, seed=7, debug_check=True))
         assert r.outcome == "found"
+
+
+def _ends(seq, cuts):
+    """Piece ends in move-table order: heads, then tails."""
+    return [seq[b] for b in (0, *cuts)] + [seq[c - 1] for c in cuts] + [seq[-1]]
+
+
+@pytest.mark.parametrize("npieces", [2, 3])
+@pytest.mark.parametrize("allow_reversal", [False, True])
+def test_move_table_junctions_match_materialize(npieces, allow_reversal, rng):
+    """Each table entry's new and broken junctions, with the junctions it
+    keeps, are the quotients at the piece boundaries of `_materialize`."""
+    g = get_group("Q12")
+    ldiv, n = g.ldiv, g.order
+    pairs, moves = H._MOVES[npieces, allow_reversal]
+    assert [m[:2] for m in moves] == list(H._iter_combos(npieces, allow_reversal))
+    assert set(pairs) == {j for m in moves for j in m[2]}
+    joined = {(npieces + k, k + 1) for k in range(npieces - 1)}
+    for _ in range(40):
+        seq = list(random_arrangement(g, rng).seq)
+        cuts = sorted(rng.sample(range(1, n), npieces - 1))
+        ends = _ends(seq, cuts)
+        bounds = [0, *cuts, n]
+        for order, mask, junctions, broken in moves:
+            assert len(junctions) == len(broken) and set(broken) <= joined
+            assert not set(junctions) & joined
+            kept = [p for p in joined if p not in broken]
+            want = sorted(ldiv[ends[i]][ends[j]] for i, j in kept + list(junctions))
+            out = H._materialize(seq, cuts, order, mask)
+            at = list(accumulate(bounds[k + 1] - bounds[k] for k in order))[:-1]
+            assert sorted(ldiv[out[i - 1]][out[i]] for i in at) == want
+
+
+@pytest.mark.parametrize("spec", ["Z12", "D12", "Q12", "Z4xZ2", "E8"])
+@pytest.mark.parametrize("mode", ["directed", "terrace"])
+@pytest.mark.parametrize("max_cuts", [1, 2])
+def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, rng):
+    """Along a walk of improving moves and teleports, `try_improve` applies
+    exactly the first neighbour in `neighbors` order that raises the
+    altitude, or none when none does; and every move the prefilter skips
+    (no new junction whose class has room) has altitude gain <= 0."""
+    g = get_group(spec)
+    alt_fn = P.altitude_directed if mode == "directed" else P.altitude_undirected
+    allow = mode == "terrace"
+    ldiv = g.ldiv
+    a = random_arrangement(g, rng)
+    for _ in range(12):
+        base = alt_fn(a)
+        climber = H._Climber(g, mode, list(a.seq))
+        room = [climber.ccnt[c] < climber.cap[c] for c in climber.cls]
+        for cuts in range(1, max_cuts + 1):
+            _pairs, moves = H._MOVES[cuts + 1, allow]
+            for cut in combinations(range(1, g.order), cuts):
+                ends = _ends(a.seq, cut)
+                for order, mask, junctions, _broken in moves:
+                    if not any(room[ldiv[ends[i]][ends[j]]] for i, j in junctions):
+                        nb = P.Arrangement(g, tuple(H._materialize(list(a.seq), cut, order, mask)))
+                        assert alt_fn(nb) <= base
+        first = next((nb for c in range(1, max_cuts + 1) for nb in neighbors(a, c, allow)
+                      if alt_fn(nb) > base), None)
+        assert climber.try_improve(max_cuts) == (first is not None)
+        if first is None:
+            assert tuple(climber.seq) == a.seq
+            a = H.teleport(a, rng)
+        else:
+            assert tuple(climber.seq) == first.seq and climber.alt == alt_fn(first)
+            a = first
+
+
+# Seed-1 climbs at order 63-64, recorded before the scans were merged into
+# one table-driven scan; debug_check recomputes the altitude at every move.
+D64_TERRACE_SEED1 = (
+    23, 32, 57, 14, 41, 24, 30, 28, 15, 40, 47, 11, 62, 18, 51, 54, 36, 9, 44, 25, 26, 31,
+    59, 29, 8, 10, 33, 2, 58, 12, 16, 4, 48, 60, 5, 19, 3, 7, 52, 22, 17, 6, 38, 0, 49, 43,
+    21, 45, 42, 34, 35, 46, 20, 13, 63, 53, 37, 61, 39, 56, 27, 50, 1, 55,
+)
+SD792_DIRECTED_SEED1 = (
+    11, 6, 41, 16, 9, 2, 25, 48, 28, 58, 31, 7, 5, 51, 54, 36, 8, 34, 13, 12, 52, 24, 30,
+    33, 19, 37, 0, 14, 57, 17, 27, 43, 49, 45, 20, 47, 44, 60, 61, 32, 4, 62, 22, 26, 10,
+    3, 55, 1, 39, 15, 42, 46, 23, 53, 29, 35, 18, 50, 56, 21, 40, 59, 38,
+)
+
+
+@pytest.mark.parametrize(
+    "spec, mode, steps, teleports, seq",
+    [
+        ("D64", "terrace", 35, 9, D64_TERRACE_SEED1),
+        ("SD(7,9,2)", "directed", 42, 11, SD792_DIRECTED_SEED1),
+    ],
+)
+def test_large_order_climbs_are_pinned(spec, mode, steps, teleports, seq):
+    r = H.climb(get_group(spec), H.ClimbParams(mode=mode, seed=1, debug_check=True))
+    assert (r.outcome, r.steps_taken, r.teleports_taken) == ("found", steps, teleports)
+    assert r.arrangement.seq == seq
 
 
 def _reference_climb(group, params):
@@ -234,8 +336,7 @@ def test_climb_seeds_first_found_wins():
     seq_result = H.climb_seeds(g, params, seeds=[4, 5, 6])
     assert seq_result.outcome == "found" and seq_result.seed == 4
     par_result = H.climb_seeds(g, params, seeds=[4, 5, 6], threads=2)
-    assert par_result.seed == seq_result.seed
-    assert par_result.arrangement.seq == seq_result.arrangement.seq
+    assert par_result == seq_result and par_result.arrangement.group is g
 
 
 def test_climb_rejects_trivial_group():
