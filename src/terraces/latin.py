@@ -119,13 +119,9 @@ def check_row_quasi_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
     """Each unordered pair adjacent within rows exactly twice (either order)."""
     n = sq.order
     counts = [0] * (n * n)
-    slots: dict[int, list[list[int]]] = {}
-    for r, row in enumerate(sq.cells):
-        for c in range(n - 1):
-            x, y = row[c], row[c + 1]
-            key = (x * n + y) if x < y else (y * n + x)
-            counts[key] += 1
-            slots.setdefault(key, []).append([r, c])
+    for row in sq.cells:
+        for x, y in zip(row, row[1:]):
+            counts[(x * n + y) if x < y else (y * n + x)] += 1
     for x in range(n):
         for y in range(x + 1, n):
             key = x * n + y
@@ -134,7 +130,8 @@ def check_row_quasi_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
                     "pair": [x, y],
                     "offset": 1,
                     "count": counts[key],
-                    "positions": slots.get(key, []),
+                    "positions": [[r, c] for r, row in enumerate(sq.cells)
+                                  for c in range(n - 1) if {row[c], row[c + 1]} == {x, y}],
                 }
     return True, None
 
@@ -161,16 +158,17 @@ def k_complete_max(sq: LatinSquare) -> int:
 
 
 def certify(sq: LatinSquare) -> SquareCertificate:
+    t = transpose(sq)
     row_ok, row_wit = check_row_complete(sq)
     quasi_ok, quasi_wit = check_row_quasi_complete(sq)
     roman = roman_k_max(sq)
     return SquareCertificate(
         row_complete=row_ok,
-        complete=row_ok and check_row_complete(transpose(sq))[0],
+        complete=row_ok and check_row_complete(t)[0],
         row_quasi_complete=quasi_ok,
-        quasi_complete=quasi_ok and check_row_quasi_complete(transpose(sq))[0],
+        quasi_complete=quasi_ok and check_row_quasi_complete(t)[0],
         roman_k_max=roman,
-        k_complete_max=min(roman, roman_k_max(transpose(sq))),
+        k_complete_max=min(roman, roman_k_max(t)),
         row_witness=row_wit,
         quasi_witness=quasi_wit,
     )

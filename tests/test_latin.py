@@ -82,6 +82,14 @@ def test_quasi_witness_reports_count():
     sq = L.square_from(P.Arrangement(g, (0, 1, 2, 3)))
     ok, wit = L.check_row_quasi_complete(sq)
     assert not ok and wit["count"] != 2
+    assert L.certify(sq).to_dict() == {
+        "row_complete": False, "complete": False,
+        "row_quasi_complete": False, "quasi_complete": False,
+        "roman_k_max": 0, "k_complete_max": 0,
+        "row_witness": {"pair": [2, 3], "offset": 1, "positions": [[0, 2], [2, 0]]},
+        "quasi_witness": {"pair": [0, 1], "offset": 1, "count": 4,
+                          "positions": [[0, 0], [1, 0], [2, 2], [3, 2]]},
+    }
 
 
 def test_roman_k_examples():

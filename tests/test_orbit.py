@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+from collections import deque
+
 import pytest
 
-from conftest import get_group
+from conftest import get_group, naive_is_terrace, neighbors
 from terraces import props as P
 from terraces.enumerate import EnumMode, enumerate_basic
-from terraces.orbit import explore_chain, orbit_of, two_piece_moves
+from terraces.orbit import _closure, explore_chain, orbit_of, two_piece_moves
 
 ALLOWED_ORBIT_SIZES = {1, 2, 3, 4, 6}  # divisors of 4 or 6
+CATALOGUE_2_TO_10 = ["Z2", "Z3", "Z4", "E4", "Z5", "Z6", "D6", "Z7", "Z8", "Z4xZ2", "E8",
+                     "D8", "Q8", "Z9", "Z3xZ3", "Z10", "D10"]
 
 
 def essential_terraces(spec):
@@ -19,6 +24,37 @@ def test_moves_require_a_terrace():
     g = get_group("Z6")
     with pytest.raises(ValueError):
         two_piece_moves(P.Arrangement(g, (0, 1, 2, 3, 4, 5)), False)
+
+
+def oracle_moves(w, flag):
+    """Every one-cut reassembly built and tested naively, re-based; first
+    occurrences in order, after the re-based whole reversal."""
+    based = [P.to_basic(P.reverse(w))]
+    based += [P.to_basic(nb) for nb in neighbors(w, 1, flag) if naive_is_terrace(nb)]
+    return list(dict.fromkeys(b.seq for b in based))
+
+
+def oracle_orbit_keys(w):
+    """Breadth-first closure over oracle_moves without piece reversal."""
+    g = w.group
+    start = P.canonical_form(w).seq
+    keys = {start: None}
+    queue = deque([start])
+    while queue:
+        for seq in oracle_moves(P.Arrangement(g, queue.popleft()), False):
+            cf = P.canonical_form(P.Arrangement(g, seq)).seq
+            if cf not in keys:
+                keys[cf] = None
+                queue.append(cf)
+    return list(keys)
+
+
+@pytest.mark.parametrize("spec", CATALOGUE_2_TO_10)
+def test_moves_and_orbits_match_oracle(spec):
+    for w in essential_terraces(spec):
+        for flag in (False, True):
+            assert [m.seq for m in two_piece_moves(w, flag)] == oracle_moves(w, flag)
+        assert list(orbit_of(w).members) == oracle_orbit_keys(w)
 
 
 def test_reverse_always_produced():
@@ -84,6 +120,14 @@ def test_chain_finds_extendable_on_z12():
     assert witness is not None and visited >= 1
     ok, j = P.is_extendable(witness)
     assert ok and j >= 5
+    assert (witness.seq, visited) == ((0, 1, 3, 10, 4, 9, 5, 8, 6, 7, 11, 2), 5)
+
+
+def test_chain_walk_order_is_pinned():
+    ts, witness = _closure(P.walecki(14), True, None, 5000)
+    assert witness is None and len(ts) == 5000
+    digest = hashlib.sha256(repr(list(ts.members)).encode()).hexdigest()
+    assert digest == "559b3a685030302a99255ec45b7e1be57b6af232f78d95fd65e3cb06aeba8e63"
 
 
 def test_chain_never_finds_extendable_on_z10():
