@@ -3,12 +3,14 @@ square emission and orbit exploration.
 
 Every invocation writes one JSON result file into the run directory plus a
 line in an append-only index.  The result file contains only deterministic
-content (the effective configuration is echoed into it, timings are not),
-so re-running the echoed command reproduces it byte for byte; timing and
-timestamps live on stdout and in the index only.
+content: the command echo, the effective configuration and the result, but
+no timings.  The echo is built from the parsed flags and shell-quoted, so
+re-running it with the same config file reproduces the file byte for byte;
+timing and timestamps live on stdout and in the index only.
 
 Exit codes: 0 success, 1 property or search goal not satisfied, 2 usage or
-input error, 3 search budget exhausted.
+input error (a climb for an arrangement the group provably lacks included),
+3 climb or search budget exhausted.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -53,8 +56,6 @@ class RunConfig:
     threads: int = 1
     seed: int = 0
     max_steps: int = ClimbParams.max_steps
-    max_restarts: int = ClimbParams.max_restarts
-    restart_policy: str = ClimbParams.restart_policy
     search_cap: int = DEFAULT_SEARCH_CAP
 
 
@@ -97,6 +98,22 @@ def _effective(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 # Result emission
 
 
+def _echo(args: argparse.Namespace) -> str:
+    """The shell-quoted command line that replays this run: every flag that
+    has a value, in dest order (each dest `x_y` is the flag `--x-y`)."""
+    words = ["terraces", args.cmd]
+    for dest, value in sorted(vars(args).items()):
+        if dest in ("cmd", "func") or value is None or value is False:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            words.append(flag)
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            words += [flag, str(item)]
+    return shlex.join(words)
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temp file in the same directory and rename it over
     `path`, so a reader sees the old file or the new one, never a part."""
@@ -108,11 +125,12 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _emit(command: str, echo: list[str], cfg: RunConfig, result: dict, extra_files: dict | None = None) -> dict:
-    """Write the deterministic result file + index line; return the payload."""
+def _emit(args: argparse.Namespace, cfg: RunConfig, result: dict, side_files: dict) -> dict:
+    """Write the deterministic result file, its side files and an index
+    line; return the payload."""
     payload = {
-        "command": command,
-        "echo": "terraces " + " ".join(echo),
+        "command": args.cmd,
+        "echo": _echo(args),
         "version": __version__,
         "config": asdict(cfg),
         "result": result,
@@ -121,10 +139,10 @@ def _emit(command: str, echo: list[str], cfg: RunConfig, result: dict, extra_fil
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{command}-{digest}.json"
+    path = outdir / f"{args.cmd}-{digest}.json"
     _write_atomic(path, blob)
-    for suffix, text in (extra_files or {}).items():
-        _write_atomic(outdir / f"{command}-{digest}{suffix}", text)
+    for suffix, text in side_files.items():
+        _write_atomic(outdir / f"{args.cmd}-{digest}{suffix}", text)
     stamp = datetime.now(timezone.utc).isoformat()
     with (outdir / "runs.index").open("a", encoding="utf-8") as fh:
         fh.write(f"{stamp}\t{path.name}\t{payload['echo']}\n")
@@ -132,18 +150,21 @@ def _emit(command: str, echo: list[str], cfg: RunConfig, result: dict, extra_fil
     return payload
 
 
-def _print(payload: dict, seconds: float) -> None:
-    shown = dict(payload)
-    shown["seconds"] = round(seconds, 3)
-    print(json.dumps(shown, sort_keys=True, indent=2))
+def _found(result: dict, arr) -> dict:
+    """Record a found arrangement (or None) in `result`; return the side
+    files that hold it."""
+    if arr is None:
+        return {}
+    result["elements"] = list(arr.seq)
+    result["words"] = list(arr.words())
+    return {".terrace.json": json.dumps(arrangement_to_json(arr), indent=2) + "\n"}
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each returns (result, side files, exit code); `main` emits.
 
 
-def cmd_group(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_group(args, cfg: RunConfig):
     g = parse_group_spec(args.group)
     result = {
         "spec": g.spec,
@@ -154,30 +175,30 @@ def cmd_group(args, cfg: RunConfig) -> int:
         "element_orders": [element_order(g, x) for x in range(g.order)],
         "words": list(g.element_words),
     }
-    payload = _emit("group", ["group", "--group", args.group], cfg, result)
-    _print(payload, time.perf_counter() - t0)
-    return 0
+    return result, {}, 0
 
 
-def _parse_seeds(args, cfg: RunConfig) -> list[int]:
-    if args.seeds:
-        return [int(s) for s in args.seeds.split(",")]
-    return [cfg.seed if args.seed is None else args.seed]
+def _climb_obstruction(g, mode: str) -> str | None:
+    """Why `g` provably has no arrangement of this kind, or None."""
+    n = g.order
+    if mode == "terrace" and n >= 4 and len(involutions(g)) == n - 1:
+        return f"{g.spec} has no terrace: every non-identity element is an involution"
+    if mode == "directed" and n > 1 and is_abelian(g) and len(involutions(g)) != 1:
+        return (f"{g.spec} has no directed terrace: an abelian group has one only "
+                "with exactly one involution (Gordon 1961)")
+    if mode == "directed" and n in (6, 8) and not is_abelian(g):
+        return f"{g.spec} has no directed terrace: no non-abelian group of order 6 or 8 has one"
+    return None
 
 
-def cmd_climb(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_climb(args, cfg: RunConfig):
     g = parse_group_spec(args.group)
-    seeds = _parse_seeds(args, cfg)
-    params = ClimbParams(
-        mode=args.mode,
-        max_cuts=args.max_cuts,
-        seed=seeds[0],
-        max_steps=cfg.max_steps,
-        max_restarts=cfg.max_restarts,
-        restart_policy=cfg.restart_policy,
-        record_trace=args.trace,
-    )
+    why = _climb_obstruction(g, args.mode)
+    if why:
+        raise ValueError(why)
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    params = ClimbParams(mode=args.mode, max_cuts=args.max_cuts, seed=seeds[0],
+                         max_steps=cfg.max_steps, record_trace=args.trace)
     res = climb_seeds(g, params, seeds, threads=cfg.threads)
     result = {
         "group": g.spec,
@@ -186,40 +207,28 @@ def cmd_climb(args, cfg: RunConfig) -> int:
         "seeds": seeds,
         **res.to_dict(),
     }
-    echo = ["climb", "--group", args.group, "--mode", args.mode, "--max-cuts", str(args.max_cuts)]
-    echo += ["--seeds", ",".join(str(s) for s in seeds)] if args.seeds else ["--seed", str(seeds[0])]
-    if args.trace:
-        echo.append("--trace")
-    extra = None
-    if res.arrangement is not None:
-        extra = {".terrace.json": json.dumps(arrangement_to_json(res.arrangement), indent=2) + "\n"}
-    payload = _emit("climb", echo, cfg, result, extra)
-    _print(payload, time.perf_counter() - t0)
-    return 0 if res.outcome == "found" else 3
+    return result, _found(result, res.arrangement), 0 if res.outcome == "found" else 3
 
 
 _CLI_KINDS = {
-    "directed": ("directed", 1),
-    "terrace": ("terrace", 1),
-    "half-and-half": ("half_and_half", 1),
-    "narcissistic": ("narcissistic", 1),
-    "directed-half-and-half": ("directed_half_and_half", 1),
-    "tk": ("directed_tk", None),
+    "directed": "directed",
+    "terrace": "terrace",
+    "half-and-half": "half_and_half",
+    "narcissistic": "narcissistic",
+    "directed-half-and-half": "directed_half_and_half",
+    "tk": "directed_tk",
 }
 
 
 def _cli_mode(args) -> EnumMode:
-    kind, k = _CLI_KINDS[args.mode]
-    if k is None:
-        k = args.k
-        if k is None:
-            raise ValueError("--mode tk requires --k")
-    return EnumMode(kind, k=k, count_only=getattr(args, "witnesses", None) is None,
+    if (args.mode == "tk") != (args.k is not None):
+        raise ValueError("--mode tk requires --k, and --k goes only with --mode tk")
+    return EnumMode(_CLI_KINDS[args.mode], k=1 if args.k is None else args.k,
+                    count_only=getattr(args, "witnesses", None) is None,
                     essentially_different=getattr(args, "essential", False))
 
 
-def cmd_enumerate(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_enumerate(args, cfg: RunConfig):
     g = parse_group_spec(args.group)
     mode = _cli_mode(args)
     threads = cfg.threads if mode.count_only else 1
@@ -235,112 +244,65 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
         result["witnesses"] = [list(w.seq) for w in res.witnesses]
         for w in res.witnesses:
             print(json.dumps(arrangement_to_json(w), sort_keys=True))
-    echo = ["enumerate", "--group", args.group, "--mode", args.mode]
-    if args.mode == "tk":
-        echo += ["--k", str(mode.k)]
-    if args.essential:
-        echo.append("--essential")
-    if args.witnesses is not None:
-        echo += ["--witnesses", str(args.witnesses)]
-    if args.cap is not None:
-        echo += ["--cap", str(args.cap)]
-    payload = _emit("enumerate", echo, cfg, result)
-    _print(payload, time.perf_counter() - t0)
-    return 0
+    return result, {}, 0
 
 
-def cmd_search(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_search(args, cfg: RunConfig):
     g = parse_group_spec(args.group)
     mode = _cli_mode(args)
-    witness = search_first(g, mode, cap=cfg.search_cap,
-                           max_nodes=args.max_nodes)
-    result: dict = {"group": g.spec, "mode": mode.label(), "found": witness is not None}
-    extra = None
-    if witness is not None:
-        result["elements"] = list(witness.seq)
-        result["words"] = list(witness.words())
-        extra = {".terrace.json": json.dumps(arrangement_to_json(witness), indent=2) + "\n"}
-    echo = ["search", "--group", args.group, "--mode", args.mode]
-    if args.mode == "tk":
-        echo += ["--k", str(mode.k)]
-    if args.max_nodes is not None:
-        echo += ["--max-nodes", str(args.max_nodes)]
-    payload = _emit("search", echo, cfg, result, extra)
-    _print(payload, time.perf_counter() - t0)
-    return 0 if witness is not None else 1
+    witness = search_first(g, mode, cap=cfg.search_cap, max_nodes=args.max_nodes)
+    result = {"group": g.spec, "mode": mode.label(), "found": witness is not None}
+    return result, _found(result, witness), 0 if witness is not None else 1
 
 
-def _parse_property(name: str) -> tuple[str, int]:
-    if name.startswith("t") and name[1:].isdigit():
-        return "tk", int(name[1:])
-    return name, 0
-
-
-_PROPERTY_NAMES = ("basic", "terrace", "directed", "symmetric", "extendable",
-                   "half-and-half", "narcissistic")
-
-
-def cmd_verify(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def _load_terrace(args):
     g = parse_group_spec(args.group) if args.group else None
-    arr = load_arrangement(args.terrace, g)
-    report = classify(arr)
-    rep = report.to_dict()
+    return load_arrangement(args.terrace, g)
+
+
+# --property name -> PropertyReport.to_dict() key; t<k> is read separately.
+_PROPERTIES = {
+    "basic": "basic",
+    "terrace": "terrace",
+    "directed": "directed_terrace",
+    "symmetric": "symmetric_sequencing",
+    "extendable": "extendable",
+    "half-and-half": "half_and_half",
+    "narcissistic": "narcissistic",
+}
+
+
+def cmd_verify(args, cfg: RunConfig):
+    arr = _load_terrace(args)
+    report = classify(arr).to_dict()
     checks = {}
-    for prop in args.properties or []:
-        key, k = _parse_property(prop)
-        if key == "tk":
-            checks[prop] = report.max_k_directed_tk >= k
-        elif key == "basic":
-            checks[prop] = report.is_basic
-        elif key == "terrace":
-            checks[prop] = report.is_terrace
-        elif key == "directed":
-            checks[prop] = report.is_directed_terrace
-        elif key == "symmetric":
-            checks[prop] = report.is_symmetric_sequencing is True
-        elif key == "extendable":
-            checks[prop] = report.is_extendable is True
-        elif key == "half-and-half":
-            checks[prop] = report.is_half_and_half is True
-        elif key == "narcissistic":
-            checks[prop] = report.is_narcissistic is True
+    for prop in args.property or []:
+        if prop in _PROPERTIES:
+            checks[prop] = report[_PROPERTIES[prop]] is True
+        elif prop[:1] == "t" and prop[1:].isdigit():
+            checks[prop] = report["max_k_directed_tk"] >= int(prop[1:])
         else:
             raise ValueError(f"unknown property {prop!r}; choose from "
-                             f"{_PROPERTY_NAMES} or t<k>")
+                             f"{tuple(_PROPERTIES)} or t<k>")
     result = {
         "group": arr.group.spec,
         "terrace": list(arr.seq),
-        "report": rep,
+        "report": report,
         "checks": checks,
     }
-    echo = ["verify", "--terrace", str(args.terrace)]
-    if args.group:
-        echo = ["verify", "--group", args.group, "--terrace", str(args.terrace)]
-    for prop in args.properties or []:
-        echo += ["--property", prop]
-    payload = _emit("verify", echo, cfg, result)
-    _print(payload, time.perf_counter() - t0)
-    return 0 if all(checks.values()) else 1
+    return result, {}, 0 if all(checks.values()) else 1
 
 
-def cmd_square(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    g = parse_group_spec(args.group) if args.group else None
-    arr = load_arrangement(args.terrace, g)
+def cmd_square(args, cfg: RunConfig):
+    arr = _load_terrace(args)
     sq = square_from(arr)
     cert = certify(sq)
-    passed = None
-    if args.check:
-        if args.check == "complete":
-            passed = cert.complete
-        elif args.check == "quasi":
-            passed = cert.quasi_complete
-        elif args.check.startswith("roman:"):
-            passed = cert.roman_k_max >= int(args.check.split(":", 1)[1])
-        else:
-            raise ValueError(f"unknown check {args.check!r}; use complete, quasi or roman:<k>")
+    if args.check in (None, "complete", "quasi"):
+        passed = {None: None, "complete": cert.complete, "quasi": cert.quasi_complete}[args.check]
+    elif args.check.startswith("roman:"):
+        passed = cert.roman_k_max >= int(args.check.split(":", 1)[1])
+    else:
+        raise ValueError(f"unknown check {args.check!r}; use complete, quasi or roman:<k>")
     if args.out == "csv":
         rendered = {".square.csv": square_to_csv(sq)}
     else:
@@ -352,52 +314,27 @@ def cmd_square(args, cfg: RunConfig) -> int:
         "check": args.check,
         "check_passed": passed,
     }
-    echo = ["square", "--terrace", str(args.terrace), "--out", args.out]
-    if args.group:
-        echo = ["square", "--group", args.group, "--terrace", str(args.terrace), "--out", args.out]
-    if args.check:
-        echo += ["--check", args.check]
-    payload = _emit("square", echo, cfg, result, rendered)
-    _print(payload, time.perf_counter() - t0)
-    return 0 if passed in (None, True) else 1
+    return result, rendered, 0 if passed in (None, True) else 1
 
 
-def cmd_orbit(args, cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    g = parse_group_spec(args.group) if args.group else None
-    arr = load_arrangement(args.terrace, g)
-    echo = ["orbit", "--terrace", str(args.terrace)]
-    if args.group:
-        echo = ["orbit", "--group", args.group, "--terrace", str(args.terrace)]
-    if args.find:
-        if args.find != "extendable":
-            raise ValueError(f"unknown predicate {args.find!r}; only 'extendable' is available")
-        witness, visited = explore_chain(arr, args.limit, lambda r: is_extendable(r)[0])
-        result: dict = {"group": arr.group.spec, "find": args.find,
-                        "limit": args.limit, "visited": visited,
-                        "found": witness is not None}
-        extra = None
-        if witness is not None:
-            result["elements"] = list(witness.seq)
-            result["words"] = list(witness.words())
-            extra = {".terrace.json": json.dumps(arrangement_to_json(witness), indent=2) + "\n"}
-        echo += ["--find", args.find, "--limit", str(args.limit)]
-        payload = _emit("orbit", echo, cfg, result, extra)
-        _print(payload, time.perf_counter() - t0)
-        return 0 if witness is not None else 1
-    ts = orbit_of(arr)
-    result = {
-        "group": arr.group.spec,
-        "orbit_size": len(ts),
-        "members": [list(seq) for seq in sorted(ts.members)],
-    }
-    payload = _emit("orbit", echo, cfg, result)
-    _print(payload, time.perf_counter() - t0)
-    return 0
+def cmd_orbit(args, cfg: RunConfig):
+    arr = _load_terrace(args)
+    if args.find is None:
+        ts = orbit_of(arr)
+        result = {
+            "group": arr.group.spec,
+            "orbit_size": len(ts),
+            "members": [list(seq) for seq in sorted(ts.members)],
+        }
+        return result, {}, 0
+    witness, visited = explore_chain(arr, args.limit, lambda r: is_extendable(r)[0])
+    result = {"group": arr.group.spec, "find": args.find, "limit": args.limit,
+              "visited": visited, "found": witness is not None}
+    return result, _found(result, witness), 0 if witness is not None else 1
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and runner
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -418,13 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("climb", help="hill-climb for a (directed) terrace")
     p.add_argument("--group", required=True)
     p.add_argument("--mode", choices=["directed", "terrace"], default="directed")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", help="comma-separated seed list; first found wins")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int)
+    seeds.add_argument("--seeds", help="comma-separated seed list; first found wins")
     p.add_argument("--max-cuts", type=int, choices=[1, 2], default=2)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--max-restarts", dest="max_restarts", type=int)
-    p.add_argument("--restart-policy", dest="restart_policy",
-                   choices=["teleport-only", "fresh-random"])
+    p.add_argument("--max-steps", type=int)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_climb)
 
@@ -442,14 +377,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("search", help="first witness in DFS order, or a nonexistence certificate")
     p.add_argument("--group", required=True)
     p.add_argument("--mode", choices=sorted(_CLI_KINDS), default="directed")
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-nodes", dest="max_nodes", type=int)
+    p.add_argument("--k", type=int, help="T_k depth for --mode tk")
+    p.add_argument("--max-nodes", type=int)
     p.set_defaults(func=cmd_search)
 
     p = add_parser("verify", help="classify a terrace file and check properties")
     p.add_argument("--group")
     p.add_argument("--terrace", required=True)
-    p.add_argument("--property", dest="properties", action="append",
+    p.add_argument("--property", action="append",
                    help="basic|terrace|directed|symmetric|extendable|half-and-half|narcissistic|t<k>")
     p.set_defaults(func=cmd_verify)
 
@@ -463,23 +398,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("orbit", help="orbit closure or chain exploration from a terrace")
     p.add_argument("--group")
     p.add_argument("--terrace", required=True)
-    p.add_argument("--find", help="predicate to hunt for (extendable)")
+    p.add_argument("--find", choices=["extendable"], help="predicate to hunt for")
     p.add_argument("--limit", type=int, default=100_000)
     p.set_defaults(func=cmd_orbit)
     return top
 
 
 def main(argv=None) -> int:
+    """Load the config, run one command, emit its result file and print the
+    payload with the run's seconds."""
     args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
         cfg = _effective(load_config(args.config), args)
-        return args.func(args, cfg)
+        result, side_files, code = args.func(args, cfg)
     except BudgetExceeded as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
     except (ValueError, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    payload = _emit(args, cfg, result, side_files)
+    payload["seconds"] = round(time.perf_counter() - t0, 3)
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return code
 
 
 if __name__ == "__main__":

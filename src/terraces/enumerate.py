@@ -410,6 +410,8 @@ def enumerate_basic(
     of a group of order 11 or more is split by live prefix over one forked
     pool; witness collection runs in one process.
     """
+    if max_witnesses is not None and max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
     cap = _default_cap(mode.kind) if cap is None else cap
     if group.order > cap:
         raise ValueError(f"enumeration capped at order {cap}, group has {group.order}")

@@ -50,8 +50,6 @@ class ClimbParams:
     max_cuts: int = 2
     seed: int = 0
     max_steps: int = 1_000_000
-    max_restarts: int = 0
-    restart_policy: str = "teleport-only"  # or "fresh-random"
     record_trace: bool = False
     debug_check: bool = False
 
@@ -60,8 +58,6 @@ class ClimbParams:
             raise ValueError(f"unknown climb mode {self.mode!r}")
         if self.max_cuts not in (1, 2):
             raise ValueError("max_cuts must be 1 or 2 (3 cuts do not pay for themselves)")
-        if self.restart_policy not in ("teleport-only", "fresh-random"):
-            raise ValueError(f"unknown restart policy {self.restart_policy!r}")
 
 
 @dataclass
@@ -70,21 +66,17 @@ class ClimbResult:
     arrangement: Arrangement | None
     steps_taken: int
     teleports_taken: int
-    restarts_taken: int
     seed: int
     trace: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
+        """Outcome and counters; the found arrangement is left to the caller."""
         out = {
             "outcome": self.outcome,
             "steps": self.steps_taken,
             "teleports": self.teleports_taken,
-            "restarts": self.restarts_taken,
             "seed": self.seed,
         }
-        if self.arrangement is not None:
-            out["elements"] = list(self.arrangement.seq)
-            out["words"] = list(self.arrangement.words())
         if self.trace is not None:
             out["trace"] = list(self.trace)
         return out
@@ -262,7 +254,7 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
     start = list(range(n))
     rng.shuffle(start)
     climber = _Climber(group, params.mode, start)
-    steps = teleports = restarts = 0
+    steps = teleports = 0
     trace: list[int] | None = [] if params.record_trace else None
 
     def result(outcome: str, arrangement: Arrangement | None) -> ClimbResult:
@@ -271,7 +263,6 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
             arrangement,
             steps,
             teleports,
-            restarts,
             params.seed,
             None if trace is None else tuple(trace),
         )
@@ -291,14 +282,6 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
                 climber.check()
             if trace is not None:
                 trace.append(climber.alt)
-            continue
-        if params.restart_policy == "fresh-random":
-            if restarts >= params.max_restarts:
-                return result("exhausted", None)
-            fresh = list(range(n))
-            rng.shuffle(fresh)
-            climber.reset(fresh)
-            restarts += 1
             continue
         seq = climber.seq
         seq.append(seq.pop(rng.randrange(n)))

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 import terraces
+from terraces import cli
 from terraces import props as P
 from terraces.cli import main
 
@@ -47,11 +50,34 @@ def test_climb_found_and_witness_file(tmp_path, capsys):
 
 def test_climb_exhausts_with_exit_3(tmp_path, capsys):
     code, payload = run_json(
-        capsys, "climb", "--group", "E8", "--mode", "terrace", "--seed", "1",
-        "--max-steps", "200", "--outdir", str(tmp_path),
+        capsys, "climb", "--group", "Q12", "--mode", "directed", "--seed", "1",
+        "--max-steps", "1", "--outdir", str(tmp_path),
     )
     assert code == 3
     assert payload["result"]["outcome"] == "exhausted"
+
+
+@pytest.mark.parametrize("spec, mode", [
+    ("E8", "terrace"), ("Z4xZ2", "directed"), ("Z9", "directed"), ("Q8", "directed"),
+])
+def test_climb_without_arrangement_exits_2(tmp_path, capsys, spec, mode):
+    code = main(["climb", "--group", spec, "--mode", mode, "--outdir", str(tmp_path)])
+    assert code == 2 and f"{spec} has no" in capsys.readouterr().err
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+
+def test_seed_and_seeds_together_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["climb", "--group", "Z10", "--seed", "3", "--seeds", "1,2", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2 and "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["enumerate", "search"])
+def test_k_without_tk_mode_exits_2(tmp_path, capsys, cmd):
+    code = main([cmd, "--group", "Z5", "--mode", "terrace", "--k", "5", "--outdir", str(tmp_path)])
+    assert code == 2 and "--k" in capsys.readouterr().err
+    code = main([cmd, "--group", "Z5", "--mode", "tk", "--outdir", str(tmp_path)])
+    assert code == 2 and "--k" in capsys.readouterr().err
 
 
 def test_enumerate_examples(tmp_path, capsys):
@@ -83,6 +109,13 @@ def test_enumerate_witness_stream(tmp_path, capsys):
     assert len(lines) == 3
     first = json.loads(lines[0])
     assert P.is_directed_terrace(P.arrangement_from_json(first))
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_enumerate_witnesses_below_one_exit_2(tmp_path, capsys, value):
+    code = main(["enumerate", "--group", "Z8", "--witnesses", value, "--outdir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and "max_witnesses" in captured.err and not captured.out
 
 
 def test_verify_fixtures_pass(tmp_path, capsys):
@@ -244,6 +277,39 @@ def test_result_files_replay_byte_identical(tmp_path, capsys):
     index_lines = (tmp_path / "runs.index").read_text().splitlines()
     assert len(index_lines) == 2
     assert index_lines[0].split("\t")[1] == path.name
+
+
+def test_echo_replays_every_command(tmp_path, capsys):
+    """Each echo is shell-quoted, re-parses to the run's namespace, and
+    rewrites the same result file when run again."""
+    w10, g21 = tmp_path / "w10.json", str(terraces.fixture_path("g21_1_t2"))
+    P.save_arrangement(P.walecki(10), w10)
+    out = ["--outdir", str(tmp_path / "runs")]
+    runs = [
+        ["group", "--group", "Z3xA4", *out],
+        ["climb", "--group", "Q12", "--seed", "1", "--max-steps", "200", "--threads", "2", "--trace", *out],
+        ["climb", "--group", "D10", "--mode", "terrace", "--seeds", "3,1", "--max-cuts", "1", *out],
+        ["enumerate", "--group", "Z8", "--mode", "directed", "--essential", "--witnesses", "2", *out],
+        ["search", "--group", "A4", "--mode", "tk", "--k", "2", "--max-nodes", "100000", *out],
+        ["verify", "--terrace", g21, "--property", "t2", "--property", "directed", *out],
+        ["square", "--group", "SD(7,3,4)", "--terrace", g21, "--check", "roman:2", "--out", "csv", *out],
+        ["orbit", "--group", "Z10", "--terrace", str(w10), "--find", "extendable", "--limit", "300", *out],
+    ]
+    parse = cli._build_parser().parse_args
+    echoes = []
+    for argv in runs:
+        code, payload = run_json(capsys, *argv)
+        echo, path = payload["echo"], Path(payload["file"])
+        first = path.read_bytes()
+        assert shlex.join(shlex.split(echo)) == echo
+        words = shlex.split(echo)
+        assert words[0] == "terraces" and parse(words[1:]) == parse(argv), echo
+        replay_code, replay = run_json(capsys, *words[1:])
+        assert (replay_code, replay["file"]) == (code, payload["file"]), echo
+        assert path.read_bytes() == first
+        echoes.append(echo)
+    assert "--max-steps 200" in echoes[1] and "--threads 2" in echoes[1]
+    assert "--group 'SD(7,3,4)'" in echoes[6]
 
 
 def test_side_files_replay_byte_identical_without_temp_files(tmp_path, capsys):

@@ -108,6 +108,12 @@ def test_max_witnesses_truncates_in_dfs_order():
     assert [w.seq for w in cut.witnesses] == [w.seq for w in full.witnesses[:5]]
 
 
+@pytest.mark.parametrize("limit", [0, -2])
+def test_max_witnesses_below_one_rejected(limit):
+    with pytest.raises(ValueError, match="max_witnesses"):
+        enumerate_basic(get_group("Z8"), EnumMode("terrace", count_only=False), max_witnesses=limit)
+
+
 @pytest.fixture
 def split_small_groups(monkeypatch):
     """Send counts of every order through the pool, so small groups test

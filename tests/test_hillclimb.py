@@ -26,8 +26,6 @@ def test_params_validation():
         H.ClimbParams(mode="sideways")
     with pytest.raises(ValueError):
         H.ClimbParams(max_cuts=3)
-    with pytest.raises(ValueError):
-        H.ClimbParams(restart_policy="quantum")
 
 
 def test_neighbor_counts_per_cut_choice():
@@ -318,16 +316,6 @@ def test_climb_one_cut_only():
     params = H.ClimbParams(mode="directed", seed=11, max_cuts=1)
     r = H.climb(get_group("Z10"), params)
     assert r.outcome == "found" and P.is_directed_terrace(r.arrangement)
-
-
-def test_fresh_random_restart_policy():
-    params = H.ClimbParams(
-        mode="directed", seed=1, max_steps=10_000, max_restarts=3, restart_policy="fresh-random"
-    )
-    r = H.climb(get_group("D6"), params)
-    assert r.outcome == "exhausted" and r.restarts_taken == 3
-    r2 = H.climb(get_group("Z10"), params)
-    assert r2.outcome == "found"
 
 
 def test_climb_seeds_first_found_wins():
