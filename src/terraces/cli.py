@@ -46,6 +46,7 @@ from .props import (
 )
 
 CONFIG_ENV = "TERRACE_CONFIG"
+CHAIN_LIMIT = 100_000  # forms an `orbit --find` chain walk visits by default
 
 
 @dataclass
@@ -229,6 +230,8 @@ def _cli_mode(args) -> EnumMode:
 
 
 def cmd_enumerate(args, cfg: RunConfig):
+    if args.witnesses is not None and (args.threads or 1) > 1:
+        raise ValueError("--witnesses collects in one process; --threads goes only with counts")
     g = parse_group_spec(args.group)
     mode = _cli_mode(args)
     threads = cfg.threads if mode.count_only else 1
@@ -318,6 +321,8 @@ def cmd_square(args, cfg: RunConfig):
 
 
 def cmd_orbit(args, cfg: RunConfig):
+    if args.find is None and args.limit is not None:
+        raise ValueError("--limit goes only with --find")
     arr = _load_terrace(args)
     if args.find is None:
         ts = orbit_of(arr)
@@ -327,8 +332,9 @@ def cmd_orbit(args, cfg: RunConfig):
             "members": [list(seq) for seq in sorted(ts.members)],
         }
         return result, {}, 0
-    witness, visited = explore_chain(arr, args.limit, lambda r: is_extendable(r)[0])
-    result = {"group": arr.group.spec, "find": args.find, "limit": args.limit,
+    limit = CHAIN_LIMIT if args.limit is None else args.limit
+    witness, visited = explore_chain(arr, limit, lambda r: is_extendable(r)[0])
+    result = {"group": arr.group.spec, "find": args.find, "limit": limit,
               "visited": visited, "found": witness is not None}
     return result, _found(result, witness), 0 if witness is not None else 1
 
@@ -342,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"key=value config file (default ${CONFIG_ENV})")
     common.add_argument("--outdir", help="run directory for result JSON files")
-    common.add_argument("--threads", type=int, help="worker processes for splittable work")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def add_parser(name, **kw):
@@ -361,6 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cuts", type=int, choices=[1, 2], default=2)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--trace", action="store_true")
+    p.add_argument("--threads", type=int, help="worker processes for a --seeds list")
     p.set_defaults(func=cmd_climb)
 
     p = add_parser("enumerate", help="count/stream basic terraces by backtracking")
@@ -372,6 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witnesses", type=int,
                    help="collect and print up to N witnesses")
     p.add_argument("--cap", type=int, help="override the group-order cap")
+    p.add_argument("--threads", type=int, help="worker processes for a count")
     p.set_defaults(func=cmd_enumerate)
 
     p = add_parser("search", help="first witness in DFS order, or a nonexistence certificate")
@@ -399,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--terrace", required=True)
     p.add_argument("--find", choices=["extendable"], help="predicate to hunt for")
-    p.add_argument("--limit", type=int, default=100_000)
+    p.add_argument("--limit", type=int,
+                   help=f"chain forms to visit with --find (default {CHAIN_LIMIT})")
     p.set_defaults(func=cmd_orbit)
     return top
 

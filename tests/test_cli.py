@@ -236,6 +236,19 @@ def test_orbit_plain_closure(tmp_path, capsys):
     code, payload = run_json(capsys, "orbit", "--terrace", str(path), "--outdir", str(tmp_path))
     assert code == 0
     assert payload["result"]["orbit_size"] in {1, 2, 3, 4, 6}
+    assert "--limit" not in payload["echo"]
+
+
+def test_orbit_limit_defaults_only_under_find(tmp_path, capsys):
+    path = tmp_path / "w5.json"
+    P.save_arrangement(P.walecki(5), path)
+    argv = ["orbit", "--terrace", str(path), "--outdir", str(tmp_path)]
+    code, payload = run_json(capsys, *argv, "--find", "extendable")
+    assert payload["result"]["limit"] == cli.CHAIN_LIMIT and "--limit" not in payload["echo"]
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, "--limit", "5"]) == 2
+    assert "--find" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_search_nonexistence_exits_1(tmp_path, capsys):
@@ -384,11 +397,35 @@ def test_threads_below_one_exit_2(tmp_path, capsys, monkeypatch, value):
 
 def test_effective_config_echoed(tmp_path, capsys):
     code, payload = run_json(
-        capsys, "group", "--group", "Z4", "--outdir", str(tmp_path), "--threads", "2"
+        capsys, "enumerate", "--group", "Z5", "--outdir", str(tmp_path), "--threads", "2"
     )
     assert code == 0
     assert payload["config"]["threads"] == 2
     assert payload["config"]["outdir"] == str(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "Z4"],
+    ["search", "--group", "Z5", "--mode", "terrace"],
+    ["verify", "--terrace", "w5.json"],
+    ["square", "--terrace", "w5.json"],
+    ["orbit", "--terrace", "w5.json"],
+])
+def test_threads_only_where_it_is_read(tmp_path, capsys, argv):
+    """The parser refuses --threads before any input file is read."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2 and "--threads" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_witness_collection_with_threads_exits_2(tmp_path, capsys):
+    argv = ["enumerate", "--group", "Z5", "--witnesses", "1", "--outdir", str(tmp_path)]
+    assert main([*argv, "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not list(tmp_path.glob("enumerate-*.json"))
+    code, payload = run_json(capsys, *argv, "--threads", "1")
+    assert code == 0 and payload["result"]["witnesses"]
 
 
 def test_console_script_runs(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 import os
 from functools import lru_cache
@@ -249,6 +251,64 @@ def test_prefix_resume_adds_up_to_the_unsplit_count(spec):
         assert split == _walk(g, mode, active), (spec, mode)
 
 
+@pytest.mark.parametrize("essential, depth", [(True, 6), (False, 4)])
+def test_narcissistic_prefix_resume_replays_the_c_ledger(essential, depth):
+    """In a non-abelian group the narcissistic cut on repeated c_d fires.
+    Resuming below every live (a2, a3) prefix of G21_1 must replay c_1, c_2
+    and their marks: the prefixes reached at `depth`, and the nodes spent,
+    add up to those of one unsplit walk cut at the same depth."""
+    g = get_group("G21_1")
+    mode = EnumMode("narcissistic", essentially_different=essential)
+    active = E._nonidentity_auts(g) if essential else None
+    prefixes: list = []
+    top, _ = _walk(g, mode, active, sink=prefixes, stop_at=E._SPLIT_DEPTH)
+    assert prefixes == E._live_prefixes(g, mode, active)
+    reached: list = []
+    for p in prefixes:
+        below: list = []
+        nodes, _ = _walk(g, mode, active, sink=below, prefix=p, stop_at=depth)
+        top += nodes
+        reached += below
+    unsplit: list = []
+    nodes, _ = _walk(g, mode, active, sink=unsplit, stop_at=depth)
+    assert (top, reached) == (nodes, unsplit)
+
+
+# First narcissistic witnesses of the non-abelian groups, and the sha256 of
+# the first 20 streamed G21_1 witnesses (json.dumps of their id lists),
+# recorded before the repeated-c_d cut was added.
+NARCISSISTIC_FIRST = {
+    "G21_1": (0, 1, 3, 7, 11, 4, 20, 2, 14, 8, 10, 15, 12, 18, 9, 19, 6, 13, 5, 16, 17),
+    "SD(7,3,2)": (0, 1, 3, 7, 12, 19, 6, 14, 2, 5, 11, 17, 20, 8, 10, 18, 4, 9, 13, 15, 16),
+    "G27_4": (0, 1, 3, 2, 4, 8, 17, 6, 23, 11, 18, 25, 22, 7, 19, 16, 5, 12, 9, 26, 15, 24,
+              10, 21, 20, 13, 14),
+}
+G21_NARCISSISTIC_20_SHA256 = "8d1460c38c3b8f94ad7bdc00d0437997fd94c25ae5e05248425e22a9ab113634"
+
+
+def test_non_abelian_narcissistic_witnesses_are_pinned():
+    for spec, want in NARCISSISTIC_FIRST.items():
+        w = search_first(get_group(spec), EnumMode("narcissistic"))
+        assert w.seq == want, spec
+        assert P.is_terrace(w) and P.is_narcissistic(w), spec
+    stream = enumerate_basic(get_group("G21_1"), EnumMode("narcissistic", count_only=False),
+                             cap=21, max_witnesses=20).witnesses
+    blob = json.dumps([list(w.seq) for w in stream]).encode()
+    assert len(stream) == 20 and hashlib.sha256(blob).hexdigest() == G21_NARCISSISTIC_20_SHA256
+
+
+@pytest.mark.slow
+def test_g21_narcissistic_count_split_and_unsplit():
+    """The full essential G21_1 narcissistic count, in one process and split
+    over live prefixes whose c ledger each worker replays: 88 canonical
+    forms, 3696 = 88 * |Aut(G21_1)| sequences."""
+    g = get_group("G21_1")
+    mode = EnumMode("narcissistic", essentially_different=True)
+    one = enumerate_basic(g, mode, cap=21)
+    two = enumerate_basic(g, mode, cap=21, threads=2)
+    assert (one.raw_count, one.essential_count) == (two.raw_count, two.essential_count) == (3696, 88)
+
+
 class _FakePool:
     """Stands in for a process pool: records its size, runs tasks inline."""
 
@@ -340,6 +400,7 @@ def test_climb_seeds_pool_stops_at_the_first_find(fake_pools, monkeypatch):
         ("D8", EnumMode("directed_tk", k=2), 76, False),
         ("Z9", EnumMode("directed_half_and_half"), 259, False),
         ("A4", EnumMode("directed_tk", k=2), 487, True),
+        ("G21_1", EnumMode("narcissistic"), 43569, True),
     ],
 )
 def test_max_nodes_edge(spec, mode, nodes, found):
