@@ -92,6 +92,8 @@ def _effective(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             setattr(out, f.name, flag)
     if out.threads < 1:
         raise ValueError(f"threads must be at least 1, got {out.threads}")
+    if "threads" not in args or getattr(args, "witnesses", None) is not None:
+        out.threads = 1  # this command runs in one process
     return out
 
 
@@ -234,8 +236,7 @@ def cmd_enumerate(args, cfg: RunConfig):
         raise ValueError("--witnesses collects in one process; --threads goes only with counts")
     g = parse_group_spec(args.group)
     mode = _cli_mode(args)
-    threads = cfg.threads if mode.count_only else 1
-    res = enumerate_basic(g, mode, cap=args.cap, threads=threads,
+    res = enumerate_basic(g, mode, cap=args.cap, threads=cfg.threads,
                           max_witnesses=args.witnesses)
     result = {
         "group": g.spec,

@@ -3,10 +3,22 @@
 Element ids are 0-based and id 0 is always the identity.  Each constructor
 fixes a documented, reproducible element ordering so that arrangement files
 written against a group-spec string stay valid across runs.
+
+Dihedral, dicyclic and Z_m x| Z_n groups come from one metacyclic table
+builder, <a, b | a^m = e, b^n = a^t, b a = a^k b> with a^i b^j at id
+i*n + j; the catalogue's other groups are permutation closures.
+Automorphisms (order <= DEFAULT_AUT_CAP) try every order-matching image of a
+greedy generating set and extend each one breadth first through the Cayley
+graph, keeping the bijections whose every generator edge agrees.  Group
+specs ("Z4xZ2", "SD(7,3,4)", "A4xZ3") are read atom by atom with one regular
+expression; orders above DEFAULT_CLOSURE_CAP are refused.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,7 +152,7 @@ def involutions(group: Group) -> list[int]:
 def inverse_pair_classes(group: Group) -> list[tuple[int, ...]]:
     """Partition of non-identity ids into {x} (involutions) and {x, x^-1},
     ordered by least member."""
-    return [c for c, _cap in zip(*_class_data(group)[:2])]
+    return list(_class_data(group)[0])
 
 
 def _class_data(group: Group):
@@ -203,6 +215,23 @@ def _two_gen_word(a: str, i: int, b: str, j: int) -> str:
     return w or "e"
 
 
+def _metacyclic(m: int, n: int, k: int, t: int, a: str, b: str, spec: str) -> Group:
+    """<a, b | a^m = e, b^n = a^t, b a = a^k b>; the element a^i b^j gets id
+    i*n + j.
+
+    (a^i b^j)(a^c b^d) = a^(i + c k^j) b^(j + d), and b^(j + d) = a^t b^(j + d - n)
+    once j + d reaches n.
+    """
+    mul = []
+    for i in range(m):
+        for j in range(n):
+            kj = pow(k, j, m)
+            b_part = [((j + d) % n, t if j + d >= n else 0) for d in range(n)]
+            mul.append([(i + c * kj + s) % m * n + jd for c in range(m) for jd, s in b_part])
+    words = [_two_gen_word(a, i, b, j) for i in range(m) for j in range(n)]
+    return Group(mul, words, spec)
+
+
 def build_dihedral(order: int, spec: str | None = None) -> Group:
     """Dihedral group of the given (even) order.
 
@@ -211,16 +240,7 @@ def build_dihedral(order: int, spec: str | None = None) -> Group:
     """
     if order < 2 or order % 2:
         raise ValueError(f"dihedral order must be even and >= 2, got {order}")
-    m = order // 2
-    mul = [[0] * order for _ in range(order)]
-    for i in range(m):
-        for j in range(2):
-            for a in range(m):
-                for b in range(2):
-                    ii = (i + a) % m if j == 0 else (i - a) % m
-                    mul[2 * i + j][2 * a + b] = 2 * ii + (j + b) % 2
-    words = [_two_gen_word("r", i, "s", j) for i in range(m) for j in range(2)]
-    return Group(mul, words, spec or f"D{order}")
+    return _metacyclic(order // 2, 2, -1, 0, "r", "s", spec or f"D{order}")
 
 
 def build_dicyclic(order: int, spec: str | None = None) -> Group:
@@ -231,22 +251,7 @@ def build_dicyclic(order: int, spec: str | None = None) -> Group:
     """
     if order < 8 or order % 4:
         raise ValueError(f"dicyclic order must be divisible by 4 and >= 8, got {order}")
-    m = order // 4
-    mm = 2 * m
-    mul = [[0] * order for _ in range(order)]
-    for i in range(mm):
-        for j in range(2):
-            for a in range(mm):
-                for b in range(2):
-                    if j == 0:
-                        ii, jj = (i + a) % mm, b
-                    elif b == 0:
-                        ii, jj = (i - a) % mm, 1
-                    else:
-                        ii, jj = (i - a + m) % mm, 0
-                    mul[2 * i + j][2 * a + b] = 2 * ii + jj
-    words = [_two_gen_word("u", i, "v", j) for i in range(mm) for j in range(2)]
-    return Group(mul, words, spec or f"Q{order}")
+    return _metacyclic(order // 2, 2, -1, order // 4, "u", "v", spec or f"Q{order}")
 
 
 def build_semidirect_cyclic(m: int, n: int, k: int, spec: str | None = None) -> Group:
@@ -257,27 +262,11 @@ def build_semidirect_cyclic(m: int, n: int, k: int, spec: str | None = None) -> 
     """
     if m < 1 or n < 1 or k < 1:
         raise ValueError("semidirect parameters must be positive")
-    if _gcd(k % m if m > 1 else 1, m) != 1:
+    if math.gcd(k, m) != 1:
         raise ValueError(f"SD({m},{n},{k}): k must be invertible mod m")
     if pow(k, n, m) != 1 % m:
         raise ValueError(f"SD({m},{n},{k}): k^n != 1 (mod m), relation inconsistent")
-    kpow = [pow(k, j, m) for j in range(n)]
-    order = m * n
-    mul = [[0] * order for _ in range(order)]
-    for i in range(m):
-        for j in range(n):
-            kj = kpow[j]
-            for a in range(m):
-                for b in range(n):
-                    mul[i * n + j][a * n + b] = ((i + a * kj) % m) * n + (j + b) % n
-    words = [_two_gen_word("u", i, "v", j) for i in range(m) for j in range(n)]
-    return Group(mul, words, spec or f"SD({m},{n},{k})")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return _metacyclic(m, n, k, 0, "u", "v", spec or f"SD({m},{n},{k})")
 
 
 def direct_product(g: Group, h: Group, spec: str | None = None) -> Group:
@@ -337,9 +326,7 @@ def _cycle_word(perm0: Sequence[int]) -> str:
 
 
 def closure_from_permutations(
-    generators: Sequence[Sequence[int]],
-    cap: int = DEFAULT_CLOSURE_CAP,
-    spec: str | None = None,
+    generators: Sequence[Sequence[int]], spec: str | None = None
 ) -> Group:
     """Breadth-first closure of permutation generators under composition.
 
@@ -347,7 +334,7 @@ def closure_from_permutations(
     images).  Products follow the right-action convention: x*y applies x
     first, then y.  Element ordering is BFS discovery order from the
     identity, exploring generators in the listed order; element words use
-    cycle notation.
+    cycle notation.  Closures above DEFAULT_CLOSURE_CAP elements are refused.
     """
     if not generators:
         raise ValueError("generator list must be nonempty")
@@ -367,8 +354,8 @@ def closure_from_permutations(
         for g in gens0:
             y = tuple(g[x[i]] for i in range(d))
             if y not in index:
-                if len(elems) >= cap:
-                    raise ValueError(f"closure exceeds cap {cap}")
+                if len(elems) >= DEFAULT_CLOSURE_CAP:
+                    raise ValueError(f"closure exceeds cap {DEFAULT_CLOSURE_CAP}")
                 index[y] = len(elems)
                 elems.append(y)
     n = len(elems)
@@ -381,149 +368,91 @@ def closure_from_permutations(
     return Group(mul, words, spec or "PERM[" + ",".join(words[1 : len(gens0) + 1]) + "]")
 
 
-def _moebius_perms(p: int) -> dict[str, tuple[int, ...]]:
-    """Generators of the Moebius action on the projective line over GF(p).
+def _moebius_perms(p: int) -> tuple[tuple[int, ...], ...]:
+    """The Moebius maps z -> z + 1, z -> -1/z and z -> g*z (g the least
+    primitive root mod p) on the projective line over GF(p).
 
     Points are z = 0..p-1 at positions 1..p and the infinite point at p+1.
     """
     inf = p + 1
-
-    def pt(z: int | None) -> int:
-        return inf if z is None else z % p + 1
-
-    def make(f) -> tuple[int, ...]:
-        img = [0] * inf
-        for z in range(p):
-            img[z] = pt(f(z))
-        img[p] = pt(f(None))
-        return tuple(img)
-
-    def translate(z):
-        return None if z is None else z + 1
-
-    def neg_recip(z):
-        if z is None:
-            return 0
-        if z % p == 0:
-            return None
-        return -pow(z, p - 2, p)
-
-    g = _least_primitive_root(p)
-
-    def scale(z):
-        return None if z is None else g * z
-
-    return {"t": make(translate), "s": make(neg_recip), "m": make(scale)}
-
-
-def _least_primitive_root(p: int) -> int:
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"{p} is not prime")
+    g = next(r for r in range(2, p) if len({pow(r, e, p) for e in range(p - 1)}) == p - 1)
+    translate = tuple((z + 1) % p + 1 for z in range(p)) + (inf,)
+    neg_recip = (inf,) + tuple(-pow(z, p - 2, p) % p + 1 for z in range(1, p)) + (1,)
+    scale = tuple(g * z % p + 1 for z in range(p)) + (inf,)
+    return translate, neg_recip, scale
 
 
 # ---------------------------------------------------------------------------
 # Automorphisms
 
 
-def automorphisms(group: Group, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """The full automorphism group as permutations of element ids.
+def automorphisms(group: Group) -> list[tuple[int, ...]]:
+    """The full automorphism group as permutations of element ids, sorted
+    lexicographically; groups above DEFAULT_AUT_CAP are refused.
 
-    Uses a greedy generating set and backtracking over order-matching
-    generator images; the result is sorted lexicographically.
+    For each choice of order-matching images h_i of the greedy generators
+    g_i, phi is extended breadth first along x -> x*g_i by
+    phi(x*g_i) = phi(x)*h_i.  The choice is kept when phi stays a bijection
+    and every such edge agrees; then phi(x*y) = phi(x)*phi(y) follows for
+    every x and every product y of generators, so phi is an automorphism.
     """
-    if group.order > cap:
-        raise ValueError(f"automorphism search capped at order {cap}, group has {group.order}")
-    if group._auts is not None:
-        return list(group._auts)
-    n = group.order
+    if group.order > DEFAULT_AUT_CAP:
+        raise ValueError(f"automorphism search capped at order {DEFAULT_AUT_CAP}, "
+                         f"group has {group.order}")
+    if group._auts is None:
+        gens = _greedy_generators(group)
+        ords = _orders(group)
+        candidates = [[y for y in range(group.order) if ords[y] == ords[g]] for g in gens]
+        extended = (_extend(group, gens, imgs) for imgs in itertools.product(*candidates))
+        group._auts = sorted(phi for phi in extended if phi is not None)
+    return list(group._auts)
+
+
+def _extend(group: Group, gens: list[int], imgs: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The map with phi(e) = e and phi(x*g) = phi(x)*h for each generator g
+    and its image h, or None when the edges disagree or phi is not injective."""
     mul = group.mul
-    gens = _greedy_generators(group)
-    # Expression DAG: every element as parent * generator, in BFS order.
-    expr: list[tuple[int, int] | None] = [None] * n
-    disc = [0]
-    found = bytearray(n)
-    found[0] = 1
-    qi = 0
-    while qi < len(disc):
-        x = disc[qi]
-        qi += 1
-        for gi, g in enumerate(gens):
-            y = mul[x][g]
-            if not found[y]:
-                found[y] = 1
-                expr[y] = (x, gi)
-                disc.append(y)
-    ords = _orders(group)
-    candidates = [[y for y in range(n) if ords[y] == ords[g]] for g in gens]
-    auts: list[tuple[int, ...]] = []
-    img = [0] * len(gens)
-
-    def build_and_check() -> None:
-        phi = [-1] * n
-        phi[0] = 0
-        hit = bytearray(n)
-        hit[0] = 1
-        for x in disc[1:]:
-            p, gi = expr[x]  # type: ignore[misc]
-            v = mul[phi[p]][img[gi]]
-            if hit[v]:
-                return
-            hit[v] = 1
-            phi[x] = v
-        for a in range(n):
-            ra, pa = mul[a], phi[a]
-            rpa = mul[pa]
-            for b in range(n):
-                if phi[ra[b]] != rpa[phi[b]]:
-                    return
-        auts.append(tuple(phi))
-
-    def assign(i: int) -> None:
-        if i == len(gens):
-            build_and_check()
-            return
-        for y in candidates[i]:
-            img[i] = y
-            assign(i + 1)
-
-    assign(0)
-    auts.sort()
-    group._auts = auts
-    return list(auts)
+    phi = [-1] * group.order
+    phi[0] = 0
+    hit = bytearray(group.order)
+    hit[0] = 1
+    queue = [0]
+    for x in queue:
+        row, prow = mul[x], mul[phi[x]]
+        for g, h in zip(gens, imgs):
+            y, v = row[g], prow[h]
+            if phi[y] < 0:
+                if hit[v]:
+                    return None
+                phi[y] = v
+                hit[v] = 1
+                queue.append(y)
+            elif phi[y] != v:
+                return None
+    return tuple(phi)
 
 
 def _greedy_generators(group: Group) -> list[int]:
-    """Repeatedly add the least id outside the current closure."""
-    n = group.order
+    """Repeatedly add the least id outside the subgroup generated so far."""
     gens: list[int] = []
     closed = {0}
-    while len(closed) < n:
-        g = min(x for x in range(n) if x not in closed)
-        gens.append(g)
-        closed = _closure_set(group, closed | {g})
+    while len(closed) < group.order:
+        gens.append(min(x for x in range(group.order) if x not in closed))
+        closed = _closure_set(group, gens)
     return gens
 
 
-def _closure_set(group: Group, seed: set[int]) -> set[int]:
+def _closure_set(group: Group, gens: list[int]) -> set[int]:
+    """The subgroup <gens>: everything reached from e along x -> x*g."""
     mul = group.mul
-    out = set(seed) | {0}
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(out):
-                for z in (mul[x][y], mul[y][x]):
-                    if z not in out:
-                        out.add(z)
-                        nxt.append(z)
-        frontier = nxt
+    out = {0}
+    queue = [0]
+    for x in queue:
+        for g in gens:
+            y = mul[x][g]
+            if y not in out:
+                out.add(y)
+                queue.append(y)
     return out
 
 
@@ -560,7 +489,6 @@ class GroupSpec:
 
 def _catalogue() -> dict:
     A = perm_from_cycles
-    moeb = _moebius_perms
     entries: dict[str, object] = {
         # Alternating / symmetric groups on standard generators.
         "A4": lambda: closure_from_permutations([A([(1, 2, 3)], 4), A([(1, 2), (3, 4)], 4)], spec="A4"),
@@ -595,13 +523,14 @@ def _catalogue() -> dict:
         "G27_4": lambda: build_semidirect_cyclic(9, 3, 7, spec="G27_4"),
         "G39_1": lambda: build_semidirect_cyclic(13, 3, 3, spec="G39_1"),
     }
+    # PSL(2,p) from the translation and -1/z; PGL(2,p) adds the scaling.
     for p in (3, 5, 7, 11):
         entries[f"PSL2_{p}"] = lambda p=p: closure_from_permutations(
-            [moeb(p)["t"], moeb(p)["s"]], spec=f"PSL2_{p}"
+            _moebius_perms(p)[:2], spec=f"PSL2_{p}"
         )
     for p in (3, 5, 7):
         entries[f"PGL2_{p}"] = lambda p=p: closure_from_permutations(
-            [moeb(p)["t"], moeb(p)["s"], moeb(p)["m"]], spec=f"PGL2_{p}"
+            _moebius_perms(p), spec=f"PGL2_{p}"
         )
     return entries
 
@@ -610,69 +539,37 @@ _CATALOGUE = _catalogue()
 CATALOGUE_NAMES = tuple(sorted(_CATALOGUE))
 
 
-class _SpecParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One atom: SD(m,n,k), a family letter with its order, or a catalogue name,
+# which ends at the product sign "x" (no catalogue name contains one).
+_ATOM = re.compile(r"SD\((\d+),(\d+),(\d+)\)|([ZDQE])(\d+)|([^\Wx]+)")
 
-    def error(self, msg: str) -> ValueError:
-        return ValueError(f"group spec error at position {self.pos}: {msg} (in {self.text!r})")
 
-    def parse(self) -> GroupSpec:
-        atoms = [self.atom()]
-        while self.pos < len(self.text):
-            if self.text[self.pos] != "x":
-                raise self.error(f"expected 'x' or end, found {self.text[self.pos]!r}")
-            self.pos += 1
-            atoms.append(self.atom())
-        return GroupSpec(tuple(atoms))
-
-    def atom(self) -> SpecAtom:
-        t, i = self.text, self.pos
-        if i >= len(t):
-            raise self.error("expected a group atom")
-        if t.startswith("SD(", i):
-            self.pos = i + 3
-            m = self.integer()
-            self.expect(",")
-            n = self.integer()
-            self.expect(",")
-            k = self.integer()
-            self.expect(")")
-            return SpecAtom("SD", (m, n, k))
-        head = t[i]
-        if head in "ZDQE" and i + 1 < len(t) and t[i + 1].isdigit():
-            self.pos = i + 1
-            return SpecAtom(head, (self.integer(),))
-        # No catalogue name contains "x", so a name ends at the product sign.
-        j = i
-        while j < len(t) and (t[j].isalnum() or t[j] == "_") and t[j] != "x":
-            j += 1
-        name = t[i:j]
-        if name in _CATALOGUE:
-            self.pos = j
-            return SpecAtom("NAME", (name,))
-        raise self.error(f"unknown group atom starting with {t[i:j] or t[i]!r}")
-
-    def integer(self) -> int:
-        j = self.pos
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == self.pos:
-            raise self.error("expected an integer")
-        val = int(self.text[self.pos : j])
-        self.pos = j
-        return val
-
-    def expect(self, ch: str) -> None:
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+def _spec_error(text: str, pos: int, msg: str) -> ValueError:
+    return ValueError(f"group spec error at position {pos}: {msg} (in {text!r})")
 
 
 def parse_spec(text: str) -> GroupSpec:
     """Parse a group-spec string into its tree; raises ValueError with position."""
-    return _SpecParser(text.strip()).parse()
+    text = text.strip()
+    atoms = []
+    pos = 0
+    while True:
+        m = _ATOM.match(text, pos)
+        if m is None or (m[6] and m[6] not in _CATALOGUE):
+            word = m[0] if m else text[pos:pos + 1]
+            raise _spec_error(text, pos, f"expected a group atom, found {word!r}")
+        if m[1]:
+            atoms.append(SpecAtom("SD", (int(m[1]), int(m[2]), int(m[3]))))
+        elif m[4]:
+            atoms.append(SpecAtom(m[4], (int(m[5]),)))
+        else:
+            atoms.append(SpecAtom("NAME", (m[6],)))
+        pos = m.end()
+        if pos == len(text):
+            return GroupSpec(tuple(atoms))
+        if text[pos] != "x":
+            raise _spec_error(text, pos, f"expected 'x' or end, found {text[pos]!r}")
+        pos += 1
 
 
 def _build_atom(atom: SpecAtom) -> Group:

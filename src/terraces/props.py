@@ -247,15 +247,14 @@ def is_narcissistic(a: Arrangement) -> bool:
     return b == b[::-1]
 
 
-def canonical_form(a: Arrangement, aut_cap: int | None = None) -> Arrangement:
+def canonical_form(a: Arrangement) -> Arrangement:
     """Lexicographically least image of to_basic(a) under the automorphism group.
 
     Two arrangements are essentially equal exactly when their canonical
     forms are identical sequences.
     """
     basic = to_basic(a).seq
-    auts = automorphisms(a.group) if aut_cap is None else automorphisms(a.group, aut_cap)
-    best = min(tuple(phi[x] for x in basic) for phi in auts)
+    best = min(tuple(phi[x] for x in basic) for phi in automorphisms(a.group))
     return Arrangement(a.group, best)
 
 

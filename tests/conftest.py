@@ -79,6 +79,18 @@ def naive_is_terrace(a: P.Arrangement) -> bool:
     return True
 
 
+def naive_automorphisms(group: G.Group) -> list[tuple[int, ...]]:
+    """Every permutation of the element ids that fixes 0 and preserves mul,
+    in lexicographic order."""
+    n, mul = group.order, group.mul
+    out = []
+    for tail in itertools.permutations(range(1, n)):
+        phi = (0,) + tail
+        if all(phi[mul[x][y]] == mul[phi[x]][phi[y]] for x in range(n) for y in range(n)):
+            out.append(phi)
+    return out
+
+
 def validate_group(group: G.Group, sample_triples: int = 100_000, seed: int = 0) -> None:
     """Check the Group invariants; raises ValueError on the first failure.
 

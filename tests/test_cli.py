@@ -419,6 +419,27 @@ def test_threads_only_where_it_is_read(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "Z3"],
+    ["search", "--group", "Z5", "--mode", "terrace"],
+    ["verify", "--terrace", "w5.json"],
+    ["square", "--terrace", "w5.json"],
+    ["orbit", "--terrace", "w5.json"],
+    ["enumerate", "--group", "Z5", "--witnesses", "1"],
+])
+def test_one_process_commands_record_one_thread(tmp_path, capsys, monkeypatch, argv):
+    """A config file's threads applies only where a second process runs."""
+    P.save_arrangement(P.walecki(5), tmp_path / "w5.json")
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    monkeypatch.setenv("TERRACE_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_json(capsys, *argv, "--outdir", str(tmp_path / "out"))
+    assert code == 0 and payload["config"]["threads"] == 1
+    code, payload = run_json(capsys, "enumerate", "--group", "Z5", "--outdir", str(tmp_path / "out"))
+    assert code == 0 and payload["config"]["threads"] == 2
+
+
 def test_witness_collection_with_threads_exits_2(tmp_path, capsys):
     argv = ["enumerate", "--group", "Z5", "--witnesses", "1", "--outdir", str(tmp_path)]
     assert main([*argv, "--threads", "2"]) == 2

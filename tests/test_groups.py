@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from conftest import get_group, validate_group
+from conftest import get_group, naive_automorphisms, validate_group
 from terraces import groups as G
 
 ALL_CATALOGUE_SMALL = [
@@ -99,8 +101,9 @@ def test_closure_of_n_cycle_matches_cyclic_table():
 
 
 def test_closure_cap_and_invalid_perm():
-    with pytest.raises(ValueError):
-        G.closure_from_permutations([(2, 3, 1)], cap=2)
+    s7 = [G.perm_from_cycles([tuple(range(1, 8))], 7), G.perm_from_cycles([(1, 2)], 7)]
+    with pytest.raises(ValueError, match=f"exceeds cap {G.DEFAULT_CLOSURE_CAP}"):
+        G.closure_from_permutations(s7)
     with pytest.raises(ValueError):
         G.closure_from_permutations([(1, 1, 2)])
     with pytest.raises(ValueError):
@@ -164,8 +167,49 @@ def test_automorphisms_preserve_multiplication():
 
 
 def test_automorphism_cap():
-    with pytest.raises(ValueError):
-        G.automorphisms(G.build_cyclic(33))
+    assert len(G.automorphisms(G.build_cyclic(G.DEFAULT_AUT_CAP))) == G.DEFAULT_AUT_CAP // 2
+    with pytest.raises(ValueError, match=f"capped at order {G.DEFAULT_AUT_CAP}"):
+        G.automorphisms(G.build_cyclic(G.DEFAULT_AUT_CAP + 1))
+
+
+@pytest.mark.parametrize("spec", [f"Z{n}" for n in range(1, 9)]
+                         + ["E4", "E8", "D6", "D8", "Q8", "Z4xZ2"])
+def test_automorphisms_are_complete(spec):
+    g = G.parse_group_spec(spec)
+    assert G.automorphisms(g) == naive_automorphisms(g)
+
+
+# Tables, words and automorphism lists that result files and canonical forms
+# depend on, pinned as digests: every catalogue group, the dihedral and
+# dicyclic families to order 128, the metacyclic SD specs of the paper's odd
+# orders (63, 93, 189) and of the catalogue, edge parameters, and products.
+PINNED_SPECS = (
+    list(G.CATALOGUE_NAMES)
+    + [f"D{n}" for n in range(2, 129, 2)]
+    + [f"Q{n}" for n in range(8, 129, 4)]
+    + ["SD(7,3,4)", "SD(8,2,5)", "SD(9,3,7)", "SD(13,3,3)", "SD(7,9,2)", "SD(31,3,5)",
+       "SD(7,27,2)", "SD(5,4,2)", "SD(4,2,1)", "SD(1,3,1)", "SD(3,1,1)"]
+    + ["E1", "E8", "E16", "Z4xZ2", "A4xZ3", "Z2xA6"]
+)
+TABLE_DIGEST = "63c4f80c42235aa121140d41c6e1276d65f0ee1d3333dbdb1781fc0f99bbcd19"
+AUT_DIGEST = "917d7d2aeead667cd305ce11b174213a3ddaa682578b347ddbe28bb1f9ab7a3c"
+
+
+def test_tables_and_words_are_pinned():
+    h = hashlib.sha256()
+    for spec in PINNED_SPECS:
+        g = G.parse_group_spec(spec)
+        h.update(repr((g.spec, g.mul, g.element_words)).encode())
+    assert h.hexdigest() == TABLE_DIGEST
+
+
+def test_automorphism_lists_are_pinned():
+    h = hashlib.sha256()
+    for spec in PINNED_SPECS:
+        g = G.parse_group_spec(spec)
+        if g.order <= G.DEFAULT_AUT_CAP:
+            h.update(repr((g.spec, G.automorphisms(g))).encode())
+    assert h.hexdigest() == AUT_DIGEST
 
 
 @pytest.mark.parametrize("spec", ALL_CATALOGUE_SMALL)
@@ -223,13 +267,12 @@ def test_parse_roundtrip():
 
 
 def test_parse_errors_carry_position():
-    for bad in ["", "Z", "Zx", "Z4x", "Z4y", "SD(4,2)", "W5", "E6"]:
-        with pytest.raises(ValueError):
+    for bad in ["", "Z", "Zx", "Z4x", "Z4y", "SD(4,2)", "SD(4,2,", "W5", "Z4xW5", "xZ4",
+                "A4x", "Z4xxZ2"]:
+        with pytest.raises(ValueError, match="position"):
             G.parse_group_spec(bad)
-    try:
-        G.parse_group_spec("Z4xW5")
-    except ValueError as exc:
-        assert "position" in str(exc)
+    with pytest.raises(ValueError, match="power of 2"):
+        G.parse_group_spec("E6")
 
 
 def test_parse_rejects_orders_above_the_cap():
