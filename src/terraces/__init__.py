@@ -27,7 +27,6 @@ from .groups import (
 )
 from .props import (
     Arrangement,
-    PropertyReport,
     classify,
     load_arrangement,
     save_arrangement,

@@ -264,7 +264,7 @@ def _load_terrace(args):
     return load_arrangement(args.terrace, g)
 
 
-# --property name -> PropertyReport.to_dict() key; t<k> is read separately.
+# --property name -> classify() key; t<k> is read separately.
 _PROPERTIES = {
     "basic": "basic",
     "terrace": "terrace",
@@ -278,7 +278,7 @@ _PROPERTIES = {
 
 def cmd_verify(args, cfg: RunConfig):
     arr = _load_terrace(args)
-    report = classify(arr).to_dict()
+    report = classify(arr)
     checks = {}
     for prop in args.property or []:
         if prop in _PROPERTIES:
@@ -326,11 +326,11 @@ def cmd_orbit(args, cfg: RunConfig):
         raise ValueError("--limit goes only with --find")
     arr = _load_terrace(args)
     if args.find is None:
-        ts = orbit_of(arr)
+        forms = orbit_of(arr)
         result = {
             "group": arr.group.spec,
-            "orbit_size": len(ts),
-            "members": [list(seq) for seq in sorted(ts.members)],
+            "orbit_size": len(forms),
+            "members": [list(seq) for seq in sorted(forms)],
         }
         return result, {}, 0
     limit = CHAIN_LIMIT if args.limit is None else args.limit

@@ -36,7 +36,6 @@ from .props import Arrangement, altitude_directed, altitude_undirected, is_direc
 __all__ = [
     "ClimbParams",
     "ClimbResult",
-    "teleport",
     "climb",
     "climb_seeds",
 ]
@@ -133,17 +132,6 @@ def _move_table(npieces: int, allow_reversal: bool):
 
 
 _MOVES = {(p, rev): _move_table(p, rev) for p in (2, 3) for rev in (False, True)}
-
-
-def teleport(a: Arrangement, rng: random.Random) -> Arrangement:
-    """Move one uniformly chosen element to the end (altitude drop <= 2)."""
-    n = a.group.order
-    if n < 2:
-        raise ValueError("teleport needs order >= 2")
-    i = rng.randrange(n)
-    seq = list(a.seq)
-    seq.append(seq.pop(i))
-    return Arrangement(a.group, tuple(seq))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ re-verifiable witness for the first failure they see.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .props import Arrangement
 
@@ -21,10 +21,7 @@ __all__ = [
     "transpose",
     "check_row_complete",
     "check_row_quasi_complete",
-    "check_complete",
-    "check_quasi_complete",
     "roman_k_max",
-    "k_complete_max",
     "certify",
     "square_to_csv",
     "square_to_json",
@@ -61,16 +58,7 @@ class SquareCertificate:
     quasi_witness: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "row_complete": self.row_complete,
-            "complete": self.complete,
-            "row_quasi_complete": self.row_quasi_complete,
-            "quasi_complete": self.quasi_complete,
-            "roman_k_max": self.roman_k_max,
-            "k_complete_max": self.k_complete_max,
-            "row_witness": self.row_witness,
-            "quasi_witness": self.quasi_witness,
-        }
+        return asdict(self)
 
 
 def square_from(a: Arrangement) -> LatinSquare:
@@ -136,14 +124,6 @@ def check_row_quasi_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
     return True, None
 
 
-def check_complete(sq: LatinSquare) -> bool:
-    return check_row_complete(sq)[0] and check_row_complete(transpose(sq))[0]
-
-
-def check_quasi_complete(sq: LatinSquare) -> bool:
-    return check_row_quasi_complete(sq)[0] and check_row_quasi_complete(transpose(sq))[0]
-
-
 def roman_k_max(sq: LatinSquare) -> int:
     """Largest k such that every ordered pair occurs at most once at every
     horizontal offset m <= k; 0 when even offset 1 fails."""
@@ -151,10 +131,6 @@ def roman_k_max(sq: LatinSquare) -> int:
     while k < sq.order - 1 and _offset_repeat(sq, k + 1) is None:
         k += 1
     return k
-
-
-def k_complete_max(sq: LatinSquare) -> int:
-    return min(roman_k_max(sq), roman_k_max(transpose(sq)))
 
 
 def certify(sq: LatinSquare) -> SquareCertificate:

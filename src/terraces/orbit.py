@@ -20,28 +20,13 @@ counts of essentially different terraces.  The chain walk
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .groups import Group, _class_data, automorphisms
 from .hillclimb import _MOVES, _materialize
 from .props import Arrangement, canonical_form, is_terrace
 
-__all__ = ["TerraceSet", "two_piece_moves", "orbit_of", "explore_chain"]
-
-
-@dataclass
-class TerraceSet:
-    """Canonical forms reached by a closure, with one representative each."""
-
-    group: Group
-    members: dict[tuple[int, ...], Arrangement] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, a: Arrangement) -> bool:
-        return canonical_form(a).seq in self.members
+__all__ = ["two_piece_moves", "orbit_of", "explore_chain"]
 
 
 def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[tuple[int, ...]]:
@@ -68,8 +53,9 @@ def two_piece_moves(a: Arrangement, allow_piece_reversal: bool) -> list[Arrangem
     return [Arrangement(a.group, s) for s in _moves(a.group, a.seq, allow_piece_reversal)]
 
 
-def orbit_of(a: Arrangement) -> TerraceSet:
-    """Closure under no-piece-reversal moves, collapsed to canonical forms."""
+def orbit_of(a: Arrangement) -> dict[tuple[int, ...], Arrangement]:
+    """Closure under no-piece-reversal moves, collapsed to canonical forms:
+    {canonical form: its arrangement}, in discovery order."""
     return _closure(a, allow_piece_reversal=False)[0]
 
 
@@ -78,29 +64,28 @@ def _closure(
     allow_piece_reversal: bool,
     predicate: Callable[[Arrangement], bool] | None = None,
     limit: int | None = None,
-) -> tuple[TerraceSet, Arrangement | None]:
+) -> tuple[dict[tuple[int, ...], Arrangement], Arrangement | None]:
     if not is_terrace(a):
         raise ValueError("closure is defined on terraces")
     g = a.group
     auts = automorphisms(g)
     start = canonical_form(a)
-    ts = TerraceSet(g)
-    ts.members[start.seq] = start
+    forms = {start.seq: start}
     if predicate is not None and predicate(start):
-        return ts, start
+        return forms, start
     queue = deque([start.seq])
     while queue:
         for nb in _moves(g, queue.popleft(), allow_piece_reversal):
             cf = min(tuple(phi[x] for x in nb) for phi in auts)
-            if cf in ts.members:
+            if cf in forms:
                 continue
-            rep = ts.members[cf] = Arrangement(g, cf)
+            rep = forms[cf] = Arrangement(g, cf)
             if predicate is not None and predicate(rep):
-                return ts, rep
-            if limit is not None and len(ts.members) >= limit:
-                return ts, None
+                return forms, rep
+            if limit is not None and len(forms) >= limit:
+                return forms, None
             queue.append(cf)
-    return ts, None
+    return forms, None
 
 
 def explore_chain(
@@ -116,5 +101,5 @@ def explore_chain(
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    ts, witness = _closure(a, allow_piece_reversal=True, predicate=predicate, limit=limit)
-    return witness, len(ts)
+    forms, witness = _closure(a, allow_piece_reversal=True, predicate=predicate, limit=limit)
+    return witness, len(forms)

@@ -14,12 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .groups import Group, automorphisms, build_cyclic, inverse_pair_classes, involutions, parse_group_spec
+from .groups import Group, _class_data, automorphisms, build_cyclic, inverse_pair_classes, involutions, parse_group_spec
 
 __all__ = [
     "Arrangement",
-    "DiffList",
-    "PropertyReport",
     "diff_list",
     "altitude_directed",
     "altitude_undirected",
@@ -62,30 +60,23 @@ class Arrangement:
         return tuple(ew[x] for x in self.seq)
 
 
-@dataclass(frozen=True)
-class DiffList:
-    """The step-m quotient list: vals[i] = seq[i]^-1 * seq[i+m]."""
-
-    step: int
-    vals: tuple[int, ...]
-
-
-def diff_list(a: Arrangement, m: int = 1) -> DiffList:
+def diff_list(a: Arrangement, m: int = 1) -> tuple[int, ...]:
+    """The step-m quotient list: entry i is seq[i]^-1 * seq[i+m]."""
     n = a.group.order
     if n == 1 and m == 1:
-        return DiffList(1, ())
+        return ()
     if not 1 <= m <= n - 1:
         raise ValueError(f"step {m} out of range 1..{n - 1}")
     ldiv = a.group.ldiv
     s = a.seq
-    return DiffList(m, tuple(ldiv[s[i]][s[i + m]] for i in range(n - m)))
+    return tuple(ldiv[s[i]][s[i + m]] for i in range(n - m))
 
 
 def altitude_directed(a: Arrangement) -> int:
     """Number of distinct entries of b; n-1 exactly on directed terraces."""
     if a.group.order == 1:
         return 0
-    return len(set(diff_list(a).vals))
+    return len(set(diff_list(a)))
 
 
 def altitude_undirected(a: Arrangement) -> int:
@@ -93,7 +84,7 @@ def altitude_undirected(a: Arrangement) -> int:
     n-1 exactly on terraces."""
     if a.group.order == 1:
         return 0
-    counts = Counter(diff_list(a).vals)
+    counts = Counter(diff_list(a))
     total = 0
     for cls in inverse_pair_classes(a.group):
         got = sum(counts.get(x, 0) for x in cls)
@@ -109,7 +100,7 @@ def is_directed_terrace(a: Arrangement) -> bool:
     n = a.group.order
     if n == 1:
         return True
-    return len(set(diff_list(a).vals)) == n - 1
+    return len(set(diff_list(a))) == n - 1
 
 
 def is_terrace(a: Arrangement) -> bool:
@@ -117,7 +108,7 @@ def is_terrace(a: Arrangement) -> bool:
     g = a.group
     if g.order == 1:
         return True
-    counts = Counter(diff_list(a).vals)
+    counts = Counter(diff_list(a))
     for z in involutions(g):
         if counts.get(z, 0) != 1:
             return False
@@ -148,7 +139,7 @@ def is_directed_tk(a: Arrangement, k: int) -> bool:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range 1..{n - 1}")
     for m in range(1, k + 1):
-        vals = diff_list(a, m).vals
+        vals = diff_list(a, m)
         if len(set(vals)) != len(vals):
             return False
     return True
@@ -162,10 +153,10 @@ def max_directed_tk(a: Arrangement) -> int:
     n = a.group.order
     if n == 1:
         return 1
-    k = 0
-    while k < n - 1 and is_directed_tk(a, k + 1):
-        k += 1
-    return k
+    for m in range(1, n):
+        if len(set(diff_list(a, m))) != n - m:
+            return m - 1
+    return n - 1
 
 
 def is_symmetric_sequencing(a: Arrangement) -> bool:
@@ -181,7 +172,7 @@ def is_symmetric_sequencing(a: Arrangement) -> bool:
     if not is_directed_terrace(a):
         raise ValueError("arrangement is not a directed terrace")
     m = g.order // 2
-    b = diff_list(a).vals
+    b = diff_list(a)
     if b[m - 1] != zs[0]:
         return False
     inv = g.inv
@@ -210,17 +201,6 @@ def is_extendable(a: Arrangement) -> tuple[bool, int | None]:
     return False, None
 
 
-def _first_half_class_counts(a: Arrangement) -> Counter:
-    g = a.group
-    half = (g.order - 1) // 2
-    b = diff_list(a).vals[:half]
-    index = {}
-    for i, cls in enumerate(inverse_pair_classes(g)):
-        for x in cls:
-            index[x] = i
-    return Counter(index[v] for v in b)
-
-
 def is_half_and_half(a: Arrangement) -> bool:
     """Odd-order terrace whose first half of b has one entry per inverse pair."""
     g = a.group
@@ -230,8 +210,10 @@ def is_half_and_half(a: Arrangement) -> bool:
         return True
     if not is_terrace(a):
         return False
-    counts = _first_half_class_counts(a)
-    return all(counts.get(i, 0) == 1 for i in range(len(inverse_pair_classes(g))))
+    # odd order: (n-1)/2 inverse pairs and (n-1)/2 first-half entries
+    half = g.order // 2
+    index = _class_data(g)[2]
+    return len({index[v] for v in diff_list(a)[:half]}) == half
 
 
 def is_narcissistic(a: Arrangement) -> bool:
@@ -243,7 +225,7 @@ def is_narcissistic(a: Arrangement) -> bool:
         return True
     if not is_terrace(a):
         return False
-    b = diff_list(a).vals
+    b = diff_list(a)
     return b == b[::-1]
 
 
@@ -272,46 +254,9 @@ def walecki(n: int) -> Arrangement:
     return Arrangement(build_cyclic(n), tuple(seq))
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Full classification of one arrangement.
-
-    Verifier fields are None when their preconditions do not apply (for
-    example symmetric sequencings only exist in binary groups).
-    """
-
-    order: int
-    is_basic: bool
-    altitude_directed: int
-    altitude_undirected: int
-    is_directed_terrace: bool
-    is_terrace: bool
-    max_k_directed_tk: int
-    is_symmetric_sequencing: bool | None
-    is_extendable: bool | None
-    extendable_index: int | None
-    is_half_and_half: bool | None
-    is_narcissistic: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "basic": self.is_basic,
-            "altitude_directed": self.altitude_directed,
-            "altitude_undirected": self.altitude_undirected,
-            "directed_terrace": self.is_directed_terrace,
-            "terrace": self.is_terrace,
-            "max_k_directed_tk": self.max_k_directed_tk,
-            "symmetric_sequencing": self.is_symmetric_sequencing,
-            "extendable": self.is_extendable,
-            "extendable_index": self.extendable_index,
-            "half_and_half": self.is_half_and_half,
-            "narcissistic": self.is_narcissistic,
-        }
-
-
-def classify(a: Arrangement) -> PropertyReport:
-    """Run every applicable verifier; non-applicable ones report None."""
+def classify(a: Arrangement) -> dict:
+    """Run every applicable verifier; non-applicable ones report None (for
+    example symmetric sequencings only exist in binary groups)."""
     g = a.group
     basic = is_basic(a)
     directed = is_directed_terrace(a)
@@ -326,20 +271,20 @@ def classify(a: Arrangement) -> PropertyReport:
     if g.order % 2 == 1 and terrace:
         half = is_half_and_half(a)
         narcissistic = is_narcissistic(a)
-    return PropertyReport(
-        order=g.order,
-        is_basic=basic,
-        altitude_directed=altitude_directed(a),
-        altitude_undirected=altitude_undirected(a),
-        is_directed_terrace=directed,
-        is_terrace=terrace,
-        max_k_directed_tk=max_directed_tk(a) if directed else 0,
-        is_symmetric_sequencing=symmetric,
-        is_extendable=extendable,
-        extendable_index=extendable_index,
-        is_half_and_half=half,
-        is_narcissistic=narcissistic,
-    )
+    return {
+        "order": g.order,
+        "basic": basic,
+        "altitude_directed": altitude_directed(a),
+        "altitude_undirected": altitude_undirected(a),
+        "directed_terrace": directed,
+        "terrace": terrace,
+        "max_k_directed_tk": max_directed_tk(a) if directed else 0,
+        "symmetric_sequencing": symmetric,
+        "extendable": extendable,
+        "extendable_index": extendable_index,
+        "half_and_half": half,
+        "narcissistic": narcissistic,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +296,19 @@ def arrangement_to_json(a: Arrangement) -> dict:
     return {"group": a.group.spec, "elements": list(a.seq), "words": list(a.words())}
 
 
+def _typed_list(payload: dict, key: str, kind: type) -> list:
+    """payload[key] when it is a list of `kind` (bools are not ints)."""
+    vals = payload[key]
+    if not isinstance(vals, list) or not all(type(x) is kind for x in vals):
+        raise ValueError(f"terrace file {key!r} must be a list of {kind.__name__}")
+    return vals
+
+
 def arrangement_from_json(payload: dict, group: Group | None = None) -> Arrangement:
+    if not isinstance(payload, dict):
+        raise ValueError("terrace file must hold a JSON object")
+    if "group" in payload and not isinstance(payload["group"], str):
+        raise ValueError("terrace file 'group' must be a string")
     if group is None:
         if "group" not in payload:
             raise ValueError("terrace file names no group and none was supplied")
@@ -363,13 +320,13 @@ def arrangement_from_json(payload: dict, group: Group | None = None) -> Arrangem
                 f"terrace file is for group {payload['group']!r}, not {group.spec!r}"
             )
     if "elements" in payload:
-        seq = [int(x) for x in payload["elements"]]
+        seq = _typed_list(payload, "elements", int)
         if "words" in payload:
-            from_words = [group.word_index(w) for w in payload["words"]]
+            from_words = [group.word_index(w) for w in _typed_list(payload, "words", str)]
             if from_words != seq:
                 raise ValueError("terrace file ids and words disagree")
     elif "words" in payload:
-        seq = [group.word_index(w) for w in payload["words"]]
+        seq = [group.word_index(w) for w in _typed_list(payload, "words", str)]
     else:
         raise ValueError("terrace file has neither 'elements' nor 'words'")
     return Arrangement(group, tuple(seq))

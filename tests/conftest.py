@@ -144,6 +144,17 @@ def neighbors(a: P.Arrangement, cuts: int, allow_reversal: bool) -> list[P.Arran
     return out
 
 
+def teleport(a: P.Arrangement, rng: random.Random) -> P.Arrangement:
+    """The climber's teleport: move one uniformly chosen element to the end
+    (altitude drop <= 2), with the same single randrange(n)."""
+    n = a.group.order
+    if n < 2:
+        raise ValueError("teleport needs order >= 2")
+    seq = list(a.seq)
+    seq.append(seq.pop(rng.randrange(n)))
+    return P.Arrangement(a.group, tuple(seq))
+
+
 def random_arrangement(group: G.Group, rng: random.Random) -> P.Arrangement:
     seq = list(range(group.order))
     rng.shuffle(seq)

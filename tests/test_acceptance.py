@@ -13,7 +13,7 @@ import time
 import pytest
 
 import terraces
-from conftest import CORE_TIER, KNOWN_COUNTS, basic_arrangements, get_group, naive_basic_count
+from conftest import CORE_TIER, KNOWN_COUNTS, basic_arrangements, get_group, naive_basic_count, teleport
 from terraces import groups as G
 from terraces import hillclimb as H
 from terraces import latin as L
@@ -207,7 +207,7 @@ def test_criterion8_move_and_teleport_altitude_bounds():
         seq = list(range(g.order))
         rng.shuffle(seq)
         a = P.Arrangement(g, tuple(seq))
-        t = H.teleport(a, rng)
+        t = teleport(a, rng)
         assert P.altitude_directed(t) - P.altitude_directed(a) >= -2
         assert P.altitude_undirected(t) - P.altitude_undirected(a) >= -2
     print("\nPASS criterion-8b: move altitude deltas within [-k, 2k] and teleport >= -2 "
@@ -258,16 +258,16 @@ def test_criterion8_every_witness_yields_certified_square():
         w = search_first(get_group(spec), EnumMode("directed_tk", k=k))
         assert w is not None
         produced_directed.append(w)
-        assert L.k_complete_max(L.square_from(w)) >= k
+        assert L.certify(L.square_from(w)).k_complete_max >= k
     # chain exploration products
     ext, _ = explore_chain(P.walecki(12), 100_000, lambda r: P.is_extendable(r)[0])
     assert ext is not None
     produced_terraces.append(ext)
 
     for a in produced_directed:
-        assert L.check_complete(L.square_from(a)), a.group.spec
+        assert L.certify(L.square_from(a)).complete, a.group.spec
     for a in produced_terraces:
-        assert L.check_quasi_complete(L.square_from(a)), a.group.spec
+        assert L.certify(L.square_from(a)).quasi_complete, a.group.spec
     print(f"\nPASS criterion-8d: {len(produced_directed)} directed witnesses gave complete "
           f"squares, {len(produced_terraces)} terraces gave quasi-complete squares")
 

@@ -156,10 +156,19 @@ def test_verify_failed_property_exits_1(tmp_path, capsys):
 
 def test_verify_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"group": "Z4", "elements": [0, 1, 1, 2]}')
-    code = main(["verify", "--terrace", str(bad), "--outdir", str(tmp_path)])
-    capsys.readouterr()
-    assert code == 2
+    for text in [
+        '{"group": "Z4", "elements": [0, 1, 1, 2]}',
+        '{"group": "Z4", "elements": [0, 1.9, 3, 2]}',
+        '{"group": "Z4", "elements": [0, true, 3, 2]}',
+        '{"group": "Z5", "elements": "01423"}',
+        '{"group": 5, "elements": [0, 1, 4, 2, 3]}',
+        '{"group": "Z4", "words": [0, 1, 3, 2]}',
+        '{"group": "Z1", "words": "e"}',
+        '[0, 1, 3, 2]',
+    ]:
+        bad.write_text(text)
+        code = main(["verify", "--terrace", str(bad), "--outdir", str(tmp_path)])
+        assert code == 2 and "error" in capsys.readouterr().err, text
     code = main(["verify", "--terrace", str(tmp_path / "missing.json"), "--outdir", str(tmp_path)])
     capsys.readouterr()
     assert code == 2
@@ -482,3 +491,26 @@ def test_console_script_runs(tmp_path):
     assert record["result"]["order"] == 6
     assert Path(record["file"]).parent == outdir
     assert Path(record["file"]).is_file()
+
+
+@pytest.mark.parametrize("argv, code, name", [
+    (["verify", "--terrace", "w6.json"], 0, "verify-8b022edd0cd7"),
+    (["verify", "--terrace", "w5.json", "--property", "narcissistic"], 0, "verify-a89e36b680fe"),
+    (["verify", "--terrace", "g21.json", "--property", "t2"], 0, "verify-ac7e76983ee1"),
+    (["square", "--terrace", "g21.json", "--check", "roman:2"], 0, "square-206af6f0e2a3"),
+    (["square", "--terrace", "w5.json", "--check", "quasi"], 0, "square-a646d21dba48"),
+    (["orbit", "--terrace", "w5.json"], 0, "orbit-17e8a0c709cc"),
+    (["orbit", "--terrace", "w10.json", "--find", "extendable", "--limit", "300"], 1,
+     "orbit-b3fc1f36f65c"),
+])
+def test_result_files_are_pinned(tmp_path, capsys, monkeypatch, argv, code, name):
+    """A result file's name carries the sha256 of its bytes, so these names
+    pin the files `verify`, `square` and `orbit` write."""
+    monkeypatch.delenv("TERRACE_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for n in (5, 6, 10):
+        P.save_arrangement(P.walecki(n), f"w{n}.json")
+    Path("g21.json").write_bytes(terraces.fixture_path("g21_1_t2").read_bytes())
+    assert main([*argv, "--outdir", "runs"]) == code
+    capsys.readouterr()
+    assert [p.name for p in Path("runs").glob("*-????????????.json")] == [f"{name}.json"]

@@ -5,7 +5,7 @@ from itertools import accumulate, combinations
 
 import pytest
 
-from conftest import get_group, neighbors, random_arrangement
+from conftest import get_group, neighbors, random_arrangement, teleport
 from terraces import hillclimb as H
 from terraces import props as P
 
@@ -74,8 +74,8 @@ def test_neighbors_exclude_original(rng):
 def test_teleport_examples():
     g = get_group("Z4")
     a = P.Arrangement(g, (0, 1, 2, 3))
-    assert H.teleport(a, _FixedIndex(2)).seq == (0, 1, 3, 2)
-    assert H.teleport(a, _FixedIndex(3)).seq == a.seq
+    assert teleport(a, _FixedIndex(2)).seq == (0, 1, 3, 2)
+    assert teleport(a, _FixedIndex(3)).seq == a.seq
 
 
 def test_move_altitude_bounds(rng):
@@ -107,7 +107,7 @@ def test_teleport_altitude_bound(rng):
         g = get_group(spec)
         for _ in range(300):
             a = random_arrangement(g, rng)
-            t = H.teleport(a, rng)
+            t = teleport(a, rng)
             assert P.altitude_directed(t) - P.altitude_directed(a) >= -2
             assert P.altitude_undirected(t) - P.altitude_undirected(a) >= -2
 
@@ -221,7 +221,7 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
         assert climber.try_improve(max_cuts) == (first is not None)
         if first is None:
             assert tuple(climber.seq) == a.seq
-            a = H.teleport(a, rng)
+            a = teleport(a, rng)
         else:
             assert tuple(climber.seq) == first.seq and climber.alt == alt_fn(first)
             a = first
@@ -283,7 +283,7 @@ def _reference_climb(group, params):
             steps += 1
             trace.append(alt_fn(a))
             continue
-        a = H.teleport(a, rng)
+        a = teleport(a, rng)
         teleports += 1
 
 

@@ -57,24 +57,24 @@ def test_order_one_square_is_trivially_everything():
 def test_directed_terrace_gives_complete_square():
     for seq in [(0, 1, 5, 2, 4, 3)]:
         sq = L.square_from(P.Arrangement(get_group("Z6"), seq))
-        assert L.check_complete(sq)
+        assert L.certify(sq).complete
     res = enumerate_basic(get_group("Q12"), EnumMode("directed", count_only=False), max_witnesses=4)
     for w in res.witnesses:
-        assert L.check_complete(L.square_from(w))
+        assert L.certify(L.square_from(w)).complete
 
 
 def test_terrace_gives_quasi_complete_square():
     g = get_group("Z5")
     for a in basic_arrangements(g):
         if P.is_terrace(a):
-            assert L.check_quasi_complete(L.square_from(a))
+            assert L.certify(L.square_from(a)).quasi_complete
 
 
 def test_non_terrace_of_e4_gives_non_quasi_complete_square():
     g = get_group("E4")
     for a in basic_arrangements(g):
         assert not P.is_terrace(a)
-        assert not L.check_quasi_complete(L.square_from(a))
+        assert not L.certify(L.square_from(a)).quasi_complete
 
 
 def test_quasi_witness_reports_count():
@@ -98,7 +98,7 @@ def test_roman_k_examples():
     sq = L.square_from(t2)
     assert sq.order == 21
     assert L.roman_k_max(sq) >= 2
-    assert L.k_complete_max(sq) >= 2
+    assert L.certify(sq).k_complete_max >= 2
 
 
 def test_directed_tk_terrace_gives_k_complete_square():
@@ -107,7 +107,7 @@ def test_directed_tk_terrace_gives_k_complete_square():
 
         w = search_first(get_group(spec), EnumMode("directed_tk", k=k))
         assert w is not None
-        assert L.k_complete_max(L.square_from(w)) >= k
+        assert L.certify(L.square_from(w)).k_complete_max >= k
 
 
 def test_roman_k_max_at_most_order_minus_one():

@@ -20,8 +20,8 @@ def test_arrangement_validates():
 
 def test_diff_list_examples():
     a = arr("Z6", (0, 1, 5, 2, 4, 3))
-    assert P.diff_list(a, 1).vals == (1, 4, 3, 2, 5)
-    assert P.diff_list(a, 2).vals == (5, 1, 5, 1)
+    assert P.diff_list(a, 1) == (1, 4, 3, 2, 5)
+    assert P.diff_list(a, 2) == (5, 1, 5, 1)
     with pytest.raises(ValueError):
         P.diff_list(a, 6)
 
@@ -31,7 +31,7 @@ def test_diff_list_step_one_never_hits_identity(rng):
         g = get_group(spec)
         for _ in range(50):
             a = random_arrangement(g, rng)
-            assert 0 not in P.diff_list(a, 1).vals
+            assert 0 not in P.diff_list(a, 1)
 
 
 def test_altitudes_examples():
@@ -186,7 +186,7 @@ def test_half_and_half_cross_check_on_z7():
     for a in basic_arrangements(g):
         if not P.is_terrace(a):
             continue
-        b = P.diff_list(a).vals
+        b = P.diff_list(a)
         first = b[:3]
         literal = all(sum(1 for v in first if v in cls) == 1 for cls in classes)
         assert P.is_half_and_half(a) == literal
@@ -252,20 +252,20 @@ def test_walecki_terrace_for_all_small_orders():
 
 def test_classify_reports():
     rep = P.classify(P.walecki(6))
-    assert rep.is_directed_terrace and rep.is_terrace and rep.is_basic
-    assert rep.is_symmetric_sequencing is True
-    assert rep.max_k_directed_tk == 1
-    assert rep.is_half_and_half is None  # even order: not applicable
+    assert rep["directed_terrace"] and rep["terrace"] and rep["basic"]
+    assert rep["symmetric_sequencing"] is True
+    assert rep["max_k_directed_tk"] == 1
+    assert rep["half_and_half"] is None  # even order: not applicable
 
     rep5 = P.classify(P.walecki(5))
-    assert not rep5.is_directed_terrace and rep5.is_terrace
-    assert rep5.is_half_and_half is True and rep5.is_narcissistic is True
-    assert rep5.max_k_directed_tk == 0
-    assert rep5.is_symmetric_sequencing is None
+    assert not rep5["directed_terrace"] and rep5["terrace"]
+    assert rep5["half_and_half"] is True and rep5["narcissistic"] is True
+    assert rep5["max_k_directed_tk"] == 0
+    assert rep5["symmetric_sequencing"] is None
 
     e4 = get_group("E4")
     rep_e4 = P.classify(P.Arrangement(e4, (0, 1, 2, 3)))
-    assert not rep_e4.is_terrace
+    assert not rep_e4["terrace"]
 
 
 def test_classify_respects_report_invariants(rng):
@@ -273,11 +273,11 @@ def test_classify_respects_report_invariants(rng):
         g = get_group(spec)
         for _ in range(60):
             rep = P.classify(random_arrangement(g, rng))
-            if rep.is_directed_terrace:
-                assert rep.is_terrace
-            assert (rep.max_k_directed_tk >= 1) == rep.is_directed_terrace
-            if rep.is_narcissistic:
-                assert rep.is_half_and_half
+            if rep["directed_terrace"]:
+                assert rep["terrace"]
+            assert (rep["max_k_directed_tk"] >= 1) == rep["directed_terrace"]
+            if rep["narcissistic"]:
+                assert rep["half_and_half"]
 
 
 def test_arrangement_json_roundtrip(tmp_path):
