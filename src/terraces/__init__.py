@@ -11,7 +11,6 @@ from importlib import resources
 
 from .groups import (
     Group,
-    GroupSpec,
     automorphisms,
     build_cyclic,
     build_dicyclic,
@@ -23,7 +22,6 @@ from .groups import (
     inverse_pair_classes,
     involutions,
     parse_group_spec,
-    parse_spec,
 )
 from .props import (
     Arrangement,

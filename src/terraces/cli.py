@@ -130,7 +130,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _emit(args: argparse.Namespace, cfg: RunConfig, result: dict, side_files: dict) -> dict:
     """Write the deterministic result file, its side files and an index
-    line; return the payload."""
+    line into the existing run directory; return the payload."""
     payload = {
         "command": args.cmd,
         "echo": _echo(args),
@@ -141,7 +141,6 @@ def _emit(args: argparse.Namespace, cfg: RunConfig, result: dict, side_files: di
     blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{args.cmd}-{digest}.json"
     _write_atomic(path, blob)
     for suffix, text in side_files.items():
@@ -420,11 +419,12 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _effective(load_config(args.config), args)
+        Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
         result, side_files, code = args.func(args, cfg)
     except BudgetExceeded as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     payload = _emit(args, cfg, result, side_files)

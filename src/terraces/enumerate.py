@@ -512,6 +512,8 @@ def search_first(
     """
     if group.order > cap:
         raise ValueError(f"search capped at order {cap}, group has {group.order}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
     _odd_order_required(group, mode.kind)
     _check_tk_range(group, mode)
     if group.order == 1:

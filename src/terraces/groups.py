@@ -11,21 +11,20 @@ Automorphisms (order <= DEFAULT_AUT_CAP) try every order-matching image of a
 greedy generating set and extend each one breadth first through the Cayley
 graph, keeping the bijections whose every generator edge agrees.  Group
 specs ("Z4xZ2", "SD(7,3,4)", "A4xZ3") are read atom by atom with one regular
-expression; orders above DEFAULT_CLOSURE_CAP are refused.
+expression and built in the same pass; orders above DEFAULT_CLOSURE_CAP are
+refused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
     "Group",
-    "GroupSpec",
-    "SpecAtom",
     "CATALOGUE_NAMES",
     "build_cyclic",
     "build_dihedral",
@@ -39,7 +38,6 @@ __all__ = [
     "inverse_pair_classes",
     "automorphisms",
     "is_abelian",
-    "parse_spec",
     "parse_group_spec",
 ]
 
@@ -335,6 +333,8 @@ def closure_from_permutations(
     first, then y.  Element ordering is BFS discovery order from the
     identity, exploring generators in the listed order; element words use
     cycle notation.  Closures above DEFAULT_CLOSURE_CAP elements are refused.
+    The Cayley table is filled from the breadth-first steps x -> x*g, with
+    no permutation composed after the walk.
     """
     if not generators:
         raise ValueError("generator list must be nonempty")
@@ -347,23 +347,29 @@ def closure_from_permutations(
     ident = tuple(range(d))
     elems: list[tuple[int, ...]] = [ident]
     index: dict[tuple[int, ...], int] = {ident: 0}
-    pos = 0
-    while pos < len(elems):
-        x = elems[pos]
-        pos += 1
-        for g in gens0:
+    links = []  # (p, k) for each elems[j], j >= 1, with elems[j] = elems[p]*gens[k]
+    step: list[list[int]] = []  # step[i][k] = id of elems[i]*gens[k]
+    for x in elems:
+        row = []
+        for k, g in enumerate(gens0):
             y = tuple(g[x[i]] for i in range(d))
-            if y not in index:
+            j = index.get(y)
+            if j is None:
                 if len(elems) >= DEFAULT_CLOSURE_CAP:
                     raise ValueError(f"closure exceeds cap {DEFAULT_CLOSURE_CAP}")
-                index[y] = len(elems)
+                j = index[y] = len(elems)
                 elems.append(y)
-    n = len(elems)
-    mul = [[0] * n for _ in range(n)]
-    for i, x in enumerate(elems):
-        row = mul[i]
-        for j, y in enumerate(elems):
-            row[j] = index[tuple(y[x[t]] for t in range(d))]
+                links.append((len(step), k))
+            row.append(j)
+        step.append(row)
+    # x*elems[j] = (x*elems[p])*gens[k] with p < j, so each row fills from
+    # its own earlier entries.
+    mul = []
+    for i in range(len(elems)):
+        row = [i]
+        for p, k in links:
+            row.append(step[row[p]][k])
+        mul.append(row)
     words = [_cycle_word(p) for p in elems]
     return Group(mul, words, spec or "PERM[" + ",".join(words[1 : len(gens0) + 1]) + "]")
 
@@ -466,27 +472,6 @@ def _closure_set(group: Group, gens: list[int]) -> set[int]:
 # "E8" the elementary abelian group of order 8.
 
 
-@dataclass(frozen=True)
-class SpecAtom:
-    kind: str  # "Z" | "D" | "Q" | "E" | "SD" | "NAME"
-    params: tuple
-
-    def format(self) -> str:
-        if self.kind == "SD":
-            return "SD({},{},{})".format(*self.params)
-        if self.kind == "NAME":
-            return self.params[0]
-        return f"{self.kind}{self.params[0]}"
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    atoms: tuple[SpecAtom, ...]
-
-    def format(self) -> str:
-        return "x".join(a.format() for a in self.atoms)
-
-
 def _catalogue() -> dict:
     A = perm_from_cycles
     entries: dict[str, object] = {
@@ -539,19 +524,44 @@ _CATALOGUE = _catalogue()
 CATALOGUE_NAMES = tuple(sorted(_CATALOGUE))
 
 
+def _build_elementary(n: int) -> Group:
+    """Elementary abelian group of order n (a power of 2) as Z2 x ... x Z2."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"E{n}: elementary abelian order must be a power of 2")
+    g = build_cyclic(min(n, 2), f"E{min(n, 2)}")
+    while g.order < n:
+        g = direct_product(g, build_cyclic(2), f"E{2 * g.order}")
+    return g
+
+
+# Family letter -> builder taking the group's order.
+_FAMILIES = {"Z": build_cyclic, "D": build_dihedral, "Q": build_dicyclic, "E": _build_elementary}
+
 # One atom: SD(m,n,k), a family letter with its order, or a catalogue name,
 # which ends at the product sign "x" (no catalogue name contains one).
-_ATOM = re.compile(r"SD\((\d+),(\d+),(\d+)\)|([ZDQE])(\d+)|([^\Wx]+)")
+_ATOM = re.compile(r"SD\((\d+),(\d+),(\d+)\)|([" + "".join(_FAMILIES) + r"])(\d+)|([^\Wx]+)")
 
 
 def _spec_error(text: str, pos: int, msg: str) -> ValueError:
     return ValueError(f"group spec error at position {pos}: {msg} (in {text!r})")
 
 
-def parse_spec(text: str) -> GroupSpec:
-    """Parse a group-spec string into its tree; raises ValueError with position."""
+def _check_order(order: int, text: str) -> None:
+    if order > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"{text}: order {order} exceeds the cap {DEFAULT_CLOSURE_CAP}")
+
+
+def parse_group_spec(text: str) -> Group:
+    """Build the group named by a spec string ("Z12", "Z4xZ2", "SD(7,3,4)",
+    "A4", ...), named in normal form ("Z012" gives Z12).
+
+    Parse errors carry their position and orders above DEFAULT_CLOSURE_CAP
+    are refused, both before any Cayley table is built; a catalogue name
+    counts as order 1 until its capped closure is built.
+    """
     text = text.strip()
-    atoms = []
+    atoms = []  # (builder, args) per atom, built once the whole text parses
+    order = 1
     pos = 0
     while True:
         m = _ATOM.match(text, pos)
@@ -559,73 +569,20 @@ def parse_spec(text: str) -> GroupSpec:
             word = m[0] if m else text[pos:pos + 1]
             raise _spec_error(text, pos, f"expected a group atom, found {word!r}")
         if m[1]:
-            atoms.append(SpecAtom("SD", (int(m[1]), int(m[2]), int(m[3]))))
+            build, args = build_semidirect_cyclic, (int(m[1]), int(m[2]), int(m[3]))
         elif m[4]:
-            atoms.append(SpecAtom(m[4], (int(m[5]),)))
+            build, args = _FAMILIES[m[4]], (int(m[5]),)
         else:
-            atoms.append(SpecAtom("NAME", (m[6],)))
+            build, args = _CATALOGUE[m[6]], ()
+        atoms.append((build, args))
+        order *= math.prod(args[:2])  # m*n for SD(m,n,k), n for a family, 1 for a name
+        _check_order(order, text)
         pos = m.end()
         if pos == len(text):
-            return GroupSpec(tuple(atoms))
+            break
         if text[pos] != "x":
             raise _spec_error(text, pos, f"expected 'x' or end, found {text[pos]!r}")
         pos += 1
-
-
-def _build_atom(atom: SpecAtom) -> Group:
-    kind, params = atom.kind, atom.params
-    if kind == "Z":
-        return build_cyclic(params[0])
-    if kind == "D":
-        return build_dihedral(params[0])
-    if kind == "Q":
-        return build_dicyclic(params[0])
-    if kind == "E":
-        n = params[0]
-        if n < 1 or n & (n - 1):
-            raise ValueError(f"E{n}: elementary abelian order must be a power of 2")
-        g = build_cyclic(1) if n == 1 else build_cyclic(2)
-        while g.order < n:
-            g = direct_product(g, build_cyclic(2))
-        return Group(g.mul, g.element_words, f"E{n}")
-    if kind == "SD":
-        return build_semidirect_cyclic(*params)
-    return _CATALOGUE[params[0]]()  # type: ignore[operator]
-
-
-def _atom_order(atom: SpecAtom) -> int:
-    """The order an atom names; 1 for a catalogue name, whose closure is
-    capped while it is built."""
-    if atom.kind == "SD":
-        return atom.params[0] * atom.params[1]
-    if atom.kind == "NAME":
-        return 1
-    return atom.params[0]
-
-
-def _check_order(order: int, spec: GroupSpec) -> None:
-    if order > DEFAULT_CLOSURE_CAP:
-        raise ValueError(f"{spec.format()}: order {order} exceeds the cap {DEFAULT_CLOSURE_CAP}")
-
-
-def build_group(spec: GroupSpec) -> Group:
-    """Build the group a spec names; orders above DEFAULT_CLOSURE_CAP are
-    rejected before any Cayley table is built."""
-    order = 1
-    for atom in spec.atoms:
-        order *= _atom_order(atom)
-        _check_order(order, spec)
-    groups = [_build_atom(a) for a in spec.atoms]
-    order = 1
-    for h in groups:
-        order *= h.order
-    _check_order(order, spec)
-    g = groups[0]
-    for h in groups[1:]:
-        g = direct_product(g, h)
-    return Group(g.mul, g.element_words, spec.format())
-
-
-def parse_group_spec(text: str) -> Group:
-    """Build the group named by a spec string ("Z12", "Z4xZ2", "SD(7,3,4)", "A4", ...)."""
-    return build_group(parse_spec(text))
+    groups = [build(*args) for build, args in atoms]
+    _check_order(math.prod(h.order for h in groups), text)
+    return functools.reduce(direct_product, groups)

@@ -57,6 +57,8 @@ class ClimbParams:
             raise ValueError(f"unknown climb mode {self.mode!r}")
         if self.max_cuts not in (1, 2):
             raise ValueError("max_cuts must be 1 or 2 (3 cuts do not pay for themselves)")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be at least 0, got {self.max_steps}")
 
 
 @dataclass

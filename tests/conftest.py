@@ -91,6 +91,22 @@ def naive_automorphisms(group: G.Group) -> list[tuple[int, ...]]:
     return out
 
 
+def naive_closure_table(generators) -> tuple[tuple[int, ...], ...]:
+    """Cayley table of a permutation closure by composing every pair, with
+    the elements in breadth-first discovery order from the identity (the
+    order `closure_from_permutations` documents); x*y applies x first."""
+    gens = [tuple(p - 1 for p in g) for g in generators]
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    for x in elems:
+        for g in gens:
+            y = tuple(g[i] for i in x)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return tuple(tuple(index[tuple(y[i] for i in x)] for y in elems) for x in elems)
+
+
 def validate_group(group: G.Group, sample_triples: int = 100_000, seed: int = 0) -> None:
     """Check the Group invariants; raises ValueError on the first failure.
 

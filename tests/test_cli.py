@@ -181,6 +181,39 @@ def test_bad_group_spec_exits_2(tmp_path, capsys):
         assert code == 2, spec
 
 
+def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the climb ran")
+
+    monkeypatch.setattr(cli, "climb_seeds", refuse)  # a bad outdir is refused before the work
+    monkeypatch.delenv("TERRACE_CONFIG", raising=False)
+    afile = tmp_path / "a-file"
+    afile.write_text("")
+    runs = str(tmp_path / "runs")
+    for argv in [
+        ["verify", "--terrace", str(tmp_path), "--outdir", runs],
+        ["group", "--group", "Z4", "--config", str(tmp_path), "--outdir", runs],
+        ["climb", "--group", "Z10", "--outdir", str(afile)],
+        ["group", "--group", "Z4", "--outdir", str(afile / "sub")],
+    ]:
+        assert main(argv) == 2, argv
+        assert "error" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["climb", "--group", "Z10", "--max-steps", "-1"], ""),
+    (["climb", "--group", "Z10"], "max_steps = -1\n"),
+    (["search", "--group", "Z11", "--max-nodes", "-5"], ""),
+])
+def test_negative_budgets_exit_2(tmp_path, capsys, monkeypatch, argv, config):
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(config)
+    monkeypatch.setenv("TERRACE_CONFIG", str(cfg))
+    assert main([*argv, "--outdir", str(tmp_path)]) == 2
+    assert "at least 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-*.json"))
+
+
 def test_square_roman_check(tmp_path, capsys):
     code, payload = run_json(
         capsys, "square", "--group", "SD(7,3,4)",

@@ -491,6 +491,10 @@ def test_search_budget():
     g = get_group("Z11")
     with pytest.raises(BudgetExceeded):
         search_first(g, EnumMode("directed"), max_nodes=5)
+    with pytest.raises(BudgetExceeded):
+        search_first(g, EnumMode("directed"), max_nodes=0)
+    with pytest.raises(ValueError, match="max_nodes"):
+        search_first(g, EnumMode("directed"), max_nodes=-5)
 
 
 def test_abelian_non_binary_groups_have_no_directed_terraces():

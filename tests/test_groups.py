@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from conftest import get_group, naive_automorphisms, validate_group
+from conftest import get_group, naive_automorphisms, naive_closure_table, validate_group
 from terraces import groups as G
 
 ALL_CATALOGUE_SMALL = [
@@ -98,6 +98,21 @@ def test_closure_of_n_cycle_matches_cyclic_table():
         cyc = tuple(range(2, n + 1)) + (1,)
         closed = G.closure_from_permutations([cyc])
         assert closed.mul == G.build_cyclic(n).mul
+
+
+@pytest.mark.parametrize("name, gens", [
+    ("S5", [G.perm_from_cycles([(1, 2, 3, 4, 5)], 5), G.perm_from_cycles([(1, 2)], 5)]),
+    ("A6", [G.perm_from_cycles([(1, 2, 3, 4, 5)], 6), G.perm_from_cycles([(4, 5, 6)], 6)]),
+    ("PGL2_7", list(G._moebius_perms(7))),
+    (None, [G.perm_from_cycles([(1, 2, 3)], 4), G.perm_from_cycles([(1, 2), (3, 4)], 4)]),
+])
+def test_closure_table_matches_pairwise_composition(name, gens):
+    g = G.closure_from_permutations(gens)
+    assert g.mul == naive_closure_table(gens)
+    if name is None:
+        assert g.spec == "PERM[(1,2,3),(1,2)(3,4)]"
+    else:
+        assert get_group(name).mul == g.mul
 
 
 def test_closure_cap_and_invalid_perm():
@@ -256,14 +271,17 @@ def test_parse_examples():
     assert not any("x" in name for name in G.CATALOGUE_NAMES)  # a name ends at "x"
     assert G.parse_group_spec("A4xZ3").order == 36
     assert G.parse_group_spec("G16_13xZ2").order == 32
-    assert G.parse_spec("A4xZ3").format() == "A4xZ3"
+    assert G.parse_group_spec("A4xZ3").spec == "A4xZ3"
 
 
 def test_parse_roundtrip():
     for text in ["Z12", "Z4xZ2", "SD(7,3,4)", "E8", "A4", "D8xZ3", "Z2xZ2xZ2"]:
-        tree = G.parse_spec(text)
-        assert tree.format() == text
-        assert G.parse_spec(tree.format()) == tree
+        assert G.parse_group_spec(text).spec == text
+
+
+def test_parse_names_groups_in_normal_form():
+    assert G.parse_group_spec(" Z012 ").spec == "Z12"
+    assert G.parse_group_spec("SD(07,3,4)xZ2").spec == "SD(7,3,4)xZ2"
 
 
 def test_parse_errors_carry_position():
@@ -273,6 +291,15 @@ def test_parse_errors_carry_position():
             G.parse_group_spec(bad)
     with pytest.raises(ValueError, match="power of 2"):
         G.parse_group_spec("E6")
+
+
+def test_parse_errors_come_before_any_atom_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an atom was built")
+
+    monkeypatch.setattr(G, "closure_from_permutations", refuse)
+    with pytest.raises(ValueError, match="position"):
+        G.parse_group_spec("A6xW5")
 
 
 def test_parse_rejects_orders_above_the_cap():

@@ -26,6 +26,9 @@ def test_params_validation():
         H.ClimbParams(mode="sideways")
     with pytest.raises(ValueError):
         H.ClimbParams(max_cuts=3)
+    with pytest.raises(ValueError, match="max_steps"):
+        H.ClimbParams(max_steps=-1)
+    assert H.ClimbParams(max_steps=0).max_steps == 0
 
 
 def test_neighbor_counts_per_cut_choice():

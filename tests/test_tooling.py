@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import terraces
+from terraces import groups as G
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +28,14 @@ def test_readme_quick_tour_runs(capsys):
     assert counts == "(13470, 372)"
     assert int(roman) >= 2
     assert narcissistic == "True"
+
+
+def test_readme_grammar_matches_the_parser():
+    text = README.read_text(encoding="utf-8")
+    names = text[text.index("Catalogue names:"):]
+    names = names[:names.index("\n\n")]
+    listed = {w for quoted in re.findall(r"`([^`]*)`", names) for w in quoted.split()
+              if re.fullmatch(r"\w+", w)}
+    assert sorted(listed) == sorted(G.CATALOGUE_NAMES)
+    letters = re.findall(r"^\| `([A-Z]+)[<(]", text, re.M)
+    assert sorted(letters) == sorted([*G._FAMILIES, "SD"])
