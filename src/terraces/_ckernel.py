@@ -1,0 +1,300 @@
+"""The compiled search kernel: `enumerate._dfs` in C, built on first use.
+
+`SOURCE` is the C translation of the Python kernel `enumerate._dfs_py`,
+node for node: the same bucket ledger, layer-2 marks, T_k rows, forced
+narcissistic tail, ascending candidate order, orderly test and node budget
+(see the comments in the source).  `load` compiles it with the system C
+compiler into a per-user cache directory, loads it with `ctypes` and
+returns the kernel function, or None when no compiler, cache directory or
+loader works; then `_dfs` runs the Python kernel.  It tries once per
+process and prints nothing.
+"""
+
+from __future__ import annotations
+
+import array
+import os
+import tempfile
+import zlib
+
+SOURCE = r"""
+#include <stdlib.h>
+
+/* Leaf report; a nonzero return stops the search. */
+typedef int (*leaf_fn)(void);
+
+typedef struct {
+    int n, l2, lo2, hi2, k, end, mirror, naut;
+    const int *ldiv, *mul, *bucket, *tab2, *auts;
+    int *rem, *seq, *used, *m2, *marks, *cval, *act;
+    long long *budget;
+    leaf_fn leaf;
+    int halt; /* 1: the leaf callback said stop; 2: node budget spent */
+} K;
+
+/* b_j = b_{n-j} forces a_{end+1} .. a_{n-1}; each must be unused. */
+static int mirror(K *s)
+{
+    const int n = s->n, end = s->end;
+    int *seq = s->seq, *used = s->used;
+    int j, x = seq[end], ok = 1;
+    used[x] = 1;
+    for (j = end + 1; j < n; j++) {
+        x = s->mul[x * n + s->ldiv[seq[n - j - 1] * n + seq[n - j]]];
+        if (used[x]) {
+            ok = 0;
+            break;
+        }
+        used[x] = 1;
+        seq[j] = x;
+    }
+    while (--j > end)
+        used[seq[j]] = 0;
+    used[seq[end]] = 0;
+    return ok;
+}
+
+/* The layer-2 value of a_{depth+1} = y, or -1 where the kind has none:
+   b^(2) for T_k (l2 = 1), the class of b for half-and-half (l2 = 2), or
+   c_depth = b_depth c_{depth-1} for the narcissistic kind (l2 = 3). */
+static inline int layer2(const K *s, int depth, int y)
+{
+    const int n = s->n;
+    if (depth < s->lo2 || depth > s->hi2)
+        return -1;
+    if (s->l2 == 1)
+        return s->tab2[s->seq[depth - 2] * n + y];
+    if (s->l2 == 2)
+        return s->tab2[s->seq[depth - 1] * n + y];
+    return s->mul[s->ldiv[s->seq[depth - 1] * n + y] * n + s->cval[depth - 1]];
+}
+
+/* Place a_{depth+1} = y (on = 1) or take it back (on = 0). */
+static inline void place(K *s, int depth, int y, int c2, int on)
+{
+    const int n = s->n;
+    int m;
+    s->rem[s->bucket[s->seq[depth - 1] * n + y]] -= on ? 1 : -1;
+    if (c2 >= 0) {
+        s->m2[c2] = on;
+        s->cval[depth] = c2;
+    }
+    for (m = 3; m <= s->k && m <= depth; m++)
+        s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]] = on;
+    s->used[y] = on;
+}
+
+static long long rec(K *s, int depth, const int *active, int nact)
+{
+    const int n = s->n, *brow;
+    int *next = s->act + (size_t)(depth + 1) * s->naut;
+    long long total = 0;
+    int y, i, m;
+    if (s->budget) {
+        if (*s->budget <= 0) {
+            s->halt = 2;
+            return 0;
+        }
+        --*s->budget;
+    }
+    brow = s->bucket + s->seq[depth - 1] * n;
+    for (y = 1; y < n; y++) {
+        int c2, nn = 0, skip = 0;
+        if (s->used[y] || !s->rem[brow[y]])
+            continue;
+        c2 = s->l2 ? layer2(s, depth, y) : -1;
+        if (c2 >= 0 && s->m2[c2])
+            continue;
+        for (m = 3; m <= s->k && m <= depth; m++)
+            if (s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]]) {
+                skip = 1;
+                break;
+            }
+        /* Orderly test: cut y if an active automorphism maps it lower;
+           those that fix it stay active below. */
+        for (i = 0; i < nact && !skip; i++) {
+            int t = s->auts[(size_t)active[i] * n + y];
+            if (t < y)
+                skip = 1;
+            else if (t == y)
+                next[nn++] = active[i];
+        }
+        if (skip)
+            continue;
+        s->seq[depth] = y;
+        if (depth == s->end) {
+            if (!s->mirror || mirror(s)) {
+                total++;
+                if (s->leaf && s->leaf()) {
+                    s->halt = 1;
+                    return total;
+                }
+            }
+            continue;
+        }
+        place(s, depth, y, c2, 1);
+        total += rec(s, depth + 1, next, nn);
+        if (s->halt)
+            return total;
+        place(s, depth, y, c2, 0);
+    }
+    return total;
+}
+
+/* Leaves below a_1 = e and the placed prefix; -1 when the node budget ran
+   out, -2 when memory did.  rem, the bucket capacities, is updated in
+   place; *budget, when given, is left at the nodes not spent. */
+long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
+                       int mirror_tail, const int *ldiv, const int *mul,
+                       const int *bucket, int *rem, const int *tab2,
+                       int naut, const int *auts, int nprefix,
+                       const int *prefix, long long *budget, leaf_fn leaf,
+                       int *seq)
+{
+    K s;
+    long long total;
+    int d, i, nact = naut, w = naut > 0 ? naut : 1;
+    int *act0;
+    s.n = n, s.l2 = l2, s.lo2 = lo2, s.hi2 = hi2, s.k = k, s.end = end;
+    s.mirror = mirror_tail, s.naut = naut, s.ldiv = ldiv, s.mul = mul;
+    s.bucket = bucket, s.tab2 = tab2, s.auts = auts, s.rem = rem;
+    s.seq = seq, s.budget = budget, s.leaf = leaf, s.halt = 0;
+    s.used = calloc(n + 1, sizeof(int));
+    s.m2 = calloc(n + 1, sizeof(int));
+    s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
+    s.cval = calloc(n + 1, sizeof(int));
+    s.act = malloc((size_t)(n + 2) * w * sizeof(int));
+    if (!s.used || !s.m2 || !s.marks || !s.cval || !s.act) {
+        total = -2;
+        goto out;
+    }
+    s.used[0] = 1;
+    seq[0] = 0;
+    if (l2 == 3)
+        s.m2[0] = 1; /* c_0 = e is taken */
+    /* A live prefix is canonical: the automorphisms fixing every entry
+       stay active below it, and no other prunes anything there. */
+    act0 = s.act + (size_t)(nprefix + 1) * naut;
+    for (i = 0; i < naut; i++)
+        act0[i] = i;
+    for (d = 1; d <= nprefix; d++) {
+        int y = prefix[d - 1], kept = 0;
+        int c2 = l2 ? layer2(&s, d, y) : -1;
+        s.seq[d] = y;
+        place(&s, d, y, c2, 1);
+        for (i = 0; i < nact; i++)
+            if (auts[(size_t)act0[i] * n + y] == y)
+                act0[kept++] = act0[i];
+        nact = kept;
+    }
+    total = rec(&s, nprefix + 1, act0, nact);
+    if (s.halt == 2)
+        total = -1;
+out:
+    free(s.used);
+    free(s.m2);
+    free(s.marks);
+    free(s.cval);
+    free(s.act);
+    return total;
+}
+"""
+
+_CC = "gcc"
+_FLAGS = ("-O2", "-shared", "-fPIC")
+_UNTRIED = object()
+_KERNEL = _UNTRIED  # the loaded kernel function, or None after a failed try
+
+
+def _cache_dirs() -> list[str]:
+    """Where the shared object may live: the user's cache, then a private
+    directory in the temp directory."""
+    return [
+        os.path.join(os.path.expanduser("~"), ".cache", "terraces"),
+        os.path.join(tempfile.gettempdir(), f"terraces-{os.getuid()}"),
+    ]
+
+
+def _bind(path: str):
+    """The kernel in the shared object at `path`, wrapped to take Python
+    sequences."""
+    import ctypes
+
+    c_int, ptr = ctypes.c_int, ctypes.c_void_p
+    leaf_fn = ctypes.CFUNCTYPE(c_int)
+    fn = ctypes.CDLL(path).terraces_dfs
+    fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, leaf_fn, ptr]
+    fn.restype = ctypes.c_longlong
+
+    def addr(a: array.array) -> int:
+        return a.buffer_info()[0]
+
+    def dfs(n, layer2, k, end, mirror, ldiv, mul, bucket, rem, tab2, auts, prefix, budget, leaf):
+        """Leaves below a_1 = e and `prefix`, or -1 when the node budget ran
+        out.  layer2 is (kind, first depth, last depth); the tables are
+        flat n x n lists, auts the automorphisms to prune by.  budget is
+        None or a one-cell list, left at the nodes not spent.  leaf, when
+        given, is called with the current sequence at each leaf, and a
+        true answer stops the walk."""
+        # The kernel reads and writes plain arrays by address; a ctypes
+        # array type per call would leave a reference cycle behind.
+        tables = [array.array("i", t) for t in (ldiv, mul, bucket, rem, tab2)]
+        flat_auts = array.array("i", (v for phi in auts for v in phi))
+        placed = array.array("i", prefix)
+        seq = array.array("i", [0]) * n
+        cell = None
+        if budget is not None:
+            start = max(-1, min(budget[0], 1 << 62))
+            cell = array.array("q", [start])
+        callback = leaf_fn(lambda: 1 if leaf(seq) else 0) if leaf else leaf_fn(0)  # 0: NULL
+        leaves = fn(n, *layer2, k, end, mirror, *map(addr, tables), len(auts), addr(flat_auts),
+                    len(prefix), addr(placed), cell and addr(cell), callback, addr(seq))
+        if cell is not None:
+            budget[0] -= start - cell[0]
+        if leaves == -2:
+            raise MemoryError("search kernel out of memory")
+        return leaves
+
+    return dfs
+
+
+def _build(directory: str):
+    """Load the kernel from `directory`, compiling it there first if the
+    shared object for this source and these flags is missing."""
+    # zlib, not hashlib: loading OpenSSL's hashes costs 3.7 MB of memory.
+    text = "\0".join((SOURCE, *_FLAGS)).encode()
+    path = os.path.join(directory, f"dfs-{zlib.crc32(text):08x}{zlib.adler32(text):08x}.so")
+    if not os.path.exists(path):
+        import subprocess
+
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        # Write under a private name and rename, so that a process building
+        # at the same time never loads a partial file.
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            subprocess.run([_CC, *_FLAGS, "-x", "c", "-", "-o", tmp], input=SOURCE.encode(),
+                           capture_output=True, timeout=120, check=True)
+            os.replace(tmp, path)
+        except subprocess.SubprocessError as e:
+            raise OSError(f"{_CC} could not build the kernel") from e
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    for p in (directory, path):
+        if os.stat(p).st_uid != os.getuid():
+            raise OSError(f"{p} belongs to another user")
+    return _bind(path)
+
+
+def load():
+    """The compiled kernel (see `_bind`), or None if it cannot be built here."""
+    global _KERNEL
+    if _KERNEL is _UNTRIED:
+        _KERNEL = None
+        for directory in _cache_dirs():
+            try:
+                _KERNEL = _build(directory)
+                break
+            except OSError:
+                continue
+    return _KERNEL

@@ -4,6 +4,11 @@ Every count, witness stream and first-witness search of every kind runs
 one depth-first kernel, `_dfs`.  It fixes a_1 = e (left translation is
 quotiented out up front), extends prefixes with candidates in ascending id
 order, and prunes as soon as the partial quotient list violates the kind.
+`_dfs` runs the walk in C (`_ckernel`, compiled with the system C compiler
+on the first call and cached per user) and falls back, silently, to the
+Python kernel `_dfs_py` where no compiler or cache directory works.  The
+two visit the same nodes and reach the same leaves in the same order; the
+tests hold the compiled kernel to the Python one for every kind.
 
 Essentially-different runs of every kind prune by Aut(G) (orderly
 generation, after Read 1978 and McKay, J. Algorithms 26, 1998): a prefix
@@ -33,7 +38,7 @@ order, and the mirror step still checks the tail against the head.  In an
 abelian group c_d = a_{d+1}, so it never fires there; in G27_4 it cuts the
 first-witness search from 874,839 nodes to 180,415.
 
-Counts with threads > 1 split by live prefix, for groups of order 11 and
+Counts with threads > 1 split by live prefix, for groups of order 13 and
 up (smaller trees take less time than forking a pool).  The parent runs
 `_dfs` down to depth 2 and keeps every prefix (a2, a3) that survives its
 checks, orderly ones included; each is one task.  A worker places the
@@ -49,6 +54,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
+from . import _ckernel
 from .groups import DEFAULT_AUT_CAP, Group, _class_data, automorphisms
 from .props import Arrangement
 
@@ -153,7 +159,68 @@ def _dfs(
     `_live_prefixes` returns it: its entries are placed before the search
     starts.  stop_at (below `_end_depth`) cuts the search at that depth and
     appends each surviving prefix (a_2, ..., a_{stop_at+1}) to sink.
+
+    The walk runs in the compiled kernel (`_ckernel`), which reports each
+    leaf through one callback, or in `_dfs_py` where that cannot be built.
     """
+    kernel = _ckernel.load()
+    if kernel is None:
+        return _dfs_py(group, mode, auts, sink, limit, budget, prefix, stop_at)
+    n = group.order
+    kind = mode.kind
+    ldiv = [v for row in group.ldiv for v in row]
+    _classes, caps, cindex = _class_data(group)
+    # The ledger of `_dfs_py`, flattened.  The identity's class, -1 there,
+    # is the last bucket, of capacity 0.
+    ctab = [cindex[v] if v else len(caps) for v in ldiv]
+    if kind in _DIRECTED_KINDS:
+        bucket, rem = ldiv, [0] + [1] * (n - 1) + [0]
+    else:
+        bucket = ctab
+        rem = ([1] * len(caps) if kind == "narcissistic" else list(caps)) + [0]
+    # Layer 2 as (the C source's number for it, first depth, last depth).
+    half = (n - 1) // 2
+    k = mode.k if kind == "directed_tk" else 1
+    if k >= 2:
+        layer2 = (1, 2, n - 1)
+    elif kind in ("half_and_half", "directed_half_and_half"):
+        layer2 = (2, 1, half)
+    elif kind == "narcissistic":
+        layer2 = (3, 1, half)
+    else:
+        layer2 = (0, 0, -1)
+    end = _end_depth(n, kind) if stop_at is None else stop_at
+    leaf = None
+    if sink is not None and stop_at is not None:
+        def leaf(seq):
+            sink.append(tuple(seq[1 : end + 1]))
+    elif sink is not None:
+        def leaf(seq):
+            sink.append(Arrangement(group, tuple(seq)))
+            return limit is not None and len(sink) >= limit
+    leaves = kernel(
+        n, layer2, k, end, kind == "narcissistic" and stop_at is None,
+        ldiv, [v for row in group.mul for v in row], bucket, rem, ldiv if k >= 2 else ctab,
+        auts or (), prefix, budget, leaf,
+    )
+    if leaves < 0:
+        raise BudgetExceeded("search node budget exhausted")
+    return leaves
+
+
+def _dfs_py(
+    group: Group,
+    mode: EnumMode,
+    auts: list[tuple[int, ...]] | None = None,
+    sink: list | None = None,
+    limit: int | None = None,
+    budget: list[int] | None = None,
+    prefix: tuple[int, ...] = (),
+    stop_at: int | None = None,
+) -> int:
+    """The Python kernel: `_dfs` without the compiled code, node for node.
+    It is the oracle the tests hold the compiled kernel to, and the
+    fallback where that cannot be built."""
     n = group.order
     kind = mode.kind
     ldiv = group.ldiv
@@ -377,12 +444,15 @@ def _check_tk_range(group: Group, mode: EnumMode) -> None:
 # hands over without pickling, so a task carries only (index, mode, prefix).
 
 _SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
-# Groups of smaller order count in one process.  On 2 cores every count of
-# every kind below order 11 took at most 0.12 s in one process and longer on
-# a two-worker pool, whose fork costs 20-70 ms.  At order 11 count_table
-# breaks even and the largest count, unpruned terraces, runs 1.9x faster;
-# from order 12 up count_table runs 1.1-1.9x faster on the pool.
-_FORK_MIN_ORDER = 11
+# Groups of smaller order count in one process.  With the compiled kernel
+# on 2 cores (best of 3), every count of every kind below order 12 took at
+# most 0.08 s in one process (count_table of Z11 9 ms) and longer on a
+# two-worker pool, whose fork costs 20-70 ms.  At order 12 the pool at best
+# breaks even: count_table of Z12 131 ms in one process against 134 ms on
+# the pool, unpruned terraces of Q12 462 against 430 ms and of Z12 476
+# against 524 ms.  From order 13 count_table runs 1.4-1.6x faster on the
+# pool (Z13 396 against 248 ms, D14 296 against 215 ms).
+_FORK_MIN_ORDER = 13
 _WORKER_STATE: tuple | None = None  # (group, auts), set in each pool worker
 
 
@@ -433,6 +503,7 @@ def _count(group: Group, modes, auts, threads: int) -> list[int]:
     if workers <= 1:
         return [_dfs(group, mode, auts) for mode in modes]
     totals = [0] * len(modes)
+    _ckernel.load()  # in the parent, so that the workers inherit it built
     with multiprocessing.get_context("fork").Pool(workers, _init_worker, (group, auts)) as pool:
         for i, leaves in pool.imap_unordered(_pool_task, tasks):
             totals[i] += leaves
@@ -451,7 +522,7 @@ def enumerate_basic(
     With essentially_different set, only canonical forms are visited and
     the essential count is the number of them; the free Aut-action makes
     the raw count exactly essential * |Aut(G)|.  A count with threads > 1
-    of a group of order 11 or more is split by live prefix over one forked
+    of a group of order 13 or more is split by live prefix over one forked
     pool; witness collection runs in one process.
     """
     if max_witnesses is not None and max_witnesses < 1:

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
+import subprocess
 from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import KNOWN_COUNTS, basic_arrangements, get_group, naive_basic_count
+from terraces import _ckernel as C
+from terraces import cli
 from terraces import enumerate as E
 from terraces import groups as G
 from terraces import hillclimb as H
@@ -218,6 +223,16 @@ def test_parallel_kinds_match_single_thread(split_small_groups, label):
             assert (two.raw_count, two.essential_count) == (one.raw_count, one.essential_count), (spec, ess)
 
 
+@contextlib.contextmanager
+def _kernel(monkeypatch, python: bool):
+    """Run the body on the Python kernel, or on the compiled one where it
+    builds; the fallback is forced by clearing the loaded-kernel handle."""
+    with monkeypatch.context() as m:
+        if python:
+            m.setattr(C, "_KERNEL", None)
+        yield
+
+
 def _walk(g, mode, auts, **kw) -> tuple[int, int]:
     """(nodes, leaves) of one _dfs call."""
     budget = [10**12]
@@ -225,53 +240,99 @@ def _walk(g, mode, auts, **kw) -> tuple[int, int]:
     return 10**12 - budget[0], leaves
 
 
+def _trace(g, mode, auts, limit) -> tuple:
+    """(nodes, leaves, witness sequences) of one _dfs call; witnesses are
+    collected, up to limit, when limit is set."""
+    sink = None if limit is None else []
+    nodes, leaves = _walk(g, mode, auts, sink=sink, limit=limit)
+    return nodes, leaves, sink and [w.seq for w in sink]
+
+
 @pytest.mark.parametrize("spec", ["Z10", "D10", "A4"])
-def test_prefix_resume_adds_up_to_the_unsplit_count(spec):
+def test_prefix_resume_adds_up_to_the_unsplit_count(monkeypatch, spec):
     """Resuming _dfs below every live (a2, a3) prefix, in one process,
     walks the rest of the unsplit tree: the nodes above the cut plus the
     nodes and leaves below each prefix are those of one unsplit walk.  The
-    T3 case cuts one level deeper, where the replay also places b^(3) marks."""
+    T3 case cuts one level deeper, where the replay also places b^(3) marks.
+    Both kernels are held to this."""
     g = get_group(spec)
     auts = E._nonidentity_auts(g)
-    for mode, depth in [
+    cases = [
         (EnumMode("terrace", essentially_different=True), 2),
         (EnumMode("directed", essentially_different=True), 2),
         (EnumMode("directed"), 2),
         (EnumMode("directed_tk", k=3), 3),
-    ]:
-        active = auts if mode.essentially_different else None
-        prefixes: list = []
-        top, _ = _walk(g, mode, active, sink=prefixes, stop_at=depth)
-        if depth == E._SPLIT_DEPTH:
-            assert prefixes == E._live_prefixes(g, mode, active)
-        assert prefixes and all(len(p) == depth for p in prefixes)
-        assert prefixes == sorted(set(prefixes))
-        below = [_walk(g, mode, active, prefix=p) for p in prefixes]
-        split = (top + sum(nodes for nodes, _ in below), sum(leaves for _, leaves in below))
-        assert split == _walk(g, mode, active), (spec, mode)
+    ]
+    for python, (mode, depth) in itertools.product((False, True), cases):
+        with _kernel(monkeypatch, python):
+            active = auts if mode.essentially_different else None
+            prefixes: list = []
+            top, _ = _walk(g, mode, active, sink=prefixes, stop_at=depth)
+            if depth == E._SPLIT_DEPTH:
+                assert prefixes == E._live_prefixes(g, mode, active)
+            assert prefixes and all(len(p) == depth for p in prefixes)
+            assert prefixes == sorted(set(prefixes))
+            below = [_walk(g, mode, active, prefix=p) for p in prefixes]
+            split = (top + sum(nodes for nodes, _ in below), sum(leaves for _, leaves in below))
+            assert split == _walk(g, mode, active), (spec, mode, python)
 
 
 @pytest.mark.parametrize("essential, depth", [(True, 6), (False, 4)])
-def test_narcissistic_prefix_resume_replays_the_c_ledger(essential, depth):
+def test_narcissistic_prefix_resume_replays_the_c_ledger(monkeypatch, essential, depth):
     """In a non-abelian group the narcissistic cut on repeated c_d fires.
     Resuming below every live (a2, a3) prefix of G21_1 must replay c_1, c_2
     and their marks: the prefixes reached at `depth`, and the nodes spent,
-    add up to those of one unsplit walk cut at the same depth."""
+    add up to those of one unsplit walk cut at the same depth, and both
+    kernels reach the same prefixes with the same nodes."""
     g = get_group("G21_1")
     mode = EnumMode("narcissistic", essentially_different=essential)
     active = E._nonidentity_auts(g) if essential else None
-    prefixes: list = []
-    top, _ = _walk(g, mode, active, sink=prefixes, stop_at=E._SPLIT_DEPTH)
-    assert prefixes == E._live_prefixes(g, mode, active)
-    reached: list = []
-    for p in prefixes:
-        below: list = []
-        nodes, _ = _walk(g, mode, active, sink=below, prefix=p, stop_at=depth)
-        top += nodes
-        reached += below
-    unsplit: list = []
-    nodes, _ = _walk(g, mode, active, sink=unsplit, stop_at=depth)
-    assert (top, reached) == (nodes, unsplit)
+    seen = []
+    for python in (False, True):
+        with _kernel(monkeypatch, python):
+            prefixes: list = []
+            top, _ = _walk(g, mode, active, sink=prefixes, stop_at=E._SPLIT_DEPTH)
+            assert prefixes == E._live_prefixes(g, mode, active)
+            reached: list = []
+            for p in prefixes:
+                below: list = []
+                nodes, _ = _walk(g, mode, active, sink=below, prefix=p, stop_at=depth)
+                top += nodes
+                reached += below
+            unsplit: list = []
+            nodes, _ = _walk(g, mode, active, sink=unsplit, stop_at=depth)
+            assert (top, reached) == (nodes, unsplit)
+            seen.append((nodes, unsplit))
+    assert seen[0] == seen[1]
+
+
+# Z1 never reaches a kernel: the public functions answer it directly.
+AGREEMENT_GROUPS = [f"Z{n}" for n in range(2, 13)] + [
+    "E4", "E8", "D6", "D8", "D10", "D12", "Q8", "Q12", "Z4xZ2", "Z3xZ3", "Z6xZ2", "A4",
+]
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_GROUPS)
+def test_compiled_kernel_matches_the_python_kernel(monkeypatch, spec):
+    """The compiled kernel visits the same nodes and reaches the same leaves
+    in the same order as the Python kernel, for every kind: essential counts
+    up to order 12, unpruned counts up to order 10, and the first witness
+    and the first 20 streamed witnesses, pruned and not."""
+    if C.load() is None:
+        pytest.skip("no C compiler: the Python kernel is the only one")
+    g = get_group(spec)
+    auts = E._nonidentity_auts(g)
+    runs = [(auts, None), (None, 1), (auts, 1), (None, 20), (auts, 20)]
+    if g.order <= 10:
+        runs.append((None, None))
+    for label, (mode, _pred) in KIND_CASES.items():
+        if mode.kind in ODD_KINDS and g.order % 2 == 0:
+            continue
+        got = []
+        for python in (False, True):
+            with _kernel(monkeypatch, python):
+                got.append([_trace(g, mode, active, limit) for active, limit in runs])
+        assert got[0] == got[1], (spec, label)
 
 
 # First narcissistic witnesses of the non-abelian groups, and the sha256 of
@@ -403,13 +464,16 @@ def test_climb_seeds_pool_stops_at_the_first_find(fake_pools, monkeypatch):
         ("G21_1", EnumMode("narcissistic"), 43569, True),
     ],
 )
-def test_max_nodes_edge(spec, mode, nodes, found):
-    """A search visits a fixed number of nodes: max_nodes=N finishes, N-1 does not."""
+def test_max_nodes_edge(monkeypatch, spec, mode, nodes, found):
+    """A search visits a fixed number of nodes: max_nodes=N finishes, N-1
+    does not, on either kernel."""
     g = get_group(spec)
-    w = search_first(g, mode, max_nodes=nodes)
-    assert (w is not None) == found
-    with pytest.raises(BudgetExceeded):
-        search_first(g, mode, max_nodes=nodes - 1)
+    for python in (False, True):
+        with _kernel(monkeypatch, python):
+            w = search_first(g, mode, max_nodes=nodes)
+            assert (w is not None) == found
+            with pytest.raises(BudgetExceeded):
+                search_first(g, mode, max_nodes=nodes - 1)
 
 
 def test_streamed_witnesses_pass_their_verifiers():
@@ -517,3 +581,54 @@ def test_degenerate_orders():
 def test_core_table_rows_small():
     for spec in ["Z5", "Z6", "D6", "Z8", "Z4xZ2", "D8", "Q8", "Z9", "Z3xZ3"]:
         assert count_table(get_group(spec)) == KNOWN_COUNTS[spec], spec
+
+
+CLI_RUNS = [
+    ["search", "--group", "A4", "--mode", "tk", "--k", "2"],
+    ["enumerate", "--group", "Z9", "--mode", "narcissistic", "--essential", "--witnesses", "5"],
+    ["enumerate", "--group", "D10", "--mode", "directed", "--essential"],
+]
+
+
+def _cli_results(outdir) -> dict[str, bytes]:
+    for argv in CLI_RUNS:
+        assert cli.main([*argv, "--outdir", str(outdir)]) in (0, 1), argv
+    return {p.name: p.read_bytes() for p in outdir.glob("*.json")}
+
+
+def test_failed_build_falls_back_to_python_once_and_silently(monkeypatch, tmp_path, capfd):
+    """Without a compiler, or without a writable cache directory, _dfs runs
+    the Python kernel: counts and CLI result files are unchanged, nothing
+    is printed and nothing is left behind, and the build is tried once."""
+    monkeypatch.delenv("TERRACE_CONFIG", raising=False)
+    want = _cli_results(tmp_path / "out")
+    capfd.readouterr()
+    calls = []
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    cache = tmp_path / "cache"
+    for cc, directory, builds in [("/nonexistent/cc", cache, 1), (C._CC, blocked / "cache", 0)]:
+        monkeypatch.setattr(C, "_CC", cc)
+        monkeypatch.setattr(C, "_cache_dirs", lambda: [str(directory)])
+        monkeypatch.setattr(C, "_KERNEL", C._UNTRIED)
+        calls.clear()
+        for spec in ("Z8", "D10", "Z11"):
+            assert count_table(get_group(spec)) == KNOWN_COUNTS[spec], (cc, spec)
+        assert _cli_results(tmp_path / "out") == want
+        assert C.load() is None and len(calls) == builds, cc
+        assert capfd.readouterr().err == ""
+    assert list(cache.iterdir()) == []
+
+
+def test_build_leaves_only_the_shared_object(monkeypatch, tmp_path):
+    """A fresh build compiles under a private name and renames the result
+    into place, so the cache holds the shared object alone."""
+    if C.load() is None:
+        pytest.skip("no C compiler: the Python kernel is the only one")
+    monkeypatch.setattr(C, "_cache_dirs", lambda: [str(tmp_path / "cache")])
+    monkeypatch.setattr(C, "_KERNEL", C._UNTRIED)
+    assert C.load() is not None
+    assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".so"]
+    assert count_table(get_group("Z10")) == KNOWN_COUNTS["Z10"]
