@@ -1,13 +1,21 @@
-"""The compiled search kernel: `enumerate._dfs` in C, built on first use.
+"""The compiled kernels: `enumerate._dfs` and the climber's move scan in C,
+built on first use.
 
-`SOURCE` is the C translation of the Python kernel `enumerate._dfs_py`,
-node for node: the same bucket ledger, layer-2 marks, T_k rows, forced
-narcissistic tail, ascending candidate order, orderly test and node budget
-(see the comments in the source).  `load` compiles it with the system C
-compiler into a per-user cache directory, loads it with `ctypes` and
-returns the kernel function, or None when no compiler, cache directory or
-loader works; then `_dfs` runs the Python kernel.  It tries once per
-process and prints nothing.
+`SOURCE` holds two C functions.  `terraces_dfs` translates the Python
+kernel `enumerate._dfs_py` node for node: the same bucket ledger, layer-2
+marks, T_k rows, forced narcissistic tail, ascending candidate order,
+orderly test and node budget (see the comments in the source).
+`terraces_scan` translates `hillclimb._Climber._scan` and its gain test
+move for move.  `load` compiles the source with the system C compiler into
+a per-user cache directory, loads it with `ctypes` and returns both
+functions as a `Kernel`, or None when no compiler, cache directory or
+loader works; then the Python code runs.  It tries once per process and
+prints nothing.
+
+The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
+and raises the Python error pending when it returns.  The search checks
+for signals every 2^20 nodes and stops when a handler raised, so Ctrl-C
+interrupts a long walk at once.
 """
 
 from __future__ import annotations
@@ -16,12 +24,16 @@ import array
 import os
 import tempfile
 import zlib
+from typing import Callable, NamedTuple
 
 SOURCE = r"""
 #include <stdlib.h>
 
 /* Leaf report; a nonzero return stops the search. */
 typedef int (*leaf_fn)(void);
+/* PyErr_CheckSignals: runs pending signal handlers, -1 when one raised. */
+typedef int (*check_fn)(void);
+#define CHECK_EVERY ((1u << 20) - 1) /* a mask: check every 2^20 nodes */
 
 typedef struct {
     int n, l2, lo2, hi2, k, end, mirror, naut;
@@ -29,7 +41,10 @@ typedef struct {
     int *rem, *seq, *used, *m2, *marks, *cval, *act;
     long long *budget;
     leaf_fn leaf;
-    int halt; /* 1: the leaf callback said stop; 2: node budget spent */
+    check_fn check;
+    unsigned nodes;
+    int halt; /* 1: the leaf callback said stop; 2: node budget spent;
+                 3: a signal handler raised */
 } K;
 
 /* b_j = b_{n-j} forces a_{end+1} .. a_{n-1}; each must be unused. */
@@ -97,6 +112,10 @@ static long long rec(K *s, int depth, const int *active, int nact)
         }
         --*s->budget;
     }
+    if ((++s->nodes & CHECK_EVERY) == 0 && s->check() < 0) {
+        s->halt = 3;
+        return 0;
+    }
     brow = s->bucket + s->seq[depth - 1] * n;
     for (y = 1; y < n; y++) {
         int c2, nn = 0, skip = 0;
@@ -142,14 +161,15 @@ static long long rec(K *s, int depth, const int *active, int nact)
 }
 
 /* Leaves below a_1 = e and the placed prefix; -1 when the node budget ran
-   out, -2 when memory did.  rem, the bucket capacities, is updated in
+   out, -2 when memory did, -3 when a signal handler raised (the error is
+   left pending for the caller).  rem, the bucket capacities, is updated in
    place; *budget, when given, is left at the nodes not spent. */
 long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
                        int mirror_tail, const int *ldiv, const int *mul,
                        const int *bucket, int *rem, const int *tab2,
                        int naut, const int *auts, int nprefix,
                        const int *prefix, long long *budget, leaf_fn leaf,
-                       int *seq)
+                       check_fn check, int *seq)
 {
     K s;
     long long total;
@@ -158,7 +178,8 @@ long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
     s.n = n, s.l2 = l2, s.lo2 = lo2, s.hi2 = hi2, s.k = k, s.end = end;
     s.mirror = mirror_tail, s.naut = naut, s.ldiv = ldiv, s.mul = mul;
     s.bucket = bucket, s.tab2 = tab2, s.auts = auts, s.rem = rem;
-    s.seq = seq, s.budget = budget, s.leaf = leaf, s.halt = 0;
+    s.seq = seq, s.budget = budget, s.leaf = leaf, s.check = check;
+    s.nodes = 0, s.halt = 0;
     s.used = calloc(n + 1, sizeof(int));
     s.m2 = calloc(n + 1, sizeof(int));
     s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
@@ -188,8 +209,8 @@ long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
         nact = kept;
     }
     total = rec(&s, nprefix + 1, act0, nact);
-    if (s.halt == 2)
-        total = -1;
+    if (s.halt >= 2)
+        total = 1 - s.halt;
 out:
     free(s.used);
     free(s.m2);
@@ -198,12 +219,100 @@ out:
     free(s.act);
     return total;
 }
+
+/* The altitude change from replacing the quotients rm[0..k) by add[0..k):
+   ccnt is changed as in `_Climber._gain`, then restored. */
+static int gain(const int *cls, const int *cap, int *ccnt, const int *rm,
+                const int *add, int k)
+{
+    int i, c, d = 0;
+    for (i = 0; i < k; i++) {
+        c = cls[rm[i]];
+        d -= ccnt[c] <= cap[c];
+        ccnt[c]--;
+    }
+    for (i = 0; i < k; i++) {
+        c = cls[add[i]];
+        d += ccnt[c] < cap[c];
+        ccnt[c]++;
+    }
+    for (i = 0; i < k; i++)
+        ccnt[cls[add[i]]]--;
+    for (i = 0; i < k; i++)
+        ccnt[cls[rm[i]]]++;
+    return d;
+}
+
+/* `_Climber._scan` for npieces = 2 or 3: the cut tuples in `combinations`
+   order; for each, the end-pair prefilter, then the moves in table order,
+   each tested for a junction with room and then for a positive gain.
+   The ends are indexed heads first, then tails, as in `_move_table`;
+   pairs holds npairs (first end, second end) pairs, and moves, of length
+   movelen, one row of 1 + 4 (npieces - 1) ints per move: the junction
+   count k, k junction pairs and k broken pairs, zero-padded.  Returns 1
+   with out = (c1, c2, move index) for the first move that gains, c2 = n
+   for one cut; 0 when none does; -2 when memory ran out. */
+int terraces_scan(int n, int npieces, int npairs, const int *pairs,
+                  int movelen, const int *moves, const int *seq,
+                  const int *ldiv, const int *cls, const int *cap, int *ccnt,
+                  int *out)
+{
+    const int p = npieces, stride = 1 + 4 * (p - 1), last = p == 3 ? n - 1 : n;
+    int b[4] = {0, 0, n, n}, ends[6], rm[2], add[2], c1, c2, i, m;
+    unsigned char *room = malloc(n);
+    if (!room)
+        return -2;
+    /* room[v]: the class of quotient v holds fewer than cap entries */
+    for (i = 0; i < n; i++)
+        room[i] = ccnt[cls[i]] < cap[cls[i]];
+#define Q(x, y) ldiv[ends[x] * n + ends[y]]
+    for (c1 = 1; c1 < n; c1++)
+        for (c2 = p == 3 ? c1 + 1 : n; c2 <= last; c2++) {
+            b[1] = c1, b[2] = c2;
+            for (i = 0; i < p; i++) {
+                ends[i] = seq[b[i]];
+                ends[p + i] = seq[b[i + 1] - 1];
+            }
+            for (i = 0; i < npairs && !room[Q(pairs[2 * i], pairs[2 * i + 1])]; i++)
+                ;
+            if (i == npairs)
+                continue;
+            for (m = 0; m * stride < movelen; m++) {
+                const int *mv = moves + m * stride, k = mv[0];
+                const int *junc = mv + 1, *brk = junc + 2 * k;
+                for (i = 0; i < k && !room[Q(junc[2 * i], junc[2 * i + 1])]; i++)
+                    ;
+                if (i == k)
+                    continue;
+                for (i = 0; i < k; i++) {
+                    add[i] = Q(junc[2 * i], junc[2 * i + 1]);
+                    rm[i] = Q(brk[2 * i], brk[2 * i + 1]);
+                }
+                if (gain(cls, cap, ccnt, rm, add, k) > 0) {
+                    out[0] = c1, out[1] = c2, out[2] = m;
+                    free(room);
+                    return 1;
+                }
+            }
+        }
+#undef Q
+    free(room);
+    return 0;
+}
 """
 
 _CC = "gcc"
 _FLAGS = ("-O2", "-shared", "-fPIC")
+_PREFIX = "dfs-"  # shared objects are named _PREFIX + source digest + ".so"
 _UNTRIED = object()
-_KERNEL = _UNTRIED  # the loaded kernel function, or None after a failed try
+_KERNEL = _UNTRIED  # the loaded Kernel, or None after a failed try
+
+
+class Kernel(NamedTuple):
+    """The compiled functions, wrapped to take Python values (see `_bind`)."""
+
+    dfs: Callable
+    scan: Callable
 
 
 def _cache_dirs() -> list[str]:
@@ -215,16 +324,20 @@ def _cache_dirs() -> list[str]:
     ]
 
 
-def _bind(path: str):
-    """The kernel in the shared object at `path`, wrapped to take Python
-    sequences."""
+def _bind(path: str) -> Kernel:
+    """The kernels in the shared object at `path`."""
     import ctypes
 
     c_int, ptr = ctypes.c_int, ctypes.c_void_p
     leaf_fn = ctypes.CFUNCTYPE(c_int)
-    fn = ctypes.CDLL(path).terraces_dfs
-    fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, leaf_fn, ptr]
+    lib = ctypes.PyDLL(path)
+    check = ctypes.cast(ctypes.pythonapi.PyErr_CheckSignals, ptr).value
+    fn = lib.terraces_dfs
+    fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, leaf_fn, ptr, ptr]
     fn.restype = ctypes.c_longlong
+    scan_fn = lib.terraces_scan
+    scan_fn.argtypes = [c_int] * 3 + [ptr, c_int] + [ptr] * 7
+    scan_fn.restype = c_int
 
     def addr(a: array.array) -> int:
         return a.buffer_info()[0]
@@ -246,24 +359,54 @@ def _bind(path: str):
         if budget is not None:
             start = max(-1, min(budget[0], 1 << 62))
             cell = array.array("q", [start])
-        callback = leaf_fn(lambda: 1 if leaf(seq) else 0) if leaf else leaf_fn(0)  # 0: NULL
+        raised = []
+
+        def on_leaf():
+            # ctypes would print an exception raised here and drop it, a
+            # KeyboardInterrupt included: keep it, stop, raise it below.
+            try:
+                return 1 if leaf(seq) else 0
+            except BaseException as e:
+                raised.append(e)
+                return 1
+
+        callback = leaf_fn(on_leaf) if leaf else leaf_fn(0)  # 0: NULL
         leaves = fn(n, *layer2, k, end, mirror, *map(addr, tables), len(auts), addr(flat_auts),
-                    len(prefix), addr(placed), cell and addr(cell), callback, addr(seq))
+                    len(prefix), addr(placed), cell and addr(cell), callback, check, addr(seq))
+        if raised:
+            raise raised.pop()
         if cell is not None:
             budget[0] -= start - cell[0]
         if leaves == -2:
             raise MemoryError("search kernel out of memory")
         return leaves
 
-    return dfs
+    def scan(npieces, pairs, moves, seq, ldiv, cls, cap, ccnt):
+        """The first improving move of `hillclimb._Climber._scan` as
+        (cuts, move index), or None.  Every argument but npieces is an int
+        array: the flat move table (pairs, moves), the arrangement, the
+        flat left-division table, and the climber's classes, caps and
+        class counts."""
+        out = array.array("i", [0, 0, 0])
+        found = scan_fn(len(seq), npieces, len(pairs) // 2, addr(pairs), len(moves), addr(moves),
+                        addr(seq), addr(ldiv), addr(cls), addr(cap), addr(ccnt), addr(out))
+        if found < 0:
+            raise MemoryError("climb scan out of memory")
+        if not found:
+            return None
+        return tuple(out[: npieces - 1]), out[2]
+
+    return Kernel(dfs, scan)
 
 
-def _build(directory: str):
-    """Load the kernel from `directory`, compiling it there first if the
-    shared object for this source and these flags is missing."""
+def _build(directory: str) -> Kernel:
+    """Load the kernels from `directory`, compiling them there first if the
+    shared object for this source and these flags is missing; a build
+    removes the user's shared objects of other sources from `directory`."""
     # zlib, not hashlib: loading OpenSSL's hashes costs 3.7 MB of memory.
     text = "\0".join((SOURCE, *_FLAGS)).encode()
-    path = os.path.join(directory, f"dfs-{zlib.crc32(text):08x}{zlib.adler32(text):08x}.so")
+    name = f"{_PREFIX}{zlib.crc32(text):08x}{zlib.adler32(text):08x}.so"
+    path = os.path.join(directory, name)
     if not os.path.exists(path):
         import subprocess
 
@@ -280,14 +423,28 @@ def _build(directory: str):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        _remove_stale(directory, name)
     for p in (directory, path):
         if os.stat(p).st_uid != os.getuid():
             raise OSError(f"{p} belongs to another user")
     return _bind(path)
 
 
-def load():
-    """The compiled kernel (see `_bind`), or None if it cannot be built here."""
+def _remove_stale(directory: str, keep: str) -> None:
+    """Remove the user's shared objects other than `keep` from `directory`.
+    Unlinking a file another process has mapped leaves its mapping intact,
+    and that process's next build writes its own file again."""
+    for entry in os.scandir(directory):
+        if entry.name != keep and entry.name.startswith(_PREFIX) and entry.name.endswith(".so"):
+            try:
+                if entry.stat(follow_symlinks=False).st_uid == os.getuid():
+                    os.remove(entry.path)
+            except OSError:  # gone already, or not ours to remove
+                pass
+
+
+def load() -> Kernel | None:
+    """The compiled kernels, or None if they cannot be built here."""
     global _KERNEL
     if _KERNEL is _UNTRIED:
         _KERNEL = None

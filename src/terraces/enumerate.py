@@ -198,7 +198,7 @@ def _dfs(
         def leaf(seq):
             sink.append(Arrangement(group, tuple(seq)))
             return limit is not None and len(sink) >= limit
-    leaves = kernel(
+    leaves = kernel.dfs(
         n, layer2, k, end, kind == "narcissistic" and stop_at is None,
         ldiv, [v for row in group.mul for v in row], bucket, rem, ldiv if k >= 2 else ctab,
         auts or (), prefix, budget, leaf,

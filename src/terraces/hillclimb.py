@@ -12,7 +12,12 @@ One scan serves both modes and both cut counts.  It walks a move table
 built once at import: for each (piece order, reversal mask), the pairs of
 piece ends the move joins.  An exact prefilter skips every cut tuple and
 every move that forms no junction in a class with room, since such a move
-cannot raise the altitude; only the rest reach the gain test.
+cannot raise the altitude; only the rest reach the gain test.  The scan
+runs in C (`_ckernel`, the shared object that also holds the search
+kernel), on the climber's arrangement and class counts kept in int arrays
+and the move table flattened at import; it returns the same first
+improving move as the Python scan `_Climber._scan`, which is the tests'
+oracle and the silent fallback where the C code cannot be built.
 
 A teleport (move one random element to the end) escapes local maxima and
 costs at most two altitude points.  Trajectories are fully determined by
@@ -26,9 +31,11 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+from array import array
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
+from . import _ckernel
 from .enumerate import usable_cpus
 from .groups import Group, _class_data
 from .props import Arrangement, altitude_directed, altitude_undirected, is_directed_terrace, is_terrace
@@ -136,6 +143,22 @@ def _move_table(npieces: int, allow_reversal: bool):
 _MOVES = {(p, rev): _move_table(p, rev) for p in (2, 3) for rev in (False, True)}
 
 
+def _flat_table(npieces: int, allow_reversal: bool) -> tuple[array, array]:
+    """`_MOVES[npieces, allow_reversal]` as int arrays for the compiled scan:
+    the pairs, flat, and one row of 1 + 4 (npieces - 1) ints per move, the
+    junction count, the junctions and the broken pairs, zero-padded."""
+    pairs, moves = _MOVES[npieces, allow_reversal]
+    stride = 1 + 4 * (npieces - 1)
+    flat = array("i")
+    for _order, _mask, junctions, broken in moves:
+        row = [len(junctions), *chain(*junctions, *broken)]
+        flat.extend(row + [0] * (stride - len(row)))
+    return array("i", chain(*pairs)), flat
+
+
+_FLAT_MOVES = {key: _flat_table(*key) for key in _MOVES}
+
+
 # ---------------------------------------------------------------------------
 # Incremental climber.  The altitude is the number of quotients that fit in
 # their class: sum over classes of min(count, cap).  Terrace mode uses the
@@ -151,15 +174,18 @@ class _Climber:
         self.ldiv = group.ldiv
         if mode == "terrace":
             _cl, caps, cindex = _class_data(group)
-            self.cls, self.cap = list(cindex), list(caps)
+            self.cls, self.cap = array("i", cindex), array("i", caps)
         else:
-            self.cls, self.cap = list(range(n)), [1] * n
+            self.cls, self.cap = array("i", range(n)), array("i", [1]) * n
+        self.kernel = _ckernel.load()
+        if self.kernel is not None:
+            self.flat_ldiv = array("i", chain.from_iterable(self.ldiv))
         self.reset(seq)
 
-    def reset(self, seq: list[int]) -> None:
-        self.seq = seq
+    def reset(self, seq: list[int] | array) -> None:
+        self.seq = seq = array("i", seq)
         ldiv, cls, cap = self.ldiv, self.cls, self.cap
-        ccnt = self.ccnt = [0] * len(cap)
+        ccnt = self.ccnt = array("i", [0]) * len(cap)
         alt = 0
         for i in range(self.n - 1):
             c = cls[ldiv[seq[i]][seq[i + 1]]]
@@ -194,6 +220,23 @@ class _Climber:
 
     def try_improve(self, max_cuts: int) -> bool:
         """Apply the first move that raises the altitude (one cut, then two)."""
+        terrace = self.mode == "terrace"
+        for npieces in range(2, max_cuts + 2):
+            if self.kernel is None:
+                hit = self._scan(npieces)
+            else:
+                hit = self.kernel.scan(npieces, *_FLAT_MOVES[npieces, terrace], self.seq,
+                                       self.flat_ldiv, self.cls, self.cap, self.ccnt)
+            if hit is not None:
+                cuts, move = hit
+                order, mask = _MOVES[npieces, terrace][1][move][:2]
+                self.reset(_materialize(self.seq, cuts, order, mask))
+                return True
+        return False
+
+    def _scan(self, npieces: int) -> tuple[tuple[int, ...], int] | None:
+        """The first improving move as (cuts, index in the move table), or
+        None: the Python scan, which the compiled one repeats move for move."""
         ccnt, cap = self.ccnt, self.cap
         # room[v]: the class of quotient v holds fewer than cap entries.
         # Within one class, a move that removes k entries and adds j can
@@ -202,9 +245,6 @@ class _Climber:
         # gain, and skipping it (or a cut tuple with no such end pair at
         # all) leaves the first improving move unchanged.
         room = [ccnt[c] < cap[c] for c in self.cls]
-        return self._scan(2, room) or (max_cuts >= 2 and self._scan(3, room))
-
-    def _scan(self, npieces: int, room: list[bool]) -> bool:
         seq, ldiv, n = self.seq, self.ldiv, self.n
         pairs, moves = _MOVES[npieces, self.mode == "terrace"]
         s0, sl, k = seq[0], seq[n - 1], npieces - 1
@@ -218,7 +258,7 @@ class _Climber:
                     break
             else:
                 continue
-            for order, mask, junctions, broken in moves:
+            for index, (_order, _mask, junctions, broken) in enumerate(moves):
                 for i, j in junctions:
                     if room[ldiv[ends[i]][ends[j]]]:
                         break
@@ -227,9 +267,8 @@ class _Climber:
                 added = [ldiv[ends[i]][ends[j]] for i, j in junctions]
                 removed = [ldiv[ends[i]][ends[j]] for i, j in broken]
                 if self._gain(removed, added) > 0:
-                    self.reset(_materialize(seq, cuts, order, mask))
-                    return True
-        return False
+                    return cuts, index
+        return None
 
 
 def climb(group: Group, params: ClimbParams) -> ClimbResult:
@@ -320,6 +359,7 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
     workers = min(threads, usable_cpus(), len(seeds))
     if workers <= 1:
         return _first_found(climb(group, replace(params, seed=s)) for s in seeds)
+    _ckernel.load()  # in the parent, so that the workers inherit it built
     with multiprocessing.get_context("fork").Pool(workers, _init_seed_worker, (group, params)) as pool:
         r = _first_found(pool.imap(_seed_task, seeds))
     if r.arrangement is not None:  # a worker's result holds a copy of the group

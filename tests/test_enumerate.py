@@ -632,3 +632,70 @@ def test_build_leaves_only_the_shared_object(monkeypatch, tmp_path):
     assert C.load() is not None
     assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".so"]
     assert count_table(get_group("Z10")) == KNOWN_COUNTS["Z10"]
+
+
+def test_build_removes_the_users_stale_shared_objects(monkeypatch, tmp_path):
+    """A build for a changed source removes the kernel objects that earlier
+    sources left in the cache directory, and nothing else there."""
+    if C.load() is None:
+        pytest.skip("no C compiler: the Python kernel is the only one")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale, kept = ["dfs-0123456789abcdef.so", "dfs-fedcba9876543210.so"], ["dfs-notes.txt", "notes.so"]
+    for name in stale + kept:
+        (cache / name).write_text("")
+    monkeypatch.setattr(C, "_cache_dirs", lambda: [str(cache)])
+    monkeypatch.setattr(C, "_KERNEL", C._UNTRIED)
+    assert C.load() is not None
+    built = [p.name for p in cache.iterdir() if p.name not in kept]
+    assert len(built) == 1 and built[0] not in stale and built[0].endswith(".so"), built
+    assert all((cache / name).exists() for name in kept)
+    assert count_table(get_group("Z10")) == KNOWN_COUNTS["Z10"]
+
+
+def test_ctrl_c_stops_a_compiled_walk_within_a_second(tmp_path):
+    """SIGINT during a long compiled count ends the process with
+    KeyboardInterrupt within a second, and no callback swallows it."""
+    if C.load() is None:
+        pytest.skip("no C compiler: the Python kernel is the only one")
+    import signal
+    import sys
+    import time
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("from terraces import _ckernel, groups, enumerate as E\n"
+            "_ckernel.load(); g = groups.parse_group_spec('Z14'); groups.automorphisms(g)\n"
+            "print('ready', flush=True); E.count_table(g)\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)  # well inside the walk, which takes seconds
+        assert proc.poll() is None
+        t0 = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=30)
+        waited = time.monotonic() - t0
+    finally:
+        proc.kill()
+        proc.wait()
+    err = proc.stderr.read()
+    assert "KeyboardInterrupt" in err and "Exception ignored" not in err, err
+    assert waited < 1.0, waited
+
+
+def test_an_error_in_a_leaf_callback_reaches_the_caller(capfd):
+    """An exception raised while the compiled kernel reports a leaf stops
+    the walk and is raised by `_dfs`; ctypes prints nothing."""
+    if C.load() is None:
+        pytest.skip("no C compiler: the Python kernel is the only one")
+
+    class Refuse(list):
+        def append(self, item):
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        E._dfs(get_group("Z8"), EnumMode("directed"), sink=Refuse())
+    assert capfd.readouterr().err == ""

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import random
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 import pytest
 
 from conftest import get_group, neighbors, random_arrangement, teleport
+from terraces import _ckernel as C
 from terraces import hillclimb as H
 from terraces import props as P
+
+
+def _scan_kernels() -> list:
+    """The values to give `_ckernel._KERNEL`, one climber per value: the
+    compiled kernels, where they build, then None, which selects the Python
+    scan.  Call it before setting `_KERNEL`, since `load` returns that."""
+    return [C.load(), None] if C.load() is not None else [None]
 
 
 class _FixedIndex(random.Random):
@@ -197,19 +205,25 @@ def test_move_table_junctions_match_materialize(npieces, allow_reversal, rng):
 @pytest.mark.parametrize("spec", ["Z12", "D12", "Q12", "Z4xZ2", "E8"])
 @pytest.mark.parametrize("mode", ["directed", "terrace"])
 @pytest.mark.parametrize("max_cuts", [1, 2])
-def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, rng):
+def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, rng, monkeypatch):
     """Along a walk of improving moves and teleports, `try_improve` applies
     exactly the first neighbour in `neighbors` order that raises the
-    altitude, or none when none does; and every move the prefilter skips
-    (no new junction whose class has room) has altitude gain <= 0."""
+    altitude, or none when none does, with the compiled scan and with the
+    Python one; and every move the prefilter skips (no new junction whose
+    class has room) has altitude gain <= 0."""
     g = get_group(spec)
     alt_fn = P.altitude_directed if mode == "directed" else P.altitude_undirected
     allow = mode == "terrace"
     ldiv = g.ldiv
+    kernels = _scan_kernels()
     a = random_arrangement(g, rng)
     for _ in range(12):
         base = alt_fn(a)
-        climber = H._Climber(g, mode, list(a.seq))
+        climbers = []
+        for kernel in kernels:
+            monkeypatch.setattr(C, "_KERNEL", kernel)
+            climbers.append(H._Climber(g, mode, list(a.seq)))
+        climber = climbers[-1]
         room = [climber.ccnt[c] < climber.cap[c] for c in climber.cls]
         for cuts in range(1, max_cuts + 1):
             _pairs, moves = H._MOVES[cuts + 1, allow]
@@ -221,17 +235,19 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
                         assert alt_fn(nb) <= base
         first = next((nb for c in range(1, max_cuts + 1) for nb in neighbors(a, c, allow)
                       if alt_fn(nb) > base), None)
-        assert climber.try_improve(max_cuts) == (first is not None)
-        if first is None:
-            assert tuple(climber.seq) == a.seq
-            a = teleport(a, rng)
-        else:
-            assert tuple(climber.seq) == first.seq and climber.alt == alt_fn(first)
-            a = first
+        for climber in climbers:
+            assert climber.try_improve(max_cuts) == (first is not None)
+            if first is None:
+                assert tuple(climber.seq) == a.seq
+            else:
+                assert tuple(climber.seq) == first.seq and climber.alt == alt_fn(first)
+        a = teleport(a, rng) if first is None else first
 
 
 # Seed-1 climbs at order 63-64, recorded before the scans were merged into
-# one table-driven scan; debug_check recomputes the altitude at every move.
+# one table-driven scan, and at orders 189 and 171, recorded with the Python
+# scan before the compiled one; debug_check recomputes the altitude at every
+# move.
 D64_TERRACE_SEED1 = (
     23, 32, 57, 14, 41, 24, 30, 28, 15, 40, 47, 11, 62, 18, 51, 54, 36, 9, 44, 25, 26, 31,
     59, 29, 8, 10, 33, 2, 58, 12, 16, 4, 48, 60, 5, 19, 3, 7, 52, 22, 17, 6, 38, 0, 49, 43,
@@ -243,18 +259,98 @@ SD792_DIRECTED_SEED1 = (
     3, 55, 1, 39, 15, 42, 46, 23, 53, 29, 35, 18, 50, 56, 21, 40, 59, 38,
 )
 
+SD7272_DIRECTED_SEED1 = (
+    10, 63, 28, 59, 87, 55, 8, 100, 134, 127, 60, 183, 112, 56, 30, 168, 166, 108, 51, 102,
+    155, 109, 144, 75, 31, 143, 9, 103, 173, 104, 124, 101, 40, 84, 6, 54, 26, 151, 61, 111,
+    78, 39, 17, 58, 122, 186, 105, 110, 185, 36, 177, 165, 146, 69, 32, 175, 81, 80, 43, 126,
+    90, 187, 139, 114, 89, 88, 158, 27, 45, 83, 113, 68, 34, 42, 162, 0, 2, 123, 37, 132,
+    138, 5, 65, 16, 178, 149, 44, 107, 38, 184, 99, 7, 62, 188, 172, 52, 93, 129, 50, 66,
+    133, 20, 170, 13, 3, 4, 160, 18, 169, 24, 156, 98, 180, 33, 71, 176, 121, 47, 25, 142,
+    161, 141, 15, 116, 14, 79, 76, 46, 154, 86, 82, 174, 85, 106, 70, 95, 29, 11, 140, 179,
+    159, 135, 164, 137, 97, 22, 1, 117, 131, 150, 136, 145, 163, 92, 96, 118, 128, 41, 91, 49,
+    152, 74, 23, 12, 171, 73, 19, 125, 67, 35, 21, 148, 57, 157, 53, 153, 119, 72, 77, 48,
+    130, 182, 167, 94, 120, 115, 147, 181, 64,
+)
+SD1997_DIRECTED_SEED1 = (
+    3, 94, 96, 26, 101, 149, 106, 133, 151, 16, 146, 68, 141, 114, 18, 24, 120, 83, 158, 102,
+    150, 4, 127, 92, 122, 54, 163, 157, 80, 71, 154, 6, 142, 168, 69, 115, 124, 0, 41, 70,
+    123, 25, 104, 116, 46, 45, 11, 148, 82, 85, 160, 59, 75, 135, 20, 117, 81, 143, 27, 57,
+    32, 118, 107, 47, 23, 1, 136, 60, 42, 152, 165, 61, 153, 17, 87, 39, 44, 86, 126, 53,
+    132, 76, 15, 108, 130, 63, 88, 145, 38, 74, 134, 129, 51, 31, 50, 58, 99, 162, 161, 2,
+    100, 37, 77, 97, 125, 113, 169, 21, 90, 105, 48, 112, 9, 10, 78, 164, 33, 131, 14, 91,
+    140, 30, 49, 95, 28, 89, 55, 34, 159, 128, 56, 98, 147, 7, 40, 155, 119, 156, 79, 22,
+    64, 144, 52, 139, 65, 166, 8, 67, 111, 109, 5, 62, 43, 93, 138, 35, 12, 36, 73, 110,
+    137, 121, 72, 13, 167, 103, 84, 29, 19, 170, 66,
+)
+
 
 @pytest.mark.parametrize(
     "spec, mode, steps, teleports, seq",
     [
         ("D64", "terrace", 35, 9, D64_TERRACE_SEED1),
         ("SD(7,9,2)", "directed", 42, 11, SD792_DIRECTED_SEED1),
+        ("SD(7,27,2)", "directed", 283, 112, SD7272_DIRECTED_SEED1),
+        ("SD(19,9,7)", "directed", 998, 499, SD1997_DIRECTED_SEED1),
     ],
 )
-def test_large_order_climbs_are_pinned(spec, mode, steps, teleports, seq):
-    r = H.climb(get_group(spec), H.ClimbParams(mode=mode, seed=1, debug_check=True))
-    assert (r.outcome, r.steps_taken, r.teleports_taken) == ("found", steps, teleports)
-    assert r.arrangement.seq == seq
+def test_large_order_climbs_are_pinned(spec, mode, steps, teleports, seq, monkeypatch):
+    """Both scans repeat the order-63/64 climbs; only the compiled one runs
+    the larger ones, which take seconds on the Python scan."""
+    g = get_group(spec)
+    kernels = [k for k in _scan_kernels() if k is not None or g.order <= 64]
+    if not kernels:
+        pytest.skip("no C compiler: the Python scan takes seconds at this order")
+    for kernel in kernels:
+        monkeypatch.setattr(C, "_KERNEL", kernel)
+        r = H.climb(g, H.ClimbParams(mode=mode, seed=1, debug_check=True))
+        assert (r.outcome, r.steps_taken, r.teleports_taken) == ("found", steps, teleports), kernel
+        assert r.arrangement.seq == seq, kernel
+
+
+# Z9, Z11, D6 and E8 have no directed terrace, and E8 no terrace, so those
+# climbs, and some others, spend their budget.
+AGREEMENT_CLIMBS = (
+    [f"Z{n}" for n in range(8, 13)] + [f"D{n}" for n in range(6, 34, 2)]
+    + [f"Q{n}" for n in range(8, 28, 4)] + ["A4", "S4", "E8", "SD(7,9,2)"]
+)
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_CLIMBS)
+def test_compiled_scan_matches_the_python_scan(spec, monkeypatch):
+    """Climbs on the compiled scan follow those on the Python scan: the same
+    outcome, steps, teleports, altitude trace and arrangement, in both
+    modes, with one cut and two, for seeds 1-3."""
+    if C.load() is None:
+        pytest.skip("no C compiler: the Python scan is the only one")
+    g = get_group(spec)
+    kernels = _scan_kernels()
+    for mode, max_cuts, seed in product(H.MODES, (1, 2), (1, 2, 3)):
+        params = H.ClimbParams(mode, max_cuts, seed, max_steps=200, record_trace=True)
+        got = []
+        for kernel in kernels:
+            monkeypatch.setattr(C, "_KERNEL", kernel)
+            r = H.climb(g, params)
+            got.append((r.to_dict(), r.arrangement and r.arrangement.seq))
+        assert got[0] == got[1], (mode, max_cuts, seed)
+
+
+def test_climbs_fall_back_to_the_python_scan_silently(monkeypatch, tmp_path, capfd):
+    """Where the kernels cannot be built, climbs, one process or forked
+    seeds, run the Python scan to the same results and print nothing."""
+    g = get_group("D20")
+    params = H.ClimbParams("directed", record_trace=True)
+
+    def results():
+        return [H.climb_seeds(g, params, seeds, threads) for seeds, threads in (([1], 1), ([2, 3], 2))]
+
+    want = results()
+    capfd.readouterr()
+    monkeypatch.setattr(C, "_CC", "/nonexistent/cc")
+    monkeypatch.setattr(C, "_cache_dirs", lambda: [str(tmp_path / "cache")])
+    monkeypatch.setattr(C, "_KERNEL", C._UNTRIED)
+    assert results() == want
+    assert C.load() is None
+    assert capfd.readouterr() == ("", "")
 
 
 def _reference_climb(group, params):
