@@ -1,16 +1,17 @@
-"""The compiled kernels: `enumerate._dfs` and the climber's move scan in C,
-built on first use.
+"""The compiled kernels: `enumerate._dfs`, the climber's move scan and the
+orbit closure's neighbour step in C, built on first use.
 
-`SOURCE` holds two C functions.  `terraces_dfs` translates the Python
+`SOURCE` holds three C functions.  `terraces_dfs` translates the Python
 kernel `enumerate._dfs_py` node for node: the same bucket ledger, layer-2
 marks, T_k rows, forced narcissistic tail, ascending candidate order,
 orderly test and node budget (see the comments in the source).
 `terraces_scan` translates `hillclimb._Climber._scan` and its gain test
-move for move.  `load` compiles the source with the system C compiler into
-a per-user cache directory, loads it with `ctypes` and returns both
-functions as a `Kernel`, or None when no compiler, cache directory or
-loader works; then the Python code runs.  It tries once per process and
-prints nothing.
+move for move.  `terraces_neighbours` translates `orbit._moves` followed
+by the canonical form of each neighbour, in the same order.  `load`
+compiles the source with the system C compiler into a per-user cache
+directory, loads it with `ctypes` and returns the three functions as a
+`Kernel`, or None when no compiler, cache directory or loader works; then
+the Python code runs.  It tries once per process and prints nothing.
 
 The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
@@ -299,6 +300,76 @@ int terraces_scan(int n, int npieces, int npairs, const int *pairs,
     free(room);
     return 0;
 }
+
+/* seq[lo..hi), reversed when rev, to dst; returns the end of the copy. */
+static int *piece(int *dst, const int *seq, int lo, int hi, int rev)
+{
+    int i;
+    if (rev)
+        for (i = hi - 1; i >= lo; i--)
+            *dst++ = seq[i];
+    else
+        for (i = lo; i < hi; i++)
+            *dst++ = seq[i];
+    return dst;
+}
+
+/* cand re-based (x -> cand[0]^-1 x), then its least image under the naut
+   automorphisms (rows of n, the first taken whole), to best; form is
+   scratch.  An image is left at its first entry above the best so far. */
+static void least(int n, const int *ldiv, int naut, const int *auts,
+                  const int *cand, int *form, int *best)
+{
+    const int *row = ldiv + (size_t)cand[0] * n;
+    int a, i;
+    for (i = 0; i < n; i++) {
+        form[i] = row[cand[i]];
+        best[i] = auts[form[i]];
+    }
+    for (a = 1; a < naut; a++) {
+        const int *phi = auts + (size_t)a * n;
+        for (i = 0; i < n && phi[form[i]] == best[i]; i++)
+            ;
+        if (i < n && phi[form[i]] < best[i])
+            for (; i < n; i++)
+                best[i] = phi[form[i]];
+    }
+}
+
+/* `orbit._moves` and the canonical form of each neighbour, for the terrace
+   seq: out gets, n ints each and repeats included, the canonical forms of
+   the whole reversal, then, cut by cut, of each 2-piece move whose new
+   junction's quotient is in the class of the junction it breaks.  moves
+   has the scan's rows (1, i, j, k, l) and shapes one row (first piece,
+   second piece, mask) per move; out holds n (1 + (n - 1) nmoves) ints.
+   Returns the number of forms written, -2 when memory ran out. */
+int terraces_neighbours(int n, int nmoves, const int *moves,
+                        const int *shapes, const int *seq, const int *ldiv,
+                        const int *cls, int naut, const int *auts, int *out)
+{
+    int b[3] = {0, 0, n}, ends[4], c, m, count = 1;
+    int *cand = malloc(2 * (size_t)n * sizeof(int)), *form = cand + n;
+    if (!cand)
+        return -2;
+    piece(cand, seq, 0, n, 1);
+    least(n, ldiv, naut, auts, cand, form, out);
+    for (c = 1; c < n; c++) {
+        b[1] = c;
+        ends[0] = seq[0], ends[1] = seq[c], ends[2] = seq[c - 1];
+        ends[3] = seq[n - 1];
+        for (m = 0; m < nmoves; m++) {
+            const int *mv = moves + 5 * m, *sh = shapes + 3 * m;
+            if (cls[ldiv[ends[mv[1]] * n + ends[mv[2]]]] !=
+                cls[ldiv[ends[mv[3]] * n + ends[mv[4]]]])
+                continue;
+            piece(piece(cand, seq, b[sh[0]], b[sh[0] + 1], sh[2] >> sh[0] & 1),
+                  seq, b[sh[1]], b[sh[1] + 1], sh[2] >> sh[1] & 1);
+            least(n, ldiv, naut, auts, cand, form, out + (size_t)count++ * n);
+        }
+    }
+    free(cand);
+    return count;
+}
 """
 
 _CC = "gcc"
@@ -313,6 +384,7 @@ class Kernel(NamedTuple):
 
     dfs: Callable
     scan: Callable
+    neighbours: Callable
 
 
 def _cache_dirs() -> list[str]:
@@ -338,6 +410,9 @@ def _bind(path: str) -> Kernel:
     scan_fn = lib.terraces_scan
     scan_fn.argtypes = [c_int] * 3 + [ptr, c_int] + [ptr] * 7
     scan_fn.restype = c_int
+    nb_fn = lib.terraces_neighbours
+    nb_fn.argtypes = [c_int, c_int] + [ptr] * 5 + [c_int, ptr, ptr]
+    nb_fn.restype = c_int
 
     def addr(a: array.array) -> int:
         return a.buffer_info()[0]
@@ -396,7 +471,23 @@ def _bind(path: str) -> Kernel:
             return None
         return tuple(out[: npieces - 1]), out[2]
 
-    return Kernel(dfs, scan)
+    def neighbours(moves, shapes, seq, ldiv, cls, auts, out):
+        """The canonical forms of the neighbours `orbit._moves` builds from
+        the terrace seq, repeats included, written back to back to out;
+        returns their number.  Every argument is an int array: the 2-piece
+        move table of `hillclimb._FLAT_MOVES` and its piece shapes, the
+        terrace, the flat left-division table, the class index, the flat
+        automorphisms and a buffer of n (1 + (n - 1) moves) ints."""
+        n, nmoves = len(seq), len(shapes) // 3
+        if len(out) < n * (1 + (n - 1) * nmoves) or len(moves) != 5 * nmoves:
+            raise ValueError("neighbour buffer or move table of the wrong size")
+        count = nb_fn(n, nmoves, addr(moves), addr(shapes), addr(seq), addr(ldiv), addr(cls),
+                      len(auts) // n, addr(auts), addr(out))
+        if count < 0:
+            raise MemoryError("neighbour step out of memory")
+        return count
+
+    return Kernel(dfs, scan, neighbours)
 
 
 def _build(directory: str) -> Kernel:

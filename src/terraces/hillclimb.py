@@ -2,7 +2,8 @@
 
 The climb cuts the arrangement into two or three pieces and reassembles
 them; only the junction entries of the quotient list change, so candidate
-moves are scored from O(1) count updates.  Terrace mode counts inverse-pair
+moves are scored, and accepted moves and teleports applied, from O(1)
+count updates.  Terrace mode counts inverse-pair
 classes with caps, which makes piece reversal altitude-neutral and
 therefore worth offering as a move; directed mode is the same count with
 one class per quotient value and every cap 1, and offers no reversal,
@@ -143,17 +144,19 @@ def _move_table(npieces: int, allow_reversal: bool):
 _MOVES = {(p, rev): _move_table(p, rev) for p in (2, 3) for rev in (False, True)}
 
 
-def _flat_table(npieces: int, allow_reversal: bool) -> tuple[array, array]:
-    """`_MOVES[npieces, allow_reversal]` as int arrays for the compiled scan:
-    the pairs, flat, and one row of 1 + 4 (npieces - 1) ints per move, the
-    junction count, the junctions and the broken pairs, zero-padded."""
+def _flat_table(npieces: int, allow_reversal: bool) -> tuple[array, array, array]:
+    """`_MOVES[npieces, allow_reversal]` as int arrays for the compiled code:
+    the pairs, flat; one row of 1 + 4 (npieces - 1) ints per move, the
+    junction count, the junctions and the broken pairs, zero-padded; and
+    one row per move of its piece order and mask."""
     pairs, moves = _MOVES[npieces, allow_reversal]
     stride = 1 + 4 * (npieces - 1)
-    flat = array("i")
-    for _order, _mask, junctions, broken in moves:
+    flat, shapes = array("i"), array("i")
+    for order, mask, junctions, broken in moves:
         row = [len(junctions), *chain(*junctions, *broken)]
         flat.extend(row + [0] * (stride - len(row)))
-    return array("i", chain(*pairs)), flat
+        shapes.extend((*order, mask))
+    return array("i", chain(*pairs)), flat, shapes
 
 
 _FLAT_MOVES = {key: _flat_table(*key) for key in _MOVES}
@@ -180,17 +183,23 @@ class _Climber:
         self.kernel = _ckernel.load()
         if self.kernel is not None:
             self.flat_ldiv = array("i", chain.from_iterable(self.ldiv))
-        self.reset(seq)
-
-    def reset(self, seq: list[int] | array) -> None:
         self.seq = seq = array("i", seq)
-        ldiv, cls, cap = self.ldiv, self.cls, self.cap
-        ccnt = self.ccnt = array("i", [0]) * len(cap)
-        alt = 0
-        for i in range(self.n - 1):
-            c = cls[ldiv[seq[i]][seq[i + 1]]]
-            if ccnt[c] < cap[c]:
-                alt += 1
+        self.ccnt = array("i", [0]) * len(self.cap)
+        self.alt = 0
+        self._update((), [self.ldiv[seq[i]][seq[i + 1]] for i in range(n - 1)])
+
+    def _update(self, removed, added) -> None:
+        """Replace the quotients `removed` by `added` in the class counts
+        and the altitude."""
+        ccnt, cls, cap = self.ccnt, self.cls, self.cap
+        alt = self.alt
+        for v in removed:
+            c = cls[v]
+            ccnt[c] -= 1
+            alt -= ccnt[c] < cap[c]
+        for v in added:
+            c = cls[v]
+            alt += ccnt[c] < cap[c]
             ccnt[c] += 1
         self.alt = alt
 
@@ -202,21 +211,26 @@ class _Climber:
 
     def _gain(self, removed, added) -> int:
         """Altitude change from replacing the quotients `removed` by `added`."""
-        ccnt, cls, cap = self.ccnt, self.cls, self.cap
-        d = 0
-        for v in removed:
-            c = cls[v]
-            d -= ccnt[c] <= cap[c]
-            ccnt[c] -= 1
-        for v in added:
-            c = cls[v]
-            d += ccnt[c] < cap[c]
-            ccnt[c] += 1
-        for v in added:
-            ccnt[cls[v]] -= 1
-        for v in removed:
-            ccnt[cls[v]] += 1
-        return d
+        alt = self.alt
+        self._update(removed, added)
+        gain = self.alt - alt
+        self._update(added, removed)
+        return gain
+
+    def teleport(self, r: int) -> None:
+        """Move seq[r] to the end: the quotients next to it are replaced by
+        the one that joins its neighbours and the one that joins the old
+        end to it."""
+        seq, ldiv, last = self.seq, self.ldiv, self.n - 1
+        if r == last:
+            return
+        x, y = seq[r], seq[r + 1]
+        removed, added = [ldiv[x][y]], [ldiv[seq[last]][x]]
+        if r > 0:
+            removed.append(ldiv[seq[r - 1]][x])
+            added.append(ldiv[seq[r - 1]][y])
+        self._update(removed, added)
+        seq.append(seq.pop(r))
 
     def try_improve(self, max_cuts: int) -> bool:
         """Apply the first move that raises the altitude (one cut, then two)."""
@@ -225,12 +239,17 @@ class _Climber:
             if self.kernel is None:
                 hit = self._scan(npieces)
             else:
-                hit = self.kernel.scan(npieces, *_FLAT_MOVES[npieces, terrace], self.seq,
-                                       self.flat_ldiv, self.cls, self.cap, self.ccnt)
+                pairs, moves, _shapes = _FLAT_MOVES[npieces, terrace]
+                hit = self.kernel.scan(npieces, pairs, moves, self.seq, self.flat_ldiv,
+                                       self.cls, self.cap, self.ccnt)
             if hit is not None:
                 cuts, move = hit
-                order, mask = _MOVES[npieces, terrace][1][move][:2]
-                self.reset(_materialize(self.seq, cuts, order, mask))
+                order, mask, junctions, broken = _MOVES[npieces, terrace][1][move]
+                seq, ldiv = self.seq, self.ldiv
+                ends = (seq[0], *(seq[c] for c in cuts), *(seq[c - 1] for c in cuts), seq[-1])
+                self._update([ldiv[ends[i]][ends[j]] for i, j in broken],
+                             [ldiv[ends[i]][ends[j]] for i, j in junctions])
+                self.seq = array("i", _materialize(seq, cuts, order, mask))
                 return True
         return False
 
@@ -312,9 +331,7 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
             if trace is not None:
                 trace.append(climber.alt)
             continue
-        seq = climber.seq
-        seq.append(seq.pop(rng.randrange(n)))
-        climber.reset(seq)
+        climber.teleport(rng.randrange(n))
         if params.debug_check:
             climber.check()
         teleports += 1

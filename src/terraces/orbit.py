@@ -13,17 +13,26 @@ inverted inside a reversed piece, which keeps its inverse-pair class.  So
 the result is a terrace exactly when the new junction's quotient is in the
 broken one's class, and only those results are built (re-basing keeps
 every quotient).  Closures work over canonical forms, so the counts are
-counts of essentially different terraces.  The chain walk
-`explore_chain(walecki(14), 5000)` takes about 0.8 s (Python 3.11, one core).
+counts of essentially different terraces.
+
+A closure step, the canonical forms of one terrace's neighbours, runs in
+C (`_ckernel.terraces_neighbours`), with `_moves` and a least image under
+Aut(G) as its oracle and as the silent fallback where the C code cannot
+be built; both give the same forms in the same order.  The chain walk
+`explore_chain(walecki(14), 5000)` takes about 0.08 s compiled and 0.7 s
+in Python (Python 3.11, one core).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from itertools import chain
 from typing import Callable
 
+from . import _ckernel
 from .groups import Group, _class_data, automorphisms
-from .hillclimb import _MOVES, _materialize
+from .hillclimb import _FLAT_MOVES, _MOVES, _materialize
 from .props import Arrangement, canonical_form, is_terrace
 
 __all__ = ["two_piece_moves", "orbit_of", "explore_chain"]
@@ -59,6 +68,31 @@ def orbit_of(a: Arrangement) -> dict[tuple[int, ...], Arrangement]:
     return _closure(a, allow_piece_reversal=False)[0]
 
 
+def _neighbour_forms(g: Group, allow_piece_reversal: bool) -> Callable[[tuple[int, ...]], list]:
+    """seq -> the canonical forms of the neighbours `_moves` gives for the
+    terrace seq, in its order: computed by the compiled kernel, which also
+    lists a form again for each repeated neighbour, or by `_moves` and a
+    least image under Aut(g) where the kernel cannot be built."""
+    auts = automorphisms(g)
+    kernel = _ckernel.load()
+    if kernel is None:
+        return lambda seq: [min(tuple(phi[x] for x in nb) for phi in auts)
+                            for nb in _moves(g, seq, allow_piece_reversal)]
+    n = g.order
+    _pairs, moves, shapes = _FLAT_MOVES[2, allow_piece_reversal]
+    ldiv = array("i", chain.from_iterable(g.ldiv))
+    cls = array("i", _class_data(g)[2])
+    flat_auts = array("i", chain.from_iterable(auts))
+    out = array("i", [0]) * (n * (1 + (n - 1) * (len(shapes) // 3)))
+
+    def forms(seq):
+        count = kernel.neighbours(moves, shapes, array("i", seq), ldiv, cls, flat_auts, out)
+        it = iter(out[: count * n])
+        return list(zip(*[it] * n))  # n entries at a time: the forms as tuples
+
+    return forms
+
+
 def _closure(
     a: Arrangement,
     allow_piece_reversal: bool,
@@ -68,15 +102,14 @@ def _closure(
     if not is_terrace(a):
         raise ValueError("closure is defined on terraces")
     g = a.group
-    auts = automorphisms(g)
+    neighbour_forms = _neighbour_forms(g, allow_piece_reversal)
     start = canonical_form(a)
     forms = {start.seq: start}
     if predicate is not None and predicate(start):
         return forms, start
     queue = deque([start.seq])
     while queue:
-        for nb in _moves(g, queue.popleft(), allow_piece_reversal):
-            cf = min(tuple(phi[x] for x in nb) for phi in auts)
+        for cf in neighbour_forms(queue.popleft()):
             if cf in forms:
                 continue
             rep = forms[cf] = Arrangement(g, cf)

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import pytest
 
+from terraces import _ckernel
 from terraces import groups as G
 from terraces import props as P
 from terraces.hillclimb import _iter_combos, _materialize
@@ -175,6 +176,13 @@ def random_arrangement(group: G.Group, rng: random.Random) -> P.Arrangement:
     seq = list(range(group.order))
     rng.shuffle(seq)
     return P.Arrangement(group, tuple(seq))
+
+
+def kernel_choices() -> list:
+    """The values to give `_ckernel._KERNEL`, one run per value: the
+    compiled kernels, where they build, then None, which selects the Python
+    code.  Call it before setting `_KERNEL`, since `load` returns that."""
+    return [_ckernel.load(), None] if _ckernel.load() is not None else [None]
 
 
 @pytest.fixture

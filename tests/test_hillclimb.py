@@ -5,17 +5,10 @@ from itertools import accumulate, combinations, product
 
 import pytest
 
-from conftest import get_group, neighbors, random_arrangement, teleport
+from conftest import get_group, kernel_choices, neighbors, random_arrangement, teleport
 from terraces import _ckernel as C
 from terraces import hillclimb as H
 from terraces import props as P
-
-
-def _scan_kernels() -> list:
-    """The values to give `_ckernel._KERNEL`, one climber per value: the
-    compiled kernels, where they build, then None, which selects the Python
-    scan.  Call it before setting `_KERNEL`, since `load` returns that."""
-    return [C.load(), None] if C.load() is not None else [None]
 
 
 class _FixedIndex(random.Random):
@@ -87,6 +80,21 @@ def test_teleport_examples():
     a = P.Arrangement(g, (0, 1, 2, 3))
     assert teleport(a, _FixedIndex(2)).seq == (0, 1, 3, 2)
     assert teleport(a, _FixedIndex(3)).seq == a.seq
+
+
+@pytest.mark.parametrize("mode", H.MODES)
+def test_climber_teleport_updates_the_counts(mode, rng):
+    """The climber's teleport of every index, the first and the last
+    included, moves what the oracle moves and leaves the class counts and
+    the altitude of a fresh count."""
+    g = get_group("Q12")
+    for r in range(g.order):
+        a = random_arrangement(g, rng)
+        climber = H._Climber(g, mode, list(a.seq))
+        climber.teleport(r)
+        assert tuple(climber.seq) == teleport(a, _FixedIndex(r)).seq
+        fresh = H._Climber(g, mode, list(climber.seq))
+        assert (climber.ccnt, climber.alt) == (fresh.ccnt, fresh.alt)
 
 
 def test_move_altitude_bounds(rng):
@@ -215,7 +223,7 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
     alt_fn = P.altitude_directed if mode == "directed" else P.altitude_undirected
     allow = mode == "terrace"
     ldiv = g.ldiv
-    kernels = _scan_kernels()
+    kernels = kernel_choices()
     a = random_arrangement(g, rng)
     for _ in range(12):
         base = alt_fn(a)
@@ -297,7 +305,7 @@ def test_large_order_climbs_are_pinned(spec, mode, steps, teleports, seq, monkey
     """Both scans repeat the order-63/64 climbs; only the compiled one runs
     the larger ones, which take seconds on the Python scan."""
     g = get_group(spec)
-    kernels = [k for k in _scan_kernels() if k is not None or g.order <= 64]
+    kernels = [k for k in kernel_choices() if k is not None or g.order <= 64]
     if not kernels:
         pytest.skip("no C compiler: the Python scan takes seconds at this order")
     for kernel in kernels:
@@ -323,7 +331,7 @@ def test_compiled_scan_matches_the_python_scan(spec, monkeypatch):
     if C.load() is None:
         pytest.skip("no C compiler: the Python scan is the only one")
     g = get_group(spec)
-    kernels = _scan_kernels()
+    kernels = kernel_choices()
     for mode, max_cuts, seed in product(H.MODES, (1, 2), (1, 2, 3)):
         params = H.ClimbParams(mode, max_cuts, seed, max_steps=200, record_trace=True)
         got = []

@@ -5,13 +5,15 @@ from collections import deque
 
 import pytest
 
-from conftest import get_group, naive_is_terrace, neighbors
+from conftest import get_group, kernel_choices, naive_is_terrace, neighbors
+from terraces import _ckernel as C
 from terraces import props as P
 from terraces.enumerate import EnumMode, enumerate_basic
 from terraces.orbit import _closure, explore_chain, orbit_of, two_piece_moves
 
 ALLOWED_ORBIT_SIZES = {1, 2, 3, 4, 6}  # divisors of 4 or 6
-CATALOGUE_2_TO_10 = ["Z2", "Z3", "Z4", "E4", "Z5", "Z6", "D6", "Z7", "Z8", "Z4xZ2", "E8",
+# Z1 has no cut, and the one cut of Z2 leaves two single elements.
+CATALOGUE_1_TO_10 = ["Z1", "Z2", "Z3", "Z4", "E4", "Z5", "Z6", "D6", "Z7", "Z8", "Z4xZ2", "E8",
                      "D8", "Q8", "Z9", "Z3xZ3", "Z10", "D10"]
 
 
@@ -30,7 +32,8 @@ def oracle_moves(w, flag):
     """Every one-cut reassembly built and tested naively, re-based; first
     occurrences in order, after the re-based whole reversal."""
     based = [P.to_basic(P.reverse(w))]
-    based += [P.to_basic(nb) for nb in neighbors(w, 1, flag) if naive_is_terrace(nb)]
+    if w.group.order > 1:  # Z1 has no cut
+        based += [P.to_basic(nb) for nb in neighbors(w, 1, flag) if naive_is_terrace(nb)]
     return list(dict.fromkeys(b.seq for b in based))
 
 
@@ -49,12 +52,52 @@ def oracle_orbit_keys(w):
     return list(keys)
 
 
-@pytest.mark.parametrize("spec", CATALOGUE_2_TO_10)
-def test_moves_and_orbits_match_oracle(spec):
+@pytest.mark.parametrize("spec", CATALOGUE_1_TO_10)
+def test_moves_and_orbits_match_oracle(spec, monkeypatch):
+    """The moves, and the orbits on the compiled and the Python neighbour
+    step, equal the naive oracle's, in order."""
+    kernels = kernel_choices()
     for w in essential_terraces(spec):
         for flag in (False, True):
             assert [m.seq for m in two_piece_moves(w, flag)] == oracle_moves(w, flag)
-        assert list(orbit_of(w)) == oracle_orbit_keys(w)
+        want = oracle_orbit_keys(w)
+        for kernel in kernels:
+            monkeypatch.setattr(C, "_KERNEL", kernel)
+            assert list(orbit_of(w)) == want, kernel
+
+
+@pytest.mark.parametrize("spec", CATALOGUE_1_TO_10)
+def test_compiled_chains_match_the_python_chains(spec, monkeypatch):
+    """The first 300 forms of the chain walks from two essential terraces
+    come in the same order on the compiled and the Python neighbour step."""
+    if C.load() is None:
+        pytest.skip("no C compiler: the Python neighbour step is the only one")
+    kernels = kernel_choices()
+    for w in essential_terraces(spec)[:2]:
+        got = []
+        for kernel in kernels:
+            monkeypatch.setattr(C, "_KERNEL", kernel)
+            got.append(list(_closure(w, True, None, 300)[0]))
+        assert got[0] == got[1]
+
+
+def test_closures_fall_back_to_the_python_step_silently(monkeypatch, tmp_path, capfd):
+    """Where the kernels cannot be built, orbits and chain walks give the
+    same forms on the Python neighbour step and print nothing."""
+
+    def results():
+        forms, _witness = _closure(P.walecki(13), True, None, 200)
+        witness, visited = explore_chain(P.walecki(12), 1000, lambda r: P.is_extendable(r)[0])
+        return list(orbit_of(P.walecki(10))), list(forms), witness.seq, visited
+
+    want = results()
+    capfd.readouterr()
+    monkeypatch.setattr(C, "_CC", "/nonexistent/cc")
+    monkeypatch.setattr(C, "_cache_dirs", lambda: [str(tmp_path / "cache")])
+    monkeypatch.setattr(C, "_KERNEL", C._UNTRIED)
+    assert results() == want
+    assert C.load() is None
+    assert capfd.readouterr() == ("", "")
 
 
 def test_reverse_always_produced():
@@ -112,21 +155,25 @@ def test_chain_visits_at_most_all_essential_terraces():
         assert visited <= t
 
 
-def test_chain_finds_extendable_on_z12():
-    witness, visited = explore_chain(
-        P.walecki(12), limit=100_000, predicate=lambda r: P.is_extendable(r)[0]
-    )
-    assert witness is not None and visited >= 1
-    ok, j = P.is_extendable(witness)
-    assert ok and j >= 5
-    assert (witness.seq, visited) == ((0, 1, 3, 10, 4, 9, 5, 8, 6, 7, 11, 2), 5)
+def test_chain_finds_extendable_on_z12(monkeypatch):
+    for kernel in kernel_choices():
+        monkeypatch.setattr(C, "_KERNEL", kernel)
+        witness, visited = explore_chain(
+            P.walecki(12), limit=100_000, predicate=lambda r: P.is_extendable(r)[0]
+        )
+        assert witness is not None and visited >= 1
+        ok, j = P.is_extendable(witness)
+        assert ok and j >= 5
+        assert (witness.seq, visited) == ((0, 1, 3, 10, 4, 9, 5, 8, 6, 7, 11, 2), 5), kernel
 
 
-def test_chain_walk_order_is_pinned():
-    forms, witness = _closure(P.walecki(14), True, None, 5000)
-    assert witness is None and len(forms) == 5000
-    digest = hashlib.sha256(repr(list(forms)).encode()).hexdigest()
-    assert digest == "559b3a685030302a99255ec45b7e1be57b6af232f78d95fd65e3cb06aeba8e63"
+def test_chain_walk_order_is_pinned(monkeypatch):
+    for kernel in kernel_choices():
+        monkeypatch.setattr(C, "_KERNEL", kernel)
+        forms, witness = _closure(P.walecki(14), True, None, 5000)
+        assert witness is None and len(forms) == 5000
+        digest = hashlib.sha256(repr(list(forms)).encode()).hexdigest()
+        assert digest == "559b3a685030302a99255ec45b7e1be57b6af232f78d95fd65e3cb06aeba8e63", kernel
 
 
 def test_chain_never_finds_extendable_on_z10():
@@ -148,6 +195,8 @@ def test_chain_determinism():
     assert (a, va) == (b, vb)
 
 
-def test_chain_respects_limit():
-    _w, visited = explore_chain(P.walecki(13), limit=100, predicate=lambda r: False)
-    assert visited == 100
+def test_chain_respects_limit(monkeypatch):
+    for kernel in kernel_choices():
+        monkeypatch.setattr(C, "_KERNEL", kernel)
+        _w, visited = explore_chain(P.walecki(13), limit=100, predicate=lambda r: False)
+        assert visited == 100, kernel
