@@ -1,7 +1,7 @@
-"""The compiled kernels: `enumerate._dfs`, the climber's move scan and the
-orbit closure's neighbour step in C, built on first use.
+"""The compiled kernels: `enumerate._dfs`, the climber's move scan, the
+orbit closure's neighbour step and `latin.certify` in C, built on first use.
 
-`SOURCE` holds three C functions, each with a Python twin in
+`SOURCE` holds four C functions, each with a Python twin in
 `tests/oracles.py` that the tests hold it to.  `terraces_dfs` translates
 the Python kernel `oracles.dfs` node for node: the same bucket ledger,
 layer-2 marks, T_k rows, forced narcissistic tail, ascending candidate
@@ -9,11 +9,14 @@ order, orderly test and node budget (see the comments in the source).
 `terraces_scan` translates the climber's scan `oracles.scan` and its gain
 test move for move.  `terraces_neighbours` translates `orbit._moves`
 followed by the canonical form of each neighbour, in the same order, as
-`oracles.neighbour_forms` lists them.  `load` compiles the source with the
-system C compiler into a per-user cache directory, loads it with `ctypes`
-and returns the three functions as a `Kernel`.  The compiler is needed at
-first use: where no compiler, cache directory or loader works, `load`
-raises one `OSError` that names the compiler and the directories tried.
+`oracles.neighbour_forms` lists them.  `terraces_certify` works out a Latin
+square's certificate from its cells alone, with the same first failures
+as `oracles.certify`.  `load` compiles the source with the system C
+compiler into a per-user cache directory, loads it with `ctypes` and
+returns the four functions as a `Kernel`.  The compiler is needed at first
+use: where no compiler, cache directory or loader works, `load` raises one
+`OSError` that names the compiler, the directories tried and the last
+lines of the compiler's own message.
 
 The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
@@ -31,6 +34,7 @@ from typing import Callable, NamedTuple
 
 SOURCE = r"""
 #include <stdlib.h>
+#include <string.h>
 
 /* Leaf report; a nonzero return stops the search. */
 typedef int (*leaf_fn)(void);
@@ -372,6 +376,73 @@ int terraces_neighbours(int n, int nmoves, const int *moves,
     free(cand);
     return count;
 }
+
+/* The first ordered pair repeated at offset m along the lines of the n x n
+   square cells, whose line r has cell c at cells[r * rs + c * cs]: 1 with
+   at = (r0, c0, r, c), its first two positions in line order, else 0.
+   seen is n * n ints of scratch. */
+static int repeat(int n, const int *cells, int rs, int cs, int m, int *seen,
+                  int *at)
+{
+    int r, c, key;
+    memset(seen, 0, (size_t)n * n * sizeof(int));
+    for (r = 0; r < n; r++)
+        for (c = 0; c + m < n; c++) {
+            key = cells[r * rs + c * cs] * n + cells[r * rs + (c + m) * cs];
+            if (seen[key]) {
+                at[0] = (seen[key] - 1) / n, at[1] = (seen[key] - 1) % n;
+                at[2] = r, at[3] = c;
+                return 1;
+            }
+            seen[key] = r * n + c + 1;
+        }
+    return 0;
+}
+
+/* The first unordered pair x < y not adjacent exactly twice along the
+   lines, as in `repeat`: 1 with at = (x, y, count), else 0. */
+static int unbalanced(int n, const int *cells, int rs, int cs, int *count,
+                      int *at)
+{
+    int r, c, x, y;
+    memset(count, 0, (size_t)n * n * sizeof(int));
+    for (r = 0; r < n; r++)
+        for (c = 0; c + 1 < n; c++) {
+            x = cells[r * rs + c * cs], y = cells[r * rs + (c + 1) * cs];
+            count[x < y ? x * n + y : y * n + x]++;
+        }
+    for (x = 0; x < n; x++)
+        for (y = x + 1; y < n; y++)
+            if (count[x * n + y] != 2) {
+                at[0] = x, at[1] = y, at[2] = count[x * n + y];
+                return 1;
+            }
+    return 0;
+}
+
+/* The certificate of the n x n Latin square cells (row-major, entries in
+   0..n-1), from the cells alone: out gets 10 ints for the rows, then 10
+   for the columns: complete at offset 1, the first repeat's positions
+   (r0, c0, r, c), quasi-complete, the first unbalanced pair and its count
+   (x, y, count), and the largest k with no repeat at offsets 1..k.
+   Returns 0, or -2 when memory ran out. */
+int terraces_certify(int n, const int *cells, int *out)
+{
+    int *seen = malloc(((size_t)n * n + 1) * sizeof(int)), spare[4], t, k;
+    if (!seen)
+        return -2;
+    for (t = 0; t < 2; t++) {
+        int *o = out + 10 * t, rs = t ? 1 : n, cs = t ? n : 1;
+        o[0] = !repeat(n, cells, rs, cs, 1, seen, o + 1);
+        o[5] = !unbalanced(n, cells, rs, cs, seen, o + 6);
+        for (k = n > 1 && o[0]; k && k < n - 1; k++)
+            if (repeat(n, cells, rs, cs, k + 1, seen, spare))
+                break;
+        o[9] = k;
+    }
+    free(seen);
+    return 0;
+}
 """
 
 _CC = "gcc"
@@ -386,6 +457,7 @@ class Kernel(NamedTuple):
     dfs: Callable
     scan: Callable
     neighbours: Callable
+    certify: Callable
 
 
 def _cache_dirs() -> list[str]:
@@ -414,6 +486,9 @@ def _bind(path: str) -> Kernel:
     nb_fn = lib.terraces_neighbours
     nb_fn.argtypes = [c_int, c_int] + [ptr] * 5 + [c_int, ptr, ptr]
     nb_fn.restype = c_int
+    cert_fn = lib.terraces_certify
+    cert_fn.argtypes = [c_int, ptr, ptr]
+    cert_fn.restype = c_int
 
     def addr(a: array.array) -> int:
         return a.buffer_info()[0]
@@ -488,7 +563,20 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("neighbour step out of memory")
         return count
 
-    return Kernel(dfs, scan, neighbours)
+    def certify(n, cells):
+        """The certificate fields of the n x n square `cells`, an int array
+        in row order with entries in 0..n-1 (as `LatinSquare` checks), as
+        two arrays of 10, rows then columns: complete, the first repeat's
+        positions (r0, c0, r, c), quasi-complete, the first pair x < y not
+        adjacent twice and its count (x, y, count), and the largest Roman k."""
+        if len(cells) != n * n:
+            raise ValueError(f"{len(cells)} cells for a square of order {n}")
+        out = array.array("i", [0]) * 20
+        if cert_fn(n, addr(cells), addr(out)) < 0:
+            raise MemoryError("certify out of memory")
+        return out[:10], out[10:]
+
+    return Kernel(dfs, scan, neighbours, certify)
 
 
 def _build(directory: str) -> Kernel:
@@ -502,19 +590,31 @@ def _build(directory: str) -> Kernel:
     if not os.path.exists(path):
         import subprocess
 
-        os.makedirs(directory, mode=0o700, exist_ok=True)
+        made = []  # the directories this build creates, deepest first
+        d = directory
+        while not os.path.lexists(d) and d != os.path.dirname(d):
+            made.append(d)
+            d = os.path.dirname(d)
         # Write under a private name and rename, so that a process building
         # at the same time never loads a partial file.
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
+            os.makedirs(directory, mode=0o700, exist_ok=True)
             subprocess.run([_CC, *_FLAGS, "-x", "c", "-", "-o", tmp], input=SOURCE.encode(),
                            capture_output=True, timeout=120, check=True)
             os.replace(tmp, path)
         except subprocess.SubprocessError as e:
-            raise OSError(f"{_CC} could not build the kernel") from e
+            said = (e.stderr or b"").decode(errors="replace").strip().splitlines()[-5:]
+            raise OSError(" | ".join([f"{_CC} could not build the kernel", *said])) from e
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+            if not os.path.exists(path):
+                for d in made:  # leave behind no directory this build made
+                    try:
+                        os.rmdir(d)
+                    except OSError:  # not made, or another build uses it
+                        pass
         _remove_stale(directory, name)
     for p in (directory, path):
         if os.stat(p).st_uid != os.getuid():

@@ -3,25 +3,25 @@
 The square built from an arrangement a has (i, j) entry a_i^-1 * a_j; group
 cancellation makes it Latin for any arrangement.  A directed terrace gives a
 complete square, a terrace a quasi-complete one, and a directed T_k-terrace
-a k-complete one.  All checks count occurrences exactly and report a
-re-verifiable witness for the first failure they see.
+a k-complete one.  `certify` counts occurrences exactly, in C from the
+cells alone (its Python oracle is in `tests/oracles.py`), and reports a
+re-verifiable witness for the first failure it sees.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import asdict, dataclass
+from itertools import chain
 
+from . import _ckernel
 from .props import Arrangement
 
 __all__ = [
     "LatinSquare",
     "SquareCertificate",
     "square_from",
-    "transpose",
-    "check_row_complete",
-    "check_row_quasi_complete",
-    "roman_k_max",
     "certify",
     "square_to_csv",
     "square_to_json",
@@ -70,81 +70,28 @@ def square_from(a: Arrangement) -> LatinSquare:
     return LatinSquare(g.order, cells, g.spec, a.seq)
 
 
-def transpose(sq: LatinSquare) -> LatinSquare:
-    cells = tuple(tuple(sq.cells[c][r] for c in range(sq.order)) for r in range(sq.order))
-    return LatinSquare(sq.order, cells, sq.group_spec, None)
-
-
-def _offset_repeat(sq: LatinSquare, m: int) -> dict | None:
-    """First ordered pair occurring twice at horizontal offset m, or None."""
-    n = sq.order
-    first: dict[int, tuple[int, int]] = {}
-    for r, row in enumerate(sq.cells):
-        for c in range(n - m):
-            key = row[c] * n + row[c + m]
-            if key in first:
-                r0, c0 = first[key]
-                return {
-                    "pair": [row[c], row[c + m]],
-                    "offset": m,
-                    "positions": [[r0, c0], [r, c]],
-                }
-            first[key] = (r, c)
-    return None
-
-
-def check_row_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
-    """Each ordered pair of symbols adjacent within rows exactly once.
-
-    There are exactly n(n-1) adjacent slots, so no repeat means every pair
-    occurs; the witness is the first repeated pair.
-    """
-    witness = _offset_repeat(sq, 1) if sq.order > 1 else None
-    return witness is None, witness
-
-
-def check_row_quasi_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
-    """Each unordered pair adjacent within rows exactly twice (either order)."""
-    n = sq.order
-    counts = [0] * (n * n)
-    for row in sq.cells:
-        for x, y in zip(row, row[1:]):
-            counts[(x * n + y) if x < y else (y * n + x)] += 1
-    for x in range(n):
-        for y in range(x + 1, n):
-            key = x * n + y
-            if counts[key] != 2:
-                return False, {
-                    "pair": [x, y],
-                    "offset": 1,
-                    "count": counts[key],
-                    "positions": [[r, c] for r, row in enumerate(sq.cells)
-                                  for c in range(n - 1) if {row[c], row[c + 1]} == {x, y}],
-                }
-    return True, None
-
-
-def roman_k_max(sq: LatinSquare) -> int:
-    """Largest k such that every ordered pair occurs at most once at every
-    horizontal offset m <= k; 0 when even offset 1 fails."""
-    k = 0
-    while k < sq.order - 1 and _offset_repeat(sq, k + 1) is None:
-        k += 1
-    return k
-
-
 def certify(sq: LatinSquare) -> SquareCertificate:
-    t = transpose(sq)
-    row_ok, row_wit = check_row_complete(sq)
-    quasi_ok, quasi_wit = check_row_quasi_complete(sq)
-    roman = roman_k_max(sq)
+    """The square's certificate, worked out from its cells alone by the
+    compiled `_ckernel.terraces_certify`; each witness is the first failure
+    in row order, re-verifiable by reading the cells it names."""
+    n, cells = sq.order, sq.cells
+    rows, cols = _ckernel.load().certify(n, array("i", chain.from_iterable(cells)))
+    row_ok, r0, c0, r, c, quasi_ok, x, y, count, roman = rows
+    row_wit = quasi_wit = None
+    if not row_ok:
+        row_wit = {"pair": [cells[r][c], cells[r][c + 1]], "offset": 1,
+                   "positions": [[r0, c0], [r, c]]}
+    if not quasi_ok:
+        quasi_wit = {"pair": [x, y], "offset": 1, "count": count,
+                     "positions": [[i, j] for i, row in enumerate(cells) for j in range(n - 1)
+                                   if (row[j], row[j + 1]) in ((x, y), (y, x))]}
     return SquareCertificate(
-        row_complete=row_ok,
-        complete=row_ok and check_row_complete(t)[0],
-        row_quasi_complete=quasi_ok,
-        quasi_complete=quasi_ok and check_row_quasi_complete(t)[0],
+        row_complete=bool(row_ok),
+        complete=bool(row_ok and cols[0]),
+        row_quasi_complete=bool(quasi_ok),
+        quasi_complete=bool(quasi_ok and cols[5]),
         roman_k_max=roman,
-        k_complete_max=min(roman, roman_k_max(t)),
+        k_complete_max=min(roman, cols[9]),
         row_witness=row_wit,
         quasi_witness=quasi_wit,
     )

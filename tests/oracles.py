@@ -9,10 +9,15 @@ same order:
 - `scan` is `hillclimb._Climber._scan`, the climber's first-improvement
   move scan, move for move (with `_gain`);
 - `neighbour_forms` is `orbit._neighbour_forms`, the closure step: the
-  canonical forms of one terrace's neighbours, as `orbit._moves` lists them.
+  canonical forms of one terrace's neighbours, as `orbit._moves` lists them;
+- `certify` is `latin.certify`, a Latin square's certificate with the
+  same witnesses, from the same scans of the cells (with `_offset_repeat`,
+  `check_row_complete`, `check_row_quasi_complete`, `roman_k_max` and
+  `transpose`).
 
-`conftest.kernels` swaps them in for the compiled routines, through the
-same three names, so that a test runs one body on both and compares.
+`conftest.kernels` swaps the first three in for the compiled routines,
+through the same names, so that a test runs one body on both and
+compares; the certify tests call both and compare their certificates.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Callable
 from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_depth
 from terraces.groups import Group, _class_data, automorphisms
 from terraces.hillclimb import _MOVES
+from terraces.latin import LatinSquare, SquareCertificate
 from terraces.orbit import _moves
 from terraces.props import Arrangement
 
@@ -298,3 +304,83 @@ def neighbour_forms(g: Group, allow_piece_reversal: bool) -> Callable[[tuple[int
     auts = automorphisms(g)
     return lambda seq: [min(tuple(phi[x] for x in nb) for phi in auts)
                         for nb in _moves(g, seq, allow_piece_reversal)]
+
+
+def transpose(sq: LatinSquare) -> LatinSquare:
+    cells = tuple(tuple(sq.cells[c][r] for c in range(sq.order)) for r in range(sq.order))
+    return LatinSquare(sq.order, cells, sq.group_spec, None)
+
+
+def _offset_repeat(sq: LatinSquare, m: int) -> dict | None:
+    """First ordered pair occurring twice at horizontal offset m, or None."""
+    n = sq.order
+    first: dict[int, tuple[int, int]] = {}
+    for r, row in enumerate(sq.cells):
+        for c in range(n - m):
+            key = row[c] * n + row[c + m]
+            if key in first:
+                r0, c0 = first[key]
+                return {
+                    "pair": [row[c], row[c + m]],
+                    "offset": m,
+                    "positions": [[r0, c0], [r, c]],
+                }
+            first[key] = (r, c)
+    return None
+
+
+def check_row_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
+    """Each ordered pair of symbols adjacent within rows exactly once.
+
+    There are exactly n(n-1) adjacent slots, so no repeat means every pair
+    occurs; the witness is the first repeated pair.
+    """
+    witness = _offset_repeat(sq, 1) if sq.order > 1 else None
+    return witness is None, witness
+
+
+def check_row_quasi_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
+    """Each unordered pair adjacent within rows exactly twice (either order)."""
+    n = sq.order
+    counts = [0] * (n * n)
+    for row in sq.cells:
+        for x, y in zip(row, row[1:]):
+            counts[(x * n + y) if x < y else (y * n + x)] += 1
+    for x in range(n):
+        for y in range(x + 1, n):
+            key = x * n + y
+            if counts[key] != 2:
+                return False, {
+                    "pair": [x, y],
+                    "offset": 1,
+                    "count": counts[key],
+                    "positions": [[r, c] for r, row in enumerate(sq.cells)
+                                  for c in range(n - 1) if {row[c], row[c + 1]} == {x, y}],
+                }
+    return True, None
+
+
+def roman_k_max(sq: LatinSquare) -> int:
+    """Largest k such that every ordered pair occurs at most once at every
+    horizontal offset m <= k; 0 when even offset 1 fails."""
+    k = 0
+    while k < sq.order - 1 and _offset_repeat(sq, k + 1) is None:
+        k += 1
+    return k
+
+
+def certify(sq: LatinSquare) -> SquareCertificate:
+    t = transpose(sq)
+    row_ok, row_wit = check_row_complete(sq)
+    quasi_ok, quasi_wit = check_row_quasi_complete(sq)
+    roman = roman_k_max(sq)
+    return SquareCertificate(
+        row_complete=row_ok,
+        complete=row_ok and check_row_complete(t)[0],
+        row_quasi_complete=quasi_ok,
+        quasi_complete=quasi_ok and check_row_quasi_complete(t)[0],
+        roman_k_max=roman,
+        k_complete_max=min(roman, roman_k_max(t)),
+        row_witness=row_wit,
+        quasi_witness=quasi_wit,
+    )

@@ -86,7 +86,7 @@ def test_criterion4_published_witnesses():
 
     square = L.square_from(g21)
     assert square.order == 21
-    assert L.roman_k_max(square) >= 2
+    assert L.certify(square).roman_k_max >= 2
     print("\nPASS criterion-4: all four published witnesses verify; "
           "G21_1 square is Roman-2 at order 21")
 

@@ -17,6 +17,7 @@ from terraces import cli
 from terraces import enumerate as E
 from terraces import groups as G
 from terraces import hillclimb as H
+from terraces import latin as L
 from terraces import props as P
 from terraces.enumerate import (
     BudgetExceeded,
@@ -573,9 +574,10 @@ def test_core_table_rows_small():
 
 def test_without_a_compiler_every_kernel_raises_one_error(monkeypatch, tmp_path, capfd):
     """Without a compiler, or without a usable cache directory, counts,
-    climbs and closures raise one OSError that names the compiler and the
-    directories tried, and leave nothing in the cache; the CLI's enumerate,
-    search, climb and orbit commands exit 2 with one JSON error line."""
+    climbs, closures and certificates raise one OSError that names the
+    compiler and the directories tried, and leave no cache directory
+    behind; the CLI's enumerate, search, climb, orbit and square commands
+    exit 2 with one JSON error line."""
     monkeypatch.delenv("TERRACE_CONFIG", raising=False)
     terrace = tmp_path / "w10.json"
     P.save_arrangement(P.walecki(10), terrace)
@@ -585,6 +587,7 @@ def test_without_a_compiler_every_kernel_raises_one_error(monkeypatch, tmp_path,
         ["search", "--group", "A4", "--mode", "tk", "--k", "2", *out],
         ["climb", "--group", "D10", "--seeds", "1,2", "--threads", "2", *out],
         ["orbit", "--terrace", str(terrace), *out],
+        ["square", "--terrace", str(terrace), "--check", "complete", *out],
     ]
     blocked = tmp_path / "file"
     blocked.write_text("")
@@ -597,6 +600,7 @@ def test_without_a_compiler_every_kernel_raises_one_error(monkeypatch, tmp_path,
             lambda: count_table(get_group("Z8")),
             lambda: H.climb(get_group("D10"), H.ClimbParams(seed=1)),
             lambda: orbit_of(P.walecki(10)),
+            lambda: L.certify(L.square_from(P.walecki(10))),
         ]
         for call in calls:
             with pytest.raises(OSError) as info:
@@ -609,7 +613,20 @@ def test_without_a_compiler_every_kernel_raises_one_error(monkeypatch, tmp_path,
             assert out_ == "" and len(err.splitlines()) == 1, (argv, err)
             assert json.loads(err)["error"] == str(info.value), argv
         assert C._KERNEL is None
-    assert list(cache.iterdir()) == []
+    assert not cache.exists()
+
+
+def test_a_failed_build_reports_the_compilers_message(monkeypatch, tmp_path):
+    """When the compiler runs and fails, the OSError carries the last lines
+    of its own message, and the cache directory it was given is removed."""
+    monkeypatch.setattr(C, "_FLAGS", (*C._FLAGS, "-Wsuch-flag-xyz"))
+    monkeypatch.setattr(C, "_cache_dirs", lambda: [str(tmp_path / "cache")])
+    monkeypatch.setattr(C, "_KERNEL", None)
+    with pytest.raises(OSError) as info:
+        C.load()
+    assert f"{C._CC} could not build the kernel" in str(info.value), info.value
+    assert "-Wsuch-flag-xyz" in str(info.value), info.value  # in the compiler's own words
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_leaves_only_the_shared_object(monkeypatch, tmp_path):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import oracles
 from conftest import basic_arrangements, get_group, random_arrangement
+from terraces import hillclimb as H
 from terraces import latin as L
 from terraces import props as P
 from terraces.enumerate import EnumMode, enumerate_basic
@@ -33,11 +35,12 @@ def test_latin_square_validation_rejects_bad_cells():
 
 def test_row_complete_examples():
     directed = P.Arrangement(get_group("Z6"), (0, 1, 5, 2, 4, 3))
-    ok, wit = L.check_row_complete(L.square_from(directed))
-    assert ok and wit is None
+    cert = L.certify(L.square_from(directed))
+    assert cert.row_complete and cert.row_witness is None
     straight = P.Arrangement(get_group("Z6"), (0, 1, 2, 3, 4, 5))
-    ok, wit = L.check_row_complete(L.square_from(straight))
-    assert not ok
+    cert = L.certify(L.square_from(straight))
+    assert not cert.row_complete
+    wit = cert.row_witness
     # witness is re-verifiable by direct cell reads
     sq = L.square_from(straight)
     (r1, c1), (r2, c2) = wit["positions"]
@@ -80,9 +83,9 @@ def test_non_terrace_of_e4_gives_non_quasi_complete_square():
 def test_quasi_witness_reports_count():
     g = get_group("E4")
     sq = L.square_from(P.Arrangement(g, (0, 1, 2, 3)))
-    ok, wit = L.check_row_quasi_complete(sq)
-    assert not ok and wit["count"] != 2
-    assert L.certify(sq).to_dict() == {
+    cert = L.certify(sq)
+    assert not cert.row_quasi_complete and cert.quasi_witness["count"] != 2
+    assert cert.to_dict() == {
         "row_complete": False, "complete": False,
         "row_quasi_complete": False, "quasi_complete": False,
         "roman_k_max": 0, "k_complete_max": 0,
@@ -97,8 +100,8 @@ def test_roman_k_examples():
     t2 = P.load_arrangement(__import__("terraces").fixture_path("g21_1_t2"), g21)
     sq = L.square_from(t2)
     assert sq.order == 21
-    assert L.roman_k_max(sq) >= 2
-    assert L.certify(sq).k_complete_max >= 2
+    cert = L.certify(sq)
+    assert cert.roman_k_max >= 2 and cert.k_complete_max >= 2
 
 
 def test_directed_tk_terrace_gives_k_complete_square():
@@ -113,9 +116,8 @@ def test_directed_tk_terrace_gives_k_complete_square():
 def test_roman_k_max_at_most_order_minus_one():
     w = P.walecki(4)  # (0,1,3,2) is directed T3 for Z4: a Vatican square
     sq = L.square_from(w)
-    assert L.roman_k_max(sq) == 3
     cert = L.certify(sq)
-    assert cert.roman_k_max == sq.order - 1
+    assert cert.roman_k_max == 3 == sq.order - 1
 
 
 def test_certificate_invariants(rng):
@@ -134,7 +136,46 @@ def test_certificate_invariants(rng):
 
 def test_transpose_involution():
     sq = L.square_from(P.walecki(8))
-    assert L.transpose(L.transpose(sq)).cells == sq.cells
+    assert oracles.transpose(oracles.transpose(sq)).cells == sq.cells
+
+
+def _agreement_squares(rng):
+    """Squares that exercise every field and witness of the certificate."""
+    for spec in ["Z1", "Z2", "Z3", "Z4", "E4", "Z5", "Z6", "D6"]:
+        yield from map(L.square_from, basic_arrangements(get_group(spec)))
+    more = {6: ["D6"], 8: ["D8", "Q8", "E8"], 12: ["Q12", "A4"], 16: ["D16"]}
+    for n in range(1, 17):
+        for spec in [f"Z{n}", *more.get(n, [])]:
+            for _ in range(10):
+                yield L.square_from(random_arrangement(get_group(spec), rng))
+    for spec in [f"D{n}" for n in range(10, 33, 2)] + [f"Q{n}" for n in range(12, 33, 4)]:
+        for seed in (1, 2, 3):
+            found = H.climb(get_group(spec), H.ClimbParams(seed=seed)).arrangement
+            assert found is not None, (spec, seed)
+            yield L.square_from(found)
+    for n in (2, 4, 64, 600):
+        yield L.square_from(P.walecki(n))
+    yield L.square_from(P.load_arrangement(__import__("terraces").fixture_path("g21_1_t2")))
+
+
+def test_certify_agrees_with_the_oracle(rng):
+    """The compiled certificate, witnesses included, equals the Python
+    oracle's on every kind of square the library builds and on failures."""
+    for sq in _agreement_squares(rng):
+        assert L.certify(sq).to_dict() == oracles.certify(sq).to_dict(), sq.cells
+    assert L.certify(L.square_from(P.walecki(4))).roman_k_max == 3  # Z4: Vatican
+
+
+def test_certify_reads_columns_apart_from_rows():
+    """Permuting the rows of a complete square keeps every row and breaks
+    the columns; the certificate sees both."""
+    sq = L.square_from(P.walecki(8))
+    permuted = L.LatinSquare(8, (sq.cells[1], sq.cells[0], *sq.cells[2:]))
+    cert = L.certify(permuted)
+    assert cert.row_complete and not cert.complete
+    assert cert.row_quasi_complete and not cert.quasi_complete
+    assert cert.k_complete_max == 0 < cert.roman_k_max
+    assert cert.to_dict() == oracles.certify(permuted).to_dict()
 
 
 def test_csv_format_is_byte_exact():
