@@ -1,13 +1,17 @@
-"""The compiled kernels: `enumerate._dfs`, the climber's move scan, the
-orbit closure's neighbour step and `latin.certify` in C, built on first use.
+"""The compiled kernels: `enumerate._dfs`, the climb loop of
+`hillclimb.climb`, the orbit closure's neighbour step and `latin.certify`
+in C, built on first use.
 
 `SOURCE` holds four C functions, each with a Python twin in
 `tests/oracles.py` that the tests hold it to.  `terraces_dfs` translates
 the Python kernel `oracles.dfs` node for node: the same bucket ledger,
 layer-2 marks, T_k rows, forced narcissistic tail, ascending candidate
 order, orderly test and node budget (see the comments in the source).
-`terraces_scan` translates the climber's scan `oracles.scan` and its gain
-test move for move.  `terraces_neighbours` translates `orbit._moves`
+`terraces_climb` translates the Python climb loop `oracles.climb` step
+for step: its scan is `oracles.scan` move for move, and its moves,
+teleports and class counts are those of `oracles._Climber`; the seeded
+generator stays in Python, which passes the teleport indices in.
+`terraces_neighbours` translates `orbit._moves`
 followed by the canonical form of each neighbour, in the same order, as
 `oracles.neighbour_forms` lists them.  `terraces_certify` works out a Latin
 square's certificate from its cells alone, with the same first failures
@@ -20,8 +24,9 @@ lines of the compiler's own message.
 
 The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
-for signals every 2^20 nodes and stops when a handler raised, so Ctrl-C
-interrupts a long walk at once.
+for signals every 2^20 nodes, and the climb before every scan, and each
+stops when a handler raised, so Ctrl-C interrupts a long walk or climb at
+once.
 """
 
 from __future__ import annotations
@@ -227,48 +232,55 @@ out:
     return total;
 }
 
-/* The altitude change from replacing the quotients rm[0..k) by add[0..k):
-   ccnt is changed as in `_Climber._gain`, then restored. */
-static int gain(const int *cls, const int *cap, int *ccnt, const int *rm,
-                const int *add, int k)
+/* seq[lo..hi), reversed when rev, to dst; returns the end of the copy. */
+static int *piece(int *dst, const int *seq, int lo, int hi, int rev)
+{
+    int i;
+    if (rev)
+        for (i = hi - 1; i >= lo; i--)
+            *dst++ = seq[i];
+    else
+        for (i = lo; i < hi; i++)
+            *dst++ = seq[i];
+    return dst;
+}
+
+/* Replace the quotients rm[0..k) by add[0..k) in the class counts ccnt,
+   as `oracles._Climber._update` does; returns the altitude change. */
+static int update(const int *cls, const int *cap, int *ccnt, const int *rm,
+                  const int *add, int k)
 {
     int i, c, d = 0;
     for (i = 0; i < k; i++) {
         c = cls[rm[i]];
-        d -= ccnt[c] <= cap[c];
         ccnt[c]--;
+        d -= ccnt[c] < cap[c];
     }
     for (i = 0; i < k; i++) {
         c = cls[add[i]];
         d += ccnt[c] < cap[c];
         ccnt[c]++;
     }
-    for (i = 0; i < k; i++)
-        ccnt[cls[add[i]]]--;
-    for (i = 0; i < k; i++)
-        ccnt[cls[rm[i]]]++;
     return d;
 }
 
-/* `_Climber._scan` for npieces = 2 or 3: the cut tuples in `combinations`
+/* `oracles.scan` for npieces = 2 or 3: the cut tuples in `combinations`
    order; for each, the end-pair prefilter, then the moves in table order,
    each tested for a junction with room and then for a positive gain.
    The ends are indexed heads first, then tails, as in `_move_table`;
    pairs holds npairs (first end, second end) pairs, and moves, of length
    movelen, one row of 1 + 4 (npieces - 1) ints per move: the junction
-   count k, k junction pairs and k broken pairs, zero-padded.  Returns 1
-   with out = (c1, c2, move index) for the first move that gains, c2 = n
-   for one cut; 0 when none does; -2 when memory ran out. */
-int terraces_scan(int n, int npieces, int npairs, const int *pairs,
-                  int movelen, const int *moves, const int *seq,
-                  const int *ldiv, const int *cls, const int *cap, int *ccnt,
-                  int *out)
+   count k, k junction pairs and k broken pairs, zero-padded.  Returns the
+   gain of the first move that gains, with out = (c1, c2, move index),
+   c2 = n for one cut, and ccnt left updated by the move; 0 when none
+   does.  room is n bytes of scratch. */
+static int scan(int n, int npieces, int npairs, const int *pairs,
+                int movelen, const int *moves, const int *seq,
+                const int *ldiv, const int *cls, const int *cap, int *ccnt,
+                unsigned char *room, int *out)
 {
     const int p = npieces, stride = 1 + 4 * (p - 1), last = p == 3 ? n - 1 : n;
-    int b[4] = {0, 0, n, n}, ends[6], rm[2], add[2], c1, c2, i, m;
-    unsigned char *room = malloc(n);
-    if (!room)
-        return -2;
+    int b[4] = {0, 0, n, n}, ends[6], rm[2], add[2], c1, c2, d, i, m;
     /* room[v]: the class of quotient v holds fewer than cap entries */
     for (i = 0; i < n; i++)
         room[i] = ccnt[cls[i]] < cap[cls[i]];
@@ -295,29 +307,125 @@ int terraces_scan(int n, int npieces, int npairs, const int *pairs,
                     add[i] = Q(junc[2 * i], junc[2 * i + 1]);
                     rm[i] = Q(brk[2 * i], brk[2 * i + 1]);
                 }
-                if (gain(cls, cap, ccnt, rm, add, k) > 0) {
+                if ((d = update(cls, cap, ccnt, rm, add, k)) > 0) {
                     out[0] = c1, out[1] = c2, out[2] = m;
-                    free(room);
-                    return 1;
+                    return d;
                 }
+                update(cls, cap, ccnt, add, rm, k);
             }
         }
 #undef Q
-    free(room);
     return 0;
 }
 
-/* seq[lo..hi), reversed when rev, to dst; returns the end of the copy. */
-static int *piece(int *dst, const int *seq, int lo, int hi, int rev)
+/* `oracles._Climber.teleport`: seq[r] moved to the end and ccnt updated;
+   returns the altitude change. */
+static int teleport(int n, int *seq, const int *ldiv, const int *cls,
+                    const int *cap, int *ccnt, int r)
 {
-    int i;
-    if (rev)
-        for (i = hi - 1; i >= lo; i--)
-            *dst++ = seq[i];
-    else
-        for (i = lo; i < hi; i++)
-            *dst++ = seq[i];
-    return dst;
+    int x = seq[r], rm[2], add[2], k = 1;
+    if (r == n - 1)
+        return 0;
+    rm[0] = ldiv[x * n + seq[r + 1]];
+    add[0] = ldiv[seq[n - 1] * n + x];
+    if (r > 0) {
+        rm[1] = ldiv[seq[r - 1] * n + x];
+        add[1] = ldiv[seq[r - 1] * n + seq[r + 1]];
+        k = 2;
+    }
+    memmove(seq + r, seq + r + 1, (size_t)(n - 1 - r) * sizeof(int));
+    seq[n - 1] = x;
+    return update(cls, cap, ccnt, rm, add, k);
+}
+
+/* The climb loop of `oracles.climb` on seq, in place, in the ncls classes
+   cls with caps cap, resumed from state = (steps, teleports, altitude,
+   teleport pending, draws used): stop at altitude n - 1 or when the step
+   or teleport budget is spent; else scan for one cut, then (max_cuts 2)
+   for two, and take the first move that gains, or teleport draws[state[4]]
+   to the end.  The move tables for 2 and 3 pieces come as the scan takes
+   them, with shapes, one row per move of its piece order and reversal
+   mask.  Returns 0 at altitude n - 1; 1 when the budget is spent; 2 when
+   a teleport is due and the draws are used up, with state[3] set so that
+   the next call teleports without scanning again; with each set, 3 after
+   an accepted move and 4 after a teleport; -2 when memory ran out; -3
+   when a signal handler raised.  state[2] is the altitude on return. */
+int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
+                   const int *cap, int max_cuts, int max_steps, int each,
+                   int npairs2, const int *pairs2, int movelen2,
+                   const int *moves2, const int *shapes2, int npairs3,
+                   const int *pairs3, int movelen3, const int *moves3,
+                   const int *shapes3, int *seq, int ndraws,
+                   const int *draws, int *state, check_fn check)
+{
+    const int npairs[4] = {0, 0, npairs2, npairs3};
+    const int movelen[4] = {0, 0, movelen2, movelen3};
+    const int *pairs[4] = {0, 0, pairs2, pairs3};
+    const int *moves[4] = {0, 0, moves2, moves3};
+    const int *shapes[4] = {0, 0, shapes2, shapes3};
+    int *ccnt = calloc((size_t)ncls + n, sizeof(int)), *next = ccnt + ncls;
+    unsigned char *room = malloc(n);
+    int alt = 0, code, c, d, i, p, out[3];
+    if (!ccnt || !room) {
+        code = -2;
+        goto done;
+    }
+    for (i = 0; i + 1 < n; i++) {
+        c = cls[ldiv[seq[i] * n + seq[i + 1]]];
+        alt += ccnt[c] < cap[c];
+        ccnt[c]++;
+    }
+    for (;;) {
+        if (alt == n - 1) {
+            code = 0;
+            break;
+        }
+        if (state[0] >= max_steps || state[1] >= max_steps) {
+            code = 1;
+            break;
+        }
+        if (!state[3]) {
+            if (check() < 0) {
+                code = -3;
+                break;
+            }
+            for (d = 0, p = 2; p <= max_cuts + 1; p++)
+                if ((d = scan(n, p, npairs[p], pairs[p], movelen[p], moves[p],
+                              seq, ldiv, cls, cap, ccnt, room, out)) > 0)
+                    break;
+            if (d > 0) {
+                const int *sh = shapes[p] + out[2] * (p + 1);
+                int b[4] = {0, out[0], out[1], n}, *end = next;
+                for (i = 0; i < p; i++)
+                    end = piece(end, seq, b[sh[i]], b[sh[i] + 1], sh[p] >> sh[i] & 1);
+                memcpy(seq, next, (size_t)n * sizeof(int));
+                alt += d;
+                state[0]++;
+                if (each) {
+                    code = 3;
+                    break;
+                }
+                continue;
+            }
+        }
+        if (state[4] >= ndraws) {
+            state[3] = 1;
+            code = 2;
+            break;
+        }
+        state[3] = 0;
+        alt += teleport(n, seq, ldiv, cls, cap, ccnt, draws[state[4]++]);
+        state[1]++;
+        if (each) {
+            code = 4;
+            break;
+        }
+    }
+    state[2] = alt;
+done:
+    free(ccnt);
+    free(room);
+    return code;
 }
 
 /* cand re-based (x -> cand[0]^-1 x), then its least image under the naut
@@ -455,7 +563,7 @@ class Kernel(NamedTuple):
     """The compiled functions, wrapped to take Python values (see `_bind`)."""
 
     dfs: Callable
-    scan: Callable
+    climb: Callable
     neighbours: Callable
     certify: Callable
 
@@ -480,9 +588,11 @@ def _bind(path: str) -> Kernel:
     fn = lib.terraces_dfs
     fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, leaf_fn, ptr, ptr]
     fn.restype = ctypes.c_longlong
-    scan_fn = lib.terraces_scan
-    scan_fn.argtypes = [c_int] * 3 + [ptr, c_int] + [ptr] * 7
-    scan_fn.restype = c_int
+    climb_fn = lib.terraces_climb
+    table = [c_int, ptr, c_int, ptr, ptr]  # npairs, pairs, movelen, moves, shapes
+    climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, c_int, *table, *table,
+                         ptr, c_int, ptr, ptr, ptr]
+    climb_fn.restype = c_int
     nb_fn = lib.terraces_neighbours
     nb_fn.argtypes = [c_int, c_int] + [ptr] * 5 + [c_int, ptr, ptr]
     nb_fn.restype = c_int
@@ -532,20 +642,28 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("search kernel out of memory")
         return leaves
 
-    def scan(npieces, pairs, moves, seq, ldiv, cls, cap, ccnt):
-        """The climber's first improving move, the one the Python scan
-        `oracles.scan` finds, as (cuts, move index), or None.  Every
-        argument but npieces is an int array: the flat move table (pairs,
-        moves), the arrangement, the flat left-division table, and the
-        climber's classes, caps and class counts."""
-        out = array.array("i", [0, 0, 0])
-        found = scan_fn(len(seq), npieces, len(pairs) // 2, addr(pairs), len(moves), addr(moves),
-                        addr(seq), addr(ldiv), addr(cls), addr(cap), addr(ccnt), addr(out))
-        if found < 0:
-            raise MemoryError("climb scan out of memory")
-        if not found:
-            return None
-        return tuple(out[: npieces - 1]), out[2]
+    def climb(max_cuts, max_steps, each, tables, ldiv, cls, cap, seq, draws, state):
+        """Run the climb loop of `oracles.climb` on seq, in place, until it
+        finds, spends its budget, needs more teleport indices or, with each
+        set, takes one move or teleport; returns `terraces_climb`'s code.
+        Every argument but the first three and tables is an int array: the
+        flat left-division table, the class of each quotient and the cap
+        of each class, the arrangement, the teleport indices, and the
+        state (steps, teleports, altitude, teleport pending, draws used).
+        tables holds the flat move tables (pairs, moves, shapes) of
+        `hillclimb._FLAT_MOVES` for two pieces and for three."""
+        n = len(seq)
+        if len(state) != 5 or len(ldiv) != n * n or len(cls) != n or \
+                min(draws, default=0) < 0 or max(draws, default=0) >= n:
+            raise ValueError("climb state, tables or teleport indices of the wrong size")
+        (p2, m2, s2), (p3, m3, s3) = tables
+        code = climb_fn(n, len(cap), addr(ldiv), addr(cls), addr(cap), max_cuts, max_steps,
+                        each, len(p2) // 2, addr(p2), len(m2), addr(m2), addr(s2), len(p3) // 2,
+                        addr(p3), len(m3), addr(m3), addr(s3), addr(seq), len(draws), addr(draws),
+                        addr(state), check)
+        if code == -2:
+            raise MemoryError("climb out of memory")
+        return code
 
     def neighbours(moves, shapes, seq, ldiv, cls, auts, out):
         """The canonical forms of the neighbours `orbit._moves` builds from
@@ -576,7 +694,7 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("certify out of memory")
         return out[:10], out[10:]
 
-    return Kernel(dfs, scan, neighbours, certify)
+    return Kernel(dfs, climb, neighbours, certify)
 
 
 def _build(directory: str) -> Kernel:

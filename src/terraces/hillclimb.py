@@ -13,17 +13,18 @@ One scan serves both modes and both cut counts.  It walks a move table
 built once at import: for each (piece order, reversal mask), the pairs of
 piece ends the move joins.  An exact prefilter skips every cut tuple and
 every move that forms no junction in a class with room, since such a move
-cannot raise the altitude; only the rest reach the gain test.  The scan
-runs in C (`_ckernel`, the shared object that also holds the search
-kernel), on the climber's arrangement and class counts kept in int arrays
-and the move table flattened at import; it returns the same first
-improving move as its Python twin, `scan` in `tests/oracles.py`, which the
-tests hold it to.
+cannot raise the altitude; only the rest reach the gain test.  The whole
+climb loop, scans, moves, teleports and class counts, runs in C
+(`_ckernel`, the shared object that also holds the search kernel), on the
+arrangement in an int array and the move table flattened at import; it
+takes the same steps as its Python twin, `climb` in `tests/oracles.py`,
+which the tests hold it to.
 
 A teleport (move one random element to the end) escapes local maxima and
 costs at most two altitude points.  Trajectories are fully determined by
 the seed: the Mersenne Twister drives one shuffle for the start and one
-randrange per teleport.  `climb_seeds` runs seeds on a forked pool and
+randrange per teleport, drawn in Python ahead of the compiled loop in
+batches.  `climb_seeds` runs seeds on a forked pool and
 returns the first found result in seed order as soon as the seeds before it
 are done.
 """
@@ -162,136 +163,74 @@ def _flat_table(npieces: int, allow_reversal: bool) -> tuple[array, array, array
 _FLAT_MOVES = {key: _flat_table(*key) for key in _MOVES}
 
 
-# ---------------------------------------------------------------------------
-# Incremental climber.  The altitude is the number of quotients that fit in
-# their class: sum over classes of min(count, cap).  Terrace mode uses the
+# The climb.  The altitude is the number of quotients that fit in their
+# class: sum over classes of min(count, cap).  Terrace mode uses the
 # inverse-pair classes; directed mode is the same with one class per
 # quotient value and every cap 1.
 
+# Codes of `_ckernel.terraces_climb`: altitude n - 1 reached, budget spent,
+# teleport indices used up, one move taken, one teleport taken.
+_FOUND, _EXHAUSTED, _DRAW, _MOVED, _TELEPORTED = range(5)
+_FIRST_DRAWS, _MAX_DRAWS = 16, 4096  # teleport indices per batch: first, most
 
-class _Climber:
-    def __init__(self, group: Group, mode: str, seq: list[int]):
-        self.group = group
-        self.mode = mode
-        self.n = n = group.order
-        self.ldiv = group.ldiv
-        if mode == "terrace":
-            _cl, caps, cindex = _class_data(group)
-            self.cls, self.cap = array("i", cindex), array("i", caps)
-        else:
-            self.cls, self.cap = array("i", range(n)), array("i", [1]) * n
-        self.kernel = _ckernel.load()
-        self.flat_ldiv = array("i", chain.from_iterable(self.ldiv))
-        self.seq = seq = array("i", seq)
-        self.ccnt = array("i", [0]) * len(self.cap)
-        self.alt = 0
-        self._update((), [self.ldiv[seq[i]][seq[i + 1]] for i in range(n - 1)])
 
-    def _update(self, removed, added) -> None:
-        """Replace the quotients `removed` by `added` in the class counts
-        and the altitude."""
-        ccnt, cls, cap = self.ccnt, self.cls, self.cap
-        alt = self.alt
-        for v in removed:
-            c = cls[v]
-            ccnt[c] -= 1
-            alt -= ccnt[c] < cap[c]
-        for v in added:
-            c = cls[v]
-            alt += ccnt[c] < cap[c]
-            ccnt[c] += 1
-        self.alt = alt
-
-    def check(self) -> None:
-        arr = Arrangement(self.group, tuple(self.seq))
-        ref = altitude_directed(arr) if self.mode == "directed" else altitude_undirected(arr)
-        if ref != self.alt:
-            raise AssertionError(f"incremental altitude {self.alt} != recomputed {ref}")
-
-    def teleport(self, r: int) -> None:
-        """Move seq[r] to the end: the quotients next to it are replaced by
-        the one that joins its neighbours and the one that joins the old
-        end to it."""
-        seq, ldiv, last = self.seq, self.ldiv, self.n - 1
-        if r == last:
-            return
-        x, y = seq[r], seq[r + 1]
-        removed, added = [ldiv[x][y]], [ldiv[seq[last]][x]]
-        if r > 0:
-            removed.append(ldiv[seq[r - 1]][x])
-            added.append(ldiv[seq[r - 1]][y])
-        self._update(removed, added)
-        seq.append(seq.pop(r))
-
-    def try_improve(self, max_cuts: int) -> bool:
-        """Apply the first move that raises the altitude (one cut, then two)."""
-        terrace = self.mode == "terrace"
-        for npieces in range(2, max_cuts + 2):
-            hit = self._scan(npieces)
-            if hit is not None:
-                cuts, move = hit
-                order, mask, junctions, broken = _MOVES[npieces, terrace][1][move]
-                seq, ldiv = self.seq, self.ldiv
-                ends = (seq[0], *(seq[c] for c in cuts), *(seq[c - 1] for c in cuts), seq[-1])
-                self._update([ldiv[ends[i]][ends[j]] for i, j in broken],
-                             [ldiv[ends[i]][ends[j]] for i, j in junctions])
-                self.seq = array("i", _materialize(seq, cuts, order, mask))
-                return True
-        return False
-
-    def _scan(self, npieces: int) -> tuple[tuple[int, ...], int] | None:
-        """The first improving move as (cuts, index in the move table), or
-        None, from the compiled scan."""
-        pairs, moves, _shapes = _FLAT_MOVES[npieces, self.mode == "terrace"]
-        return self.kernel.scan(npieces, pairs, moves, self.seq, self.flat_ldiv,
-                                self.cls, self.cap, self.ccnt)
+def _classes(group: Group, mode: str) -> tuple[array, array]:
+    """The class of each quotient and the cap of each class."""
+    if mode == "terrace":
+        _cl, caps, cindex = _class_data(group)
+        return array("i", cindex), array("i", caps)
+    return array("i", range(group.order)), array("i", [1]) * group.order
 
 
 def climb(group: Group, params: ClimbParams) -> ClimbResult:
     """Steps: random start; accept the first higher neighbour (cuts=1 scan,
     then cuts=2); teleport at local maxima; stop at altitude n-1 or when the
-    accepted-move/teleport budget is spent.  Same seed, same trajectory."""
+    accepted-move/teleport budget is spent.  Same seed, same trajectory.
+
+    The loop runs in `_ckernel.terraces_climb`.  It returns to Python for
+    more teleport indices, which are drawn in growing batches with one
+    randrange(n) per teleport, in stream order; and, with `record_trace` or
+    `debug_check`, after each move or teleport, to record or recheck the
+    altitude."""
     n = group.order
     if n < 2:
         raise ValueError("climb needs order >= 2")
     rng = random.Random(params.seed)
-    directed = params.mode == "directed"
+    terrace = params.mode == "terrace"
     start = list(range(n))
     rng.shuffle(start)
-    climber = _Climber(group, params.mode, start)
-    steps = teleports = 0
+    seq = array("i", start)
+    cls, cap = _classes(group, params.mode)
+    ldiv = array("i", chain.from_iterable(group.ldiv))
+    tables = (_FLAT_MOVES[2, terrace], _FLAT_MOVES[3, terrace])
+    run = _ckernel.load().climb
+    state = array("i", [0]) * 5  # steps, teleports, altitude, teleport pending, draws used
+    draws, batch = array("i"), _FIRST_DRAWS
     trace: list[int] | None = [] if params.record_trace else None
-
-    def result(outcome: str, arrangement: Arrangement | None) -> ClimbResult:
-        return ClimbResult(
-            outcome,
-            arrangement,
-            steps,
-            teleports,
-            params.seed,
-            None if trace is None else tuple(trace),
-        )
-
+    each = params.record_trace or params.debug_check
     while True:
-        if climber.alt == n - 1:
-            arr = Arrangement(group, tuple(climber.seq))
-            ok = is_directed_terrace(arr) if directed else is_terrace(arr)
-            if not ok:
-                raise AssertionError("altitude bookkeeping and verifier disagree")
-            return result("found", arr)
-        if steps >= params.max_steps or teleports >= params.max_steps:
-            return result("exhausted", None)
-        if climber.try_improve(params.max_cuts):
-            steps += 1
+        code = run(params.max_cuts, params.max_steps, each, tables, ldiv, cls, cap, seq, draws, state)
+        if code == _DRAW:
+            size = min(batch, params.max_steps - state[1])
+            draws = array("i", (rng.randrange(n) for _ in range(size)))
+            state[4], batch = 0, min(2 * batch, _MAX_DRAWS)
+        elif code in (_MOVED, _TELEPORTED):
             if params.debug_check:
-                climber.check()
-            if trace is not None:
-                trace.append(climber.alt)
-            continue
-        climber.teleport(rng.randrange(n))
-        if params.debug_check:
-            climber.check()
-        teleports += 1
+                arr = Arrangement(group, tuple(seq))
+                ref = altitude_undirected(arr) if terrace else altitude_directed(arr)
+                if ref != state[2]:
+                    raise AssertionError(f"incremental altitude {state[2]} != recomputed {ref}")
+            if trace is not None and code == _MOVED:
+                trace.append(state[2])
+        else:
+            break
+    arr = None
+    if code == _FOUND:
+        arr = Arrangement(group, tuple(seq))
+        if not (is_terrace(arr) if terrace else is_directed_terrace(arr)):
+            raise AssertionError("altitude bookkeeping and verifier disagree")
+    return ClimbResult("found" if code == _FOUND else "exhausted", arr, state[0], state[1], params.seed,
+                       None if trace is None else tuple(trace))
 
 
 # Seeds on a pool: workers are forked and get the group and parameters as

@@ -36,13 +36,15 @@ class LatinSquare:
     source: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n = self.order
+        n, cells = self.order, self.cells
+        if len(cells) != n or any(len(row) != n for row in cells):
+            raise ValueError(f"cells are not {n} rows of {n}")
         full = set(range(n))
-        for r, row in enumerate(self.cells):
+        for r, row in enumerate(cells):
             if set(row) != full:
                 raise ValueError(f"row {r} is not a permutation of 0..{n - 1}")
-        for c in range(n):
-            if {row[c] for row in self.cells} != full:
+        for c, column in enumerate(zip(*cells)):
+            if set(column) != full:
                 raise ValueError(f"column {c} is not a permutation of 0..{n - 1}")
 
 

@@ -186,7 +186,7 @@ def random_arrangement(group: G.Group, rng: random.Random) -> P.Arrangement:
 @contextlib.contextmanager
 def kernels(monkeypatch, python: bool):
     """Run the body on the compiled kernels, or, with python set, on their
-    Python twins in `oracles.py`: `enumerate._dfs`, `_Climber._scan` and
+    Python twins in `oracles.py`: `enumerate._dfs`, `hillclimb.climb` and
     `orbit._neighbour_forms` are patched for the body.  They are module
     attributes, so forked pool workers inherit the patch."""
     # Imported here, not at the top: bench/run.py imports this file for
@@ -197,7 +197,7 @@ def kernels(monkeypatch, python: bool):
     with monkeypatch.context() as m:
         if python:
             m.setattr(E, "_dfs", oracles.dfs)
-            m.setattr(H._Climber, "_scan", oracles.scan)
+            m.setattr(H, "climb", oracles.climb)
             m.setattr(O, "_neighbour_forms", oracles.neighbour_forms)
         yield
 

@@ -6,8 +6,10 @@ same order:
 
 - `dfs` is `enumerate._dfs`, the backtracking kernel, node for node (with
   `_CRows`, the narcissistic layer 2, and `_Stop`);
-- `scan` is `hillclimb._Climber._scan`, the climber's first-improvement
-  move scan, move for move (with `_gain`);
+- `climb` is `hillclimb.climb`, the climb loop, step for step: the
+  climber `_Climber` keeps the arrangement, class counts and altitude and
+  applies moves and teleports, and `scan` is its first-improvement move
+  scan, move for move (with `_gain`);
 - `neighbour_forms` is `orbit._neighbour_forms`, the closure step: the
   canonical forms of one terrace's neighbours, as `orbit._moves` lists them;
 - `certify` is `latin.certify`, a Latin square's certificate with the
@@ -22,15 +24,18 @@ compares; the certify tests call both and compare their certificates.
 
 from __future__ import annotations
 
+import random
+from array import array
 from itertools import combinations
 from typing import Callable
 
 from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_depth
 from terraces.groups import Group, _class_data, automorphisms
-from terraces.hillclimb import _MOVES
+from terraces.hillclimb import _MOVES, ClimbParams, ClimbResult, _classes, _materialize
 from terraces.latin import LatinSquare, SquareCertificate
 from terraces.orbit import _moves
-from terraces.props import Arrangement
+from terraces.props import (Arrangement, altitude_directed, altitude_undirected, is_directed_terrace,
+                            is_terrace)
 
 
 class _Stop(Exception):
@@ -248,6 +253,74 @@ class _CRows:
         return row
 
 
+class _Climber:
+    """The climber's arrangement, class counts and altitude, with its moves
+    and teleports applied from O(1) count updates."""
+
+    def __init__(self, group: Group, mode: str, seq: list[int]):
+        self.group = group
+        self.mode = mode
+        self.n = n = group.order
+        self.ldiv = group.ldiv
+        self.cls, self.cap = _classes(group, mode)
+        self.seq = seq = array("i", seq)
+        self.ccnt = array("i", [0]) * len(self.cap)
+        self.alt = 0
+        self._update((), [self.ldiv[seq[i]][seq[i + 1]] for i in range(n - 1)])
+
+    def _update(self, removed, added) -> None:
+        """Replace the quotients `removed` by `added` in the class counts
+        and the altitude."""
+        ccnt, cls, cap = self.ccnt, self.cls, self.cap
+        alt = self.alt
+        for v in removed:
+            c = cls[v]
+            ccnt[c] -= 1
+            alt -= ccnt[c] < cap[c]
+        for v in added:
+            c = cls[v]
+            alt += ccnt[c] < cap[c]
+            ccnt[c] += 1
+        self.alt = alt
+
+    def check(self) -> None:
+        arr = Arrangement(self.group, tuple(self.seq))
+        ref = altitude_directed(arr) if self.mode == "directed" else altitude_undirected(arr)
+        if ref != self.alt:
+            raise AssertionError(f"incremental altitude {self.alt} != recomputed {ref}")
+
+    def teleport(self, r: int) -> None:
+        """Move seq[r] to the end: the quotients next to it are replaced by
+        the one that joins its neighbours and the one that joins the old
+        end to it."""
+        seq, ldiv, last = self.seq, self.ldiv, self.n - 1
+        if r == last:
+            return
+        x, y = seq[r], seq[r + 1]
+        removed, added = [ldiv[x][y]], [ldiv[seq[last]][x]]
+        if r > 0:
+            removed.append(ldiv[seq[r - 1]][x])
+            added.append(ldiv[seq[r - 1]][y])
+        self._update(removed, added)
+        seq.append(seq.pop(r))
+
+    def try_improve(self, max_cuts: int) -> bool:
+        """Apply the first move that raises the altitude (one cut, then two)."""
+        terrace = self.mode == "terrace"
+        for npieces in range(2, max_cuts + 2):
+            hit = scan(self, npieces)
+            if hit is not None:
+                cuts, move = hit
+                order, mask, junctions, broken = _MOVES[npieces, terrace][1][move]
+                seq, ldiv = self.seq, self.ldiv
+                ends = (seq[0], *(seq[c] for c in cuts), *(seq[c - 1] for c in cuts), seq[-1])
+                self._update([ldiv[ends[i]][ends[j]] for i, j in broken],
+                             [ldiv[ends[i]][ends[j]] for i, j in junctions])
+                self.seq = array("i", _materialize(seq, cuts, order, mask))
+                return True
+        return False
+
+
 def _gain(self, removed, added) -> int:
     """Altitude change of the climber `self` from replacing the quotients
     `removed` by `added`."""
@@ -294,6 +367,52 @@ def scan(self, npieces: int) -> tuple[tuple[int, ...], int] | None:
             if _gain(self, removed, added) > 0:
                 return cuts, index
     return None
+
+
+def climb(group: Group, params: ClimbParams) -> ClimbResult:
+    """The Python climb loop: `hillclimb.climb` step for step, with one
+    randrange(n) drawn at each teleport."""
+    n = group.order
+    if n < 2:
+        raise ValueError("climb needs order >= 2")
+    rng = random.Random(params.seed)
+    directed = params.mode == "directed"
+    start = list(range(n))
+    rng.shuffle(start)
+    climber = _Climber(group, params.mode, start)
+    steps = teleports = 0
+    trace: list[int] | None = [] if params.record_trace else None
+
+    def result(outcome: str, arrangement: Arrangement | None) -> ClimbResult:
+        return ClimbResult(
+            outcome,
+            arrangement,
+            steps,
+            teleports,
+            params.seed,
+            None if trace is None else tuple(trace),
+        )
+
+    while True:
+        if climber.alt == n - 1:
+            arr = Arrangement(group, tuple(climber.seq))
+            ok = is_directed_terrace(arr) if directed else is_terrace(arr)
+            if not ok:
+                raise AssertionError("altitude bookkeeping and verifier disagree")
+            return result("found", arr)
+        if steps >= params.max_steps or teleports >= params.max_steps:
+            return result("exhausted", None)
+        if climber.try_improve(params.max_cuts):
+            steps += 1
+            if params.debug_check:
+                climber.check()
+            if trace is not None:
+                trace.append(climber.alt)
+            continue
+        climber.teleport(rng.randrange(n))
+        if params.debug_check:
+            climber.check()
+        teleports += 1
 
 
 def neighbour_forms(g: Group, allow_piece_reversal: bool) -> Callable[[tuple[int, ...]], list]:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
 import random
-from itertools import accumulate, combinations, product
+import subprocess
+from array import array
+from itertools import accumulate, chain, combinations, product
 
 import pytest
 
+import oracles
 from conftest import get_group, kernels, neighbors, random_arrangement, teleport
+from terraces import _ckernel
 from terraces import hillclimb as H
 from terraces import props as P
 
@@ -74,6 +79,20 @@ def test_neighbors_exclude_original(rng):
         assert all(nb.seq != a.seq for nb in neighbors(a, 2, False))
 
 
+def _compiled_step(g, mode, seq, max_cuts=2, draw=None):
+    """One pass of the compiled loop from seq, stopped after one move, or,
+    with draw given, one teleport of index draw: (code, seq, altitude)."""
+    terrace = mode == "terrace"
+    cls, cap = H._classes(g, mode)
+    tables = (H._FLAT_MOVES[2, terrace], H._FLAT_MOVES[3, terrace])
+    ldiv = array("i", chain.from_iterable(g.ldiv))
+    seq = array("i", seq)
+    draws = array("i", [] if draw is None else [draw])
+    state = array("i", [0, 0, 0, draw is not None, 0])
+    code = _ckernel.load().climb(max_cuts, 1, True, tables, ldiv, cls, cap, seq, draws, state)
+    return code, tuple(seq), state[2]
+
+
 def test_teleport_examples():
     g = get_group("Z4")
     a = P.Arrangement(g, (0, 1, 2, 3))
@@ -83,17 +102,19 @@ def test_teleport_examples():
 
 @pytest.mark.parametrize("mode", H.MODES)
 def test_climber_teleport_updates_the_counts(mode, rng):
-    """The climber's teleport of every index, the first and the last
-    included, moves what the oracle moves and leaves the class counts and
-    the altitude of a fresh count."""
+    """The Python climber's teleport of every index, the first and the
+    last included, moves what the oracle moves and leaves the class counts
+    and the altitude of a fresh count; one compiled teleport moves the same
+    and leaves the same altitude."""
     g = get_group("Q12")
     for r in range(g.order):
         a = random_arrangement(g, rng)
-        climber = H._Climber(g, mode, list(a.seq))
+        climber = oracles._Climber(g, mode, list(a.seq))
         climber.teleport(r)
         assert tuple(climber.seq) == teleport(a, _FixedIndex(r)).seq
-        fresh = H._Climber(g, mode, list(climber.seq))
+        fresh = oracles._Climber(g, mode, list(climber.seq))
         assert (climber.ccnt, climber.alt) == (fresh.ccnt, fresh.alt)
+        assert _compiled_step(g, mode, a.seq, draw=r) == (H._TELEPORTED, tuple(climber.seq), fresh.alt)
 
 
 def test_move_altitude_bounds(rng):
@@ -212,11 +233,11 @@ def test_move_table_junctions_match_materialize(npieces, allow_reversal, rng):
 @pytest.mark.parametrize("spec", ["Z12", "D12", "Q12", "Z4xZ2", "E8"])
 @pytest.mark.parametrize("mode", ["directed", "terrace"])
 @pytest.mark.parametrize("max_cuts", [1, 2])
-def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, rng, monkeypatch):
-    """Along a walk of improving moves and teleports, `try_improve` applies
-    exactly the first neighbour in `neighbors` order that raises the
-    altitude, or none when none does, with the compiled scan and with the
-    Python one; and every move the prefilter skips (no new junction whose
+def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, rng):
+    """Along a walk of improving moves and teleports, the Python climber's
+    `try_improve` and one step of the compiled loop apply exactly the first
+    neighbour in `neighbors` order that raises the altitude, or none when
+    none does; and every move the prefilter skips (no new junction whose
     class has room) has altitude gain <= 0."""
     g = get_group(spec)
     alt_fn = P.altitude_directed if mode == "directed" else P.altitude_undirected
@@ -225,7 +246,7 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
     a = random_arrangement(g, rng)
     for _ in range(12):
         base = alt_fn(a)
-        climber = H._Climber(g, mode, list(a.seq))
+        climber = oracles._Climber(g, mode, list(a.seq))
         room = [climber.ccnt[c] < climber.cap[c] for c in climber.cls]
         for cuts in range(1, max_cuts + 1):
             _pairs, moves = H._MOVES[cuts + 1, allow]
@@ -237,14 +258,14 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
                         assert alt_fn(nb) <= base
         first = next((nb for c in range(1, max_cuts + 1) for nb in neighbors(a, c, allow)
                       if alt_fn(nb) > base), None)
-        for python in (False, True):
-            climber = H._Climber(g, mode, list(a.seq))
-            with kernels(monkeypatch, python):
-                assert climber.try_improve(max_cuts) == (first is not None)
-            if first is None:
-                assert tuple(climber.seq) == a.seq
-            else:
-                assert tuple(climber.seq) == first.seq and climber.alt == alt_fn(first)
+        assert climber.try_improve(max_cuts) == (first is not None)
+        code, seq, alt = _compiled_step(g, mode, a.seq, max_cuts)
+        if first is None:
+            assert tuple(climber.seq) == seq == a.seq
+            assert code == (H._FOUND if base == g.order - 1 else H._DRAW)
+        else:
+            assert tuple(climber.seq) == seq == first.seq and code == H._MOVED
+            assert climber.alt == alt == alt_fn(first)
         a = teleport(a, rng) if first is None else first
 
 
@@ -298,8 +319,8 @@ SD1997_DIRECTED_SEED1 = (
     ],
 )
 def test_large_order_climbs_are_pinned(spec, mode, steps, teleports, seq, monkeypatch):
-    """Both scans repeat the order-63/64 climbs; only the compiled one runs
-    the larger ones, which take seconds on the Python scan."""
+    """Both loops repeat the order-63/64 climbs; only the compiled one runs
+    the larger ones, which take seconds on the Python loop."""
     g = get_group(spec)
     for python in (False, True) if g.order <= 64 else (False,):
         with kernels(monkeypatch, python):
@@ -318,7 +339,7 @@ AGREEMENT_CLIMBS = (
 
 @pytest.mark.parametrize("spec", AGREEMENT_CLIMBS)
 def test_compiled_scan_matches_the_python_scan(spec, monkeypatch):
-    """Climbs on the compiled scan follow those on the Python scan: the same
+    """Climbs on the compiled loop follow those on the Python loop: the same
     outcome, steps, teleports, altitude trace and arrangement, in both
     modes, with one cut and two, for seeds 1-3."""
     g = get_group(spec)
@@ -330,6 +351,70 @@ def test_compiled_scan_matches_the_python_scan(spec, monkeypatch):
                 r = H.climb(g, params)
             got.append((r.to_dict(), r.arrangement and r.arrangement.seq))
         assert got[0] == got[1], (mode, max_cuts, seed)
+
+
+@pytest.mark.parametrize(
+    "spec, params",
+    [
+        # teleports that span several batches of drawn indices
+        ("D6", H.ClimbParams("directed", seed=1, max_steps=400)),
+        ("E8", H.ClimbParams("terrace", seed=2, max_steps=400, record_trace=True)),
+        ("Q12", H.ClimbParams("directed", seed=1, max_steps=0)),
+        ("Q12", H.ClimbParams("terrace", seed=1, max_steps=0, record_trace=True)),
+        ("Z10", H.ClimbParams("directed", max_cuts=1, seed=11)),
+        ("D12", H.ClimbParams("terrace", max_cuts=1, seed=3, record_trace=True)),
+        ("Q16", H.ClimbParams("directed", seed=7, record_trace=True, debug_check=True)),
+        ("D10", H.ClimbParams("terrace", seed=7, debug_check=True)),
+        ("D6", H.ClimbParams("directed", seed=9, max_steps=60, record_trace=True, debug_check=True)),
+    ],
+)
+def test_compiled_climb_matches_the_python_loop(spec, params):
+    """The compiled loop takes the steps of `oracles.climb`: across batches
+    of teleport indices, with no budget, with one cut, and when it returns
+    after each move or teleport to record or recheck the altitude."""
+    g = get_group(spec)
+    got, want = H.climb(g, params), oracles.climb(g, params)
+    assert got.to_dict() == want.to_dict()
+    assert (got.arrangement and got.arrangement.seq) == (want.arrangement and want.arrangement.seq)
+    if params.max_steps == 0:
+        assert (got.outcome, got.steps_taken, got.teleports_taken) == ("exhausted", 0, 0)
+    if spec in ("D6", "E8") and params.max_steps == 400:
+        assert got.teleports_taken == 400 > 3 * H._FIRST_DRAWS
+
+
+def test_ctrl_c_stops_a_compiled_climb_within_a_second(tmp_path):
+    """SIGINT during a long compiled climb ends the process with
+    KeyboardInterrupt within a second, and nothing swallows it."""
+    import signal
+    import sys
+    import time
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(H.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # E64 has no terrace, so this climb spends its budget, about 20 s.  One
+    # batch of teleport indices covers the budget, so that the whole climb
+    # runs in one compiled call and only the loop's own poll can stop it.
+    code = ("from terraces import _ckernel, groups, hillclimb as H\n"
+            "_ckernel.load(); g = groups.parse_group_spec('E64'); H._FIRST_DRAWS = 200_000\n"
+            "print('ready', flush=True)\n"
+            "H.climb(g, H.ClimbParams(mode='terrace', max_steps=200_000))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)  # past the draws (0.1 s) and well inside the climb
+        assert proc.poll() is None
+        t0 = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=60)
+        waited = time.monotonic() - t0
+    finally:
+        proc.kill()
+        proc.wait()
+    err = proc.stderr.read()
+    assert "KeyboardInterrupt" in err and "Exception ignored" not in err, err
+    assert waited < 1.0, waited
 
 
 def _reference_climb(group, params):

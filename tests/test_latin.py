@@ -33,6 +33,14 @@ def test_latin_square_validation_rejects_bad_cells():
         L.LatinSquare(2, ((0, 0), (1, 1)))
 
 
+@pytest.mark.parametrize("cells", [((0, 1), (1, 0), (0, 1)), ((0, 1, 1), (1, 0))])
+def test_latin_square_validation_rejects_cells_not_n_by_n(cells):
+    """Three rows for order 2, and a row of three, are refused although
+    every row and column holds the symbols 0 and 1."""
+    with pytest.raises(ValueError, match="2 rows of 2"):
+        L.LatinSquare(2, cells)
+
+
 def test_row_complete_examples():
     directed = P.Arrangement(get_group("Z6"), (0, 1, 5, 2, 4, 3))
     cert = L.certify(L.square_from(directed))
