@@ -11,7 +11,7 @@ order, orderly test and node budget (see the comments in the source).
 for step: its scan is `oracles.scan` move for move, and its moves,
 teleports and class counts are those of `oracles._Climber`; the seeded
 generator stays in Python, which passes the teleport indices in.
-`terraces_neighbours` translates `orbit._moves`
+`terraces_neighbours` translates `oracles._moves`
 followed by the canonical form of each neighbour, in the same order, as
 `oracles.neighbour_forms` lists them.  `terraces_certify` works out a Latin
 square's certificate from its cells alone, with the same first failures
@@ -21,6 +21,11 @@ returns the four functions as a `Kernel`.  The compiler is needed at first
 use: where no compiler, cache directory or loader works, `load` raises one
 `OSError` that names the compiler, the directories tried and the last
 lines of the compiler's own message.
+
+Only this module knows the flat int layout of the group tables the C
+source reads: the search, climb and neighbour wrappers take a `Group`,
+whose tables `_flat` builds once and keeps on it.  The certificate wrapper
+reads the cells alone, so it stays a check that does not depend on a group.
 
 The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
@@ -35,7 +40,10 @@ import array
 import os
 import tempfile
 import zlib
+from itertools import chain
 from typing import Callable, NamedTuple
+
+from .groups import Group, _class_data, automorphisms
 
 SOURCE = r"""
 #include <stdlib.h>
@@ -559,6 +567,37 @@ _PREFIX = "dfs-"  # shared objects are named _PREFIX + source digest + ".so"
 _KERNEL: Kernel | None = None  # the loaded kernels, once built
 
 
+# A group's tables in the row-major int layout the C source reads, each
+# built by its entry here: left division and multiplication (n x n); the
+# inverse-pair class of each element and the cap of each class, with the
+# identity in a last class of cap 0, so that the climb's room test reads
+# no entry outside the counts; the class of each quotient (n x n); one
+# class per element, which is also the identity automorphism, and a cap
+# of 1 each; and every automorphism, the identity first (n each).
+_TABLES: dict[str, Callable[[Group], array.array]] = {
+    "ldiv": lambda g: array.array("i", chain.from_iterable(g.ldiv)),
+    "mul": lambda g: array.array("i", chain.from_iterable(g.mul)),
+    "cls": lambda g: array.array("i", [len(_class_data(g)[1])] + _class_data(g)[2][1:]),
+    "caps": lambda g: array.array("i", _class_data(g)[1] + [0]),
+    "ctab": lambda g: array.array("i", map(_flat(g, "cls")[0].__getitem__, _flat(g, "ldiv")[0])),
+    "ids": lambda g: array.array("i", range(g.order)),
+    "ones": lambda g: array.array("i", [1]) * g.order,
+    "auts": lambda g: array.array("i", chain.from_iterable(automorphisms(g))),
+}
+
+
+def _flat(group: Group, *names: str) -> list[array.array]:
+    """group's tables `names` (see `_TABLES`), each built the first time a
+    kernel needs it and kept on the group."""
+    tables = group._flat
+    if tables is None:
+        tables = group._flat = {}
+    for name in names:
+        if name not in tables:
+            tables[name] = _TABLES[name](group)
+    return [tables[name] for name in names]
+
+
 class Kernel(NamedTuple):
     """The compiled functions, wrapped to take Python values (see `_bind`)."""
 
@@ -603,17 +642,19 @@ def _bind(path: str) -> Kernel:
     def addr(a: array.array) -> int:
         return a.buffer_info()[0]
 
-    def dfs(n, layer2, k, end, mirror, ldiv, mul, bucket, rem, tab2, auts, prefix, budget, leaf):
+    def dfs(group, directed, rem, layer2, k, end, mirror, prune, prefix, budget, leaf):
         """Leaves below a_1 = e and `prefix`, or -1 when the node budget ran
-        out.  layer2 is (kind, first depth, last depth); the tables are
-        flat n x n lists, auts the automorphisms to prune by.  budget is
-        None or a one-cell list, left at the nodes not spent.  leaf, when
-        given, is called with the current sequence at each leaf, and a
-        true answer stops the walk."""
+        out.  b is bucketed by quotient when directed, else by class, and
+        rem holds each bucket's capacity; layer2 is (kind, first depth,
+        last depth); prune turns on orderly pruning by Aut(group).  budget
+        is None or a one-cell list, left at the nodes not spent.  leaf,
+        when given, is called with the current sequence at each leaf, and
+        a true answer stops the walk."""
+        n = group.order
+        ldiv, mul, ctab, auts = _flat(group, "ldiv", "mul", "ctab", "auts" if prune else "ids")
         # The kernel reads and writes plain arrays by address; a ctypes
         # array type per call would leave a reference cycle behind.
-        tables = [array.array("i", t) for t in (ldiv, mul, bucket, rem, tab2)]
-        flat_auts = array.array("i", (v for phi in auts for v in phi))
+        ledger = array.array("i", rem)
         placed = array.array("i", prefix)
         seq = array.array("i", [0]) * n
         cell = None
@@ -632,8 +673,11 @@ def _bind(path: str) -> Kernel:
                 return 1
 
         callback = leaf_fn(on_leaf) if leaf else leaf_fn(0)  # 0: NULL
-        leaves = fn(n, *layer2, k, end, mirror, *map(addr, tables), len(auts), addr(flat_auts),
-                    len(prefix), addr(placed), cell and addr(cell), callback, check, addr(seq))
+        tables = (ldiv, mul, ldiv if directed else ctab, ledger, ldiv if k >= 2 else ctab)
+        # The first row of auts is the identity, which prunes nothing: skip it.
+        leaves = fn(n, *layer2, k, end, mirror, *map(addr, tables), len(auts) // n - 1,
+                    addr(auts) + n * auts.itemsize, len(prefix), addr(placed), cell and addr(cell),
+                    callback, check, addr(seq))
         if raised:
             raise raised.pop()
         if cell is not None:
@@ -642,20 +686,22 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("search kernel out of memory")
         return leaves
 
-    def climb(max_cuts, max_steps, each, tables, ldiv, cls, cap, seq, draws, state):
+    def climb(group, terrace, max_cuts, max_steps, each, tables, seq, draws, state):
         """Run the climb loop of `oracles.climb` on seq, in place, until it
         finds, spends its budget, needs more teleport indices or, with each
         set, takes one move or teleport; returns `terraces_climb`'s code.
-        Every argument but the first three and tables is an int array: the
-        flat left-division table, the class of each quotient and the cap
-        of each class, the arrangement, the teleport indices, and the
-        state (steps, teleports, altitude, teleport pending, draws used).
-        tables holds the flat move tables (pairs, moves, shapes) of
-        `hillclimb._FLAT_MOVES` for two pieces and for three."""
-        n = len(seq)
-        if len(state) != 5 or len(ldiv) != n * n or len(cls) != n or \
-                min(draws, default=0) < 0 or max(draws, default=0) >= n:
-            raise ValueError("climb state, tables or teleport indices of the wrong size")
+        Quotients are counted in their inverse-pair classes when terrace is
+        set, else one class per quotient, every cap 1.  tables holds the
+        flat move tables (pairs, moves, shapes) of `hillclimb._FLAT_MOVES`
+        for two pieces and for three; seq, the arrangement, draws, the
+        teleport indices, and state (steps, teleports, altitude, teleport
+        pending, draws used) are int arrays."""
+        n = group.order
+        if len(seq) != n or len(state) != 5 or min(draws, default=0) < 0 or \
+                max(draws, default=0) >= n:
+            raise ValueError("climb state, arrangement or teleport indices of the wrong size")
+        names = ("cls", "caps") if terrace else ("ids", "ones")  # directed: one class per quotient
+        ldiv, cls, cap = _flat(group, "ldiv", *names)
         (p2, m2, s2), (p3, m3, s3) = tables
         code = climb_fn(n, len(cap), addr(ldiv), addr(cls), addr(cap), max_cuts, max_steps,
                         each, len(p2) // 2, addr(p2), len(m2), addr(m2), addr(s2), len(p3) // 2,
@@ -665,16 +711,18 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("climb out of memory")
         return code
 
-    def neighbours(moves, shapes, seq, ldiv, cls, auts, out):
-        """The canonical forms of the neighbours `orbit._moves` builds from
-        the terrace seq, repeats included, written back to back to out;
-        returns their number.  Every argument is an int array: the 2-piece
-        move table of `hillclimb._FLAT_MOVES` and its piece shapes, the
-        terrace, the flat left-division table, the class index, the flat
-        automorphisms and a buffer of n (1 + (n - 1) moves) ints."""
-        n, nmoves = len(seq), len(shapes) // 3
-        if len(out) < n * (1 + (n - 1) * nmoves) or len(moves) != 5 * nmoves:
-            raise ValueError("neighbour buffer or move table of the wrong size")
+    def neighbours(group, moves, shapes, seq, out, canonical):
+        """The neighbours of the terrace seq that `oracles._moves` lists,
+        repeats included, written back to back to out; returns their
+        number.  Each is re-based, and with canonical set taken to its
+        least image under Aut(group); without it the identity is the only
+        automorphism.  moves and shapes are the 2-piece move table of
+        `hillclimb._FLAT_MOVES` and its piece shapes; seq and out, a buffer
+        of n (1 + (n - 1) moves) ints, are int arrays."""
+        n, nmoves = group.order, len(shapes) // 3
+        if len(seq) != n or len(out) < n * (1 + (n - 1) * nmoves):
+            raise ValueError("terrace or neighbour buffer of the wrong size")
+        ldiv, cls, auts = _flat(group, "ldiv", "cls", "auts" if canonical else "ids")
         count = nb_fn(n, nmoves, addr(moves), addr(shapes), addr(seq), addr(ldiv), addr(cls),
                       len(auts) // n, addr(auts), addr(out))
         if count < 0:

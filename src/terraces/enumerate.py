@@ -44,14 +44,16 @@ checks, orderly ones included; each is one task.  A worker places the
 prefix in a fresh ledger and resumes `_dfs` below it, with the
 automorphisms that fix every prefix entry still active.  `count_table`
 streams the tasks of both kinds through one forked pool, whose workers
-read the group and its automorphisms from the parent's memory.
+read the group, its tables and its automorphisms from the parent's memory.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from . import _ckernel
 from .groups import DEFAULT_AUT_CAP, Group, _class_data, automorphisms
@@ -155,24 +157,22 @@ def _dfs(
     starts.  stop_at (below `_end_depth`) cuts the search at that depth and
     appends each surviving prefix (a_2, ..., a_{stop_at+1}) to sink.
 
-    The walk runs in the compiled kernel (`_ckernel`), which reports each
-    leaf through one callback.
+    The walk runs in the compiled kernel (`_ckernel`), which takes the
+    group and reports each leaf through one callback.
     """
     kernel = _ckernel.load()
     n = group.order
     kind = mode.kind
-    ldiv = [v for row in group.ldiv for v in row]
-    _classes, caps, cindex = _class_data(group)
-    # Layer 1, the bucket ledger, flattened: b_depth lands in a bucket with
-    # a capacity.  Directed kinds bucket by the quotient itself (capacity
-    # 1), the others by its inverse-pair class (capacities 1 and 2, or 1 for
-    # the first half of a narcissistic b, whose second half is the mirror
-    # image).  The identity's class is the last bucket, of capacity 0.
-    ctab = [cindex[v] if v else len(caps) for v in ldiv]
-    if kind in _DIRECTED_KINDS:
-        bucket, rem = ldiv, [0] + [1] * (n - 1) + [0]
+    # Layer 1, the bucket ledger: b_depth lands in a bucket with a capacity.
+    # Directed kinds bucket by the quotient itself (capacity 1), the others
+    # by its inverse-pair class (capacities 1 and 2, or 1 for the first
+    # half of a narcissistic b, whose second half is the mirror image).  The
+    # identity's bucket has capacity 0.
+    directed = kind in _DIRECTED_KINDS
+    if directed:
+        rem = [0] + [1] * (n - 1) + [0]
     else:
-        bucket = ctab
+        caps = _class_data(group)[1]
         rem = ([1] * len(caps) if kind == "narcissistic" else list(caps)) + [0]
     # Layer 2 as (the C source's number for it, first depth, last depth).
     half = (n - 1) // 2
@@ -194,11 +194,8 @@ def _dfs(
         def leaf(seq):
             sink.append(Arrangement(group, tuple(seq)))
             return limit is not None and len(sink) >= limit
-    leaves = kernel.dfs(
-        n, layer2, k, end, kind == "narcissistic" and stop_at is None,
-        ldiv, [v for row in group.mul for v in row], bucket, rem, ldiv if k >= 2 else ctab,
-        auts or (), prefix, budget, leaf,
-    )
+    leaves = kernel.dfs(group, directed, rem, layer2, k, end, kind == "narcissistic" and stop_at is None,
+                        bool(auts), prefix, budget, leaf)
     if leaves < 0:
         raise BudgetExceeded("search node budget exhausted")
     return leaves
@@ -223,9 +220,9 @@ def _check_tk_range(group: Group, mode: EnumMode) -> None:
         raise ValueError(f"k={mode.k} out of range 1..{group.order - 1}")
 
 
-# Parallel counts (see the module docstring).  Pool workers are forked and
-# get the group and its automorphisms as initializer arguments, which fork
-# hands over without pickling, so a task carries only (index, mode, prefix).
+# Parallel counts (see the module docstring), on a forked pool whose
+# workers read the group, its tables and its automorphisms from the
+# parent's memory, so a task carries only (index, mode, prefix).
 
 _SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
 # Groups of smaller order count in one process.  With the compiled kernel
@@ -237,7 +234,7 @@ _SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
 # against 524 ms.  From order 13 count_table runs 1.4-1.6x faster on the
 # pool (Z13 396 against 248 ms, D14 296 against 215 ms).
 _FORK_MIN_ORDER = 13
-_WORKER_STATE: tuple | None = None  # (group, auts), set in each pool worker
+_POOL_TASK: Callable | None = None  # the task function, set in each pool worker
 
 
 def _live_prefixes(group: Group, mode: EnumMode, auts) -> list[tuple[int, ...]]:
@@ -259,15 +256,25 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(group: Group, auts) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (group, auts)
+def _set_pool_task(fn: Callable) -> None:
+    global _POOL_TASK
+    _POOL_TASK = fn
 
 
-def _pool_task(task) -> tuple[int, int]:
-    group, auts = _WORKER_STATE
-    i, mode, prefix = task
-    return i, _dfs(group, mode, auts, prefix=prefix)
+def _run_pool_task(task):
+    return _POOL_TASK(task)
+
+
+@contextmanager
+def _forked_map(workers: int, fn: Callable, tasks) -> Iterator[Iterator]:
+    """fn over tasks on a pool of `workers` forked processes, yielded as an
+    iterator of the results in task order.  fn reaches each worker through
+    the fork, not pickled, so it may close over a group and its tables;
+    only the tasks and the results are pickled.  Leaving the block stops
+    the workers still running."""
+    _ckernel.load()  # in the parent, so that the workers inherit it built
+    with multiprocessing.get_context("fork").Pool(workers, _set_pool_task, (fn,)) as pool:
+        yield pool.imap(_run_pool_task, tasks)
 
 
 def _count(group: Group, modes, auts, threads: int) -> list[int]:
@@ -287,9 +294,13 @@ def _count(group: Group, modes, auts, threads: int) -> list[int]:
     if workers <= 1:
         return [_dfs(group, mode, auts) for mode in modes]
     totals = [0] * len(modes)
-    _ckernel.load()  # in the parent, so that the workers inherit it built
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (group, auts)) as pool:
-        for i, leaves in pool.imap_unordered(_pool_task, tasks):
+
+    def count(task):
+        i, mode, prefix = task
+        return i, _dfs(group, mode, auts, prefix=prefix)
+
+    with _forked_map(workers, count, tasks) as results:
+        for i, leaves in results:
             totals[i] += leaves
     return totals
 

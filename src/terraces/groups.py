@@ -69,6 +69,7 @@ class Group:
         "_orders",
         "_classes",
         "_auts",
+        "_flat",
     )
 
     def __init__(self, mul: Sequence[Sequence[int]], element_words: Sequence[str], spec: str):
@@ -99,6 +100,7 @@ class Group:
         self._orders: tuple[int, ...] | None = None
         self._classes: tuple | None = None
         self._auts: list[tuple[int, ...]] | None = None
+        self._flat: dict | None = None  # the compiled kernels' tables, kept by `_ckernel`
 
     def __repr__(self) -> str:
         return f"Group({self.spec!r}, order={self.order})"

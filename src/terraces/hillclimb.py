@@ -16,9 +16,10 @@ every move that forms no junction in a class with room, since such a move
 cannot raise the altitude; only the rest reach the gain test.  The whole
 climb loop, scans, moves, teleports and class counts, runs in C
 (`_ckernel`, the shared object that also holds the search kernel), on the
-arrangement in an int array and the move table flattened at import; it
-takes the same steps as its Python twin, `climb` in `tests/oracles.py`,
-which the tests hold it to.
+arrangement in an int array, the move table flattened at import and the
+group's tables, which `_ckernel` builds once per group; it takes the same
+steps as its Python twin, `climb` in `tests/oracles.py`, which the tests
+hold it to.
 
 A teleport (move one random element to the end) escapes local maxima and
 costs at most two altitude points.  Trajectories are fully determined by
@@ -26,20 +27,20 @@ the seed: the Mersenne Twister drives one shuffle for the start and one
 randrange per teleport, drawn in Python ahead of the compiled loop in
 batches.  `climb_seeds` runs seeds on a forked pool and
 returns the first found result in seed order as soon as the seeds before it
-are done.
+are done; a worker sends back the found sequence, not the group.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import chain, permutations
 
 from . import _ckernel
-from .enumerate import usable_cpus
-from .groups import Group, _class_data
+from .enumerate import _forked_map, usable_cpus
+from .groups import Group
 from .props import Arrangement, altitude_directed, altitude_undirected, is_directed_terrace, is_terrace
 
 __all__ = [
@@ -108,16 +109,6 @@ def _iter_combos(npieces: int, allow_reversal: bool):
             yield order, mask
 
 
-def _materialize(seq, cuts, order, mask):
-    bounds = [0, *cuts, len(seq)]
-    pieces = [seq[bounds[i] : bounds[i + 1]] for i in range(len(cuts) + 1)]
-    out = []
-    for k in order:
-        p = pieces[k]
-        out.extend(p[::-1] if (mask >> k) & 1 else p)
-    return out
-
-
 def _move_table(npieces: int, allow_reversal: bool):
     """(pairs, moves) for one piece count, moves in `_iter_combos` order.
 
@@ -174,14 +165,6 @@ _FOUND, _EXHAUSTED, _DRAW, _MOVED, _TELEPORTED = range(5)
 _FIRST_DRAWS, _MAX_DRAWS = 16, 4096  # teleport indices per batch: first, most
 
 
-def _classes(group: Group, mode: str) -> tuple[array, array]:
-    """The class of each quotient and the cap of each class."""
-    if mode == "terrace":
-        _cl, caps, cindex = _class_data(group)
-        return array("i", cindex), array("i", caps)
-    return array("i", range(group.order)), array("i", [1]) * group.order
-
-
 def climb(group: Group, params: ClimbParams) -> ClimbResult:
     """Steps: random start; accept the first higher neighbour (cuts=1 scan,
     then cuts=2); teleport at local maxima; stop at altitude n-1 or when the
@@ -200,8 +183,6 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
     start = list(range(n))
     rng.shuffle(start)
     seq = array("i", start)
-    cls, cap = _classes(group, params.mode)
-    ldiv = array("i", chain.from_iterable(group.ldiv))
     tables = (_FLAT_MOVES[2, terrace], _FLAT_MOVES[3, terrace])
     run = _ckernel.load().climb
     state = array("i", [0]) * 5  # steps, teleports, altitude, teleport pending, draws used
@@ -209,7 +190,7 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
     trace: list[int] | None = [] if params.record_trace else None
     each = params.record_trace or params.debug_check
     while True:
-        code = run(params.max_cuts, params.max_steps, each, tables, ldiv, cls, cap, seq, draws, state)
+        code = run(group, terrace, params.max_cuts, params.max_steps, each, tables, seq, draws, state)
         if code == _DRAW:
             size = min(batch, params.max_steps - state[1])
             draws = array("i", (rng.randrange(n) for _ in range(size)))
@@ -233,29 +214,6 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
                        None if trace is None else tuple(trace))
 
 
-# Seeds on a pool: workers are forked and get the group and parameters as
-# initializer arguments, so a task carries only its seed.
-
-_SEED_STATE: tuple | None = None  # (group, params), set in each pool worker
-
-
-def _init_seed_worker(group: Group, params: ClimbParams) -> None:
-    global _SEED_STATE
-    _SEED_STATE = (group, params)
-
-
-def _seed_task(seed: int) -> ClimbResult:
-    group, params = _SEED_STATE
-    return climb(group, replace(params, seed=seed))
-
-
-def _first_found(results) -> ClimbResult:
-    for r in results:
-        if r.outcome == "found":
-            break
-    return r
-
-
 def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> ClimbResult:
     """Run one climb per seed; return the first found result in seed order,
     or the last seed's result when no seed finds one.
@@ -269,12 +227,17 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+
+    def run(seed):
+        # A result comes back with the found sequence, not the arrangement,
+        # whose group a worker would pickle with its tables.
+        r = climb(group, replace(params, seed=seed))
+        return replace(r, arrangement=None), r.arrangement and r.arrangement.seq
+
     workers = min(threads, usable_cpus(), len(seeds))
-    if workers <= 1:
-        return _first_found(climb(group, replace(params, seed=s)) for s in seeds)
-    _ckernel.load()  # in the parent, so that the workers inherit it built
-    with multiprocessing.get_context("fork").Pool(workers, _init_seed_worker, (group, params)) as pool:
-        r = _first_found(pool.imap(_seed_task, seeds))
-    if r.arrangement is not None:  # a worker's result holds a copy of the group
-        r.arrangement = Arrangement(group, r.arrangement.seq)
+    with _forked_map(workers, run, seeds) if workers > 1 else nullcontext(map(run, seeds)) as results:
+        for r, seq in results:
+            if seq is not None:
+                r.arrangement = Arrangement(group, seq)
+                break
     return r

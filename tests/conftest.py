@@ -22,7 +22,7 @@ from terraces import groups as G
 from terraces import hillclimb as H
 from terraces import orbit as O
 from terraces import props as P
-from terraces.hillclimb import _iter_combos, _materialize
+from terraces.hillclimb import _iter_combos
 
 # Known enumeration results for 5 <= |G| <= 15: spec -> (t, d).
 KNOWN_COUNTS = {
@@ -158,6 +158,8 @@ def neighbors(a: P.Arrangement, cuts: int, allow_reversal: bool) -> list[P.Arran
         cut_choices = [(c1, c2) for c1 in range(1, n - 1) for c2 in range(c1 + 1, n)]
     else:
         raise ValueError("cuts must be 1 or 2")
+    from oracles import _materialize  # imported here for the reason `kernels` gives
+
     seq = list(a.seq)
     out = []
     for cc in cut_choices:

@@ -9,9 +9,12 @@ same order:
 - `climb` is `hillclimb.climb`, the climb loop, step for step: the
   climber `_Climber` keeps the arrangement, class counts and altitude and
   applies moves and teleports, and `scan` is its first-improvement move
-  scan, move for move (with `_gain`);
+  scan, move for move (with `_gain`, and `_classes`, the class of each
+  quotient and the cap of each class);
 - `neighbour_forms` is `orbit._neighbour_forms`, the closure step: the
-  canonical forms of one terrace's neighbours, as `orbit._moves` lists them;
+  canonical forms of one terrace's neighbours, as `_moves` lists them
+  (with `_materialize`, which cuts and reassembles an arrangement); with
+  the identity for Aut(G), `_moves` is also `orbit.two_piece_moves`;
 - `certify` is `latin.certify`, a Latin square's certificate with the
   same witnesses, from the same scans of the cells (with `_offset_repeat`,
   `check_row_complete`, `check_row_quasi_complete`, `roman_k_max` and
@@ -31,9 +34,8 @@ from typing import Callable
 
 from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_depth
 from terraces.groups import Group, _class_data, automorphisms
-from terraces.hillclimb import _MOVES, ClimbParams, ClimbResult, _classes, _materialize
+from terraces.hillclimb import _MOVES, ClimbParams, ClimbResult
 from terraces.latin import LatinSquare, SquareCertificate
-from terraces.orbit import _moves
 from terraces.props import (Arrangement, altitude_directed, altitude_undirected, is_directed_terrace,
                             is_terrace)
 
@@ -253,6 +255,26 @@ class _CRows:
         return row
 
 
+def _materialize(seq, cuts, order, mask):
+    """seq cut at `cuts` and reassembled: the pieces in `order`, piece k
+    reversed when bit k of mask is set."""
+    bounds = [0, *cuts, len(seq)]
+    pieces = [seq[bounds[i] : bounds[i + 1]] for i in range(len(cuts) + 1)]
+    out = []
+    for k in order:
+        p = pieces[k]
+        out.extend(p[::-1] if (mask >> k) & 1 else p)
+    return out
+
+
+def _classes(group: Group, mode: str) -> tuple[array, array]:
+    """The class of each quotient and the cap of each class."""
+    if mode == "terrace":
+        _cl, caps, cindex = _class_data(group)
+        return array("i", cindex), array("i", caps)
+    return array("i", range(group.order)), array("i", [1]) * group.order
+
+
 class _Climber:
     """The climber's arrangement, class counts and altitude, with its moves
     and teleports applied from O(1) count updates."""
@@ -415,12 +437,29 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
         teleports += 1
 
 
-def neighbour_forms(g: Group, allow_piece_reversal: bool) -> Callable[[tuple[int, ...]], list]:
-    """seq -> the canonical forms of the neighbours `orbit._moves` gives for
-    the terrace seq, in its order: each a least image under Aut(g).  The
-    compiled step lists a form again for each repeated neighbour, which
-    the closure's dedup drops."""
-    auts = automorphisms(g)
+def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[tuple[int, ...]]:
+    """The based terraces one move away from the terrace `seq`, first
+    occurrences in order: the whole reversal, then the move table cut by cut."""
+    ldiv, cls = g.ldiv, _class_data(g)[2]
+    row = ldiv[seq[-1]]
+    out = {tuple(row[x] for x in reversed(seq)): None}
+    for c in range(1, len(seq)):
+        ends = (seq[0], seq[c], seq[c - 1], seq[-1])
+        for order, mask, ((i, j),), ((k, l),) in _MOVES[2, allow_piece_reversal][1]:
+            if cls[ldiv[ends[i]][ends[j]]] == cls[ldiv[ends[k]][ends[l]]]:
+                cand = _materialize(seq, (c,), order, mask)
+                row = ldiv[cand[0]]
+                out[tuple(row[x] for x in cand)] = None
+    return list(out)
+
+
+def neighbour_forms(g: Group, allow_piece_reversal: bool,
+                    canonical: bool = True) -> Callable[[tuple[int, ...]], list]:
+    """seq -> the neighbours `_moves` gives for the terrace seq, in its
+    order, each a least image under Aut(g) when canonical is set.  The
+    compiled step lists a neighbour again for each repeat, which the
+    callers' dedup drops."""
+    auts = automorphisms(g) if canonical else [tuple(range(g.order))]
     return lambda seq: [min(tuple(phi[x] for x in nb) for phi in auts)
                         for nb in _moves(g, seq, allow_piece_reversal)]
 

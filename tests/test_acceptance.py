@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import oracles
 import terraces
 from conftest import CORE_TIER, KNOWN_COUNTS, basic_arrangements, get_group, naive_basic_count, teleport
 from terraces import groups as G
@@ -189,7 +190,7 @@ def test_criterion8_move_and_teleport_altitude_bounds():
             cc = (c1, rng.randrange(c1 + 1, n))
         combos = list(H._iter_combos(cuts + 1, allow_reversal))
         order, mask = combos[rng.randrange(len(combos))]
-        return tuple(H._materialize(list(seq), cc, order, mask))
+        return tuple(oracles._materialize(list(seq), cc, order, mask))
 
     for alt_fn, allow in ((P.altitude_directed, False), (P.altitude_undirected, True)):
         for _ in range(trials_per_mode):

@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 from functools import lru_cache
 from types import SimpleNamespace
@@ -360,7 +361,8 @@ def test_g21_narcissistic_count_split_and_unsplit():
 
 
 class _FakePool:
-    """Stands in for a process pool: records its size, runs tasks inline."""
+    """Stands in for a process pool: records its size, runs tasks inline
+    and pickles each result, as a pool sends it back to the parent."""
 
     sizes: list[int] = []
 
@@ -375,19 +377,15 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def imap_unordered(self, fn, tasks):
-        return map(fn, tasks)
-
     def imap(self, fn, tasks):
-        return map(fn, tasks)
+        return (pickle.loads(pickle.dumps(fn(task))) for task in tasks)
 
 
 @pytest.fixture
 def fake_pools(monkeypatch):
     monkeypatch.setattr(_FakePool, "sizes", [])
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=_FakePool))
-    monkeypatch.setattr(E, "_WORKER_STATE", None)
-    monkeypatch.setattr(H, "_SEED_STATE", None)
+    monkeypatch.setattr(E, "_POOL_TASK", None)
     return _FakePool.sizes
 
 
@@ -431,7 +429,8 @@ def test_pool_size_is_capped_without_starting_processes(fake_pools, monkeypatch,
 
 def test_climb_seeds_pool_stops_at_the_first_find(fake_pools, monkeypatch):
     """The pool's results are read in seed order and the first found one is
-    returned without asking for the later seeds; it equals the serial result."""
+    returned without asking for the later seeds; it equals the serial result,
+    and its arrangement is on the caller's group: no result pickles one."""
     _set_cpus(monkeypatch, affinity=2, host=2)
     g = get_group("Q12")
     params = H.ClimbParams(mode="directed", max_steps=10_000)
@@ -439,8 +438,10 @@ def test_climb_seeds_pool_stops_at_the_first_find(fake_pools, monkeypatch):
     ran = []
     climb = H.climb
     monkeypatch.setattr(H, "climb", lambda group, p: ran.append(p.seed) or climb(group, p))
+    monkeypatch.setattr(G.Group, "__reduce__", lambda self: pytest.fail("a Group was pickled"))
     pooled = H.climb_seeds(g, params, seeds=[4, 5, 6], threads=2)
     assert fake_pools == [2] and ran == [4] and pooled == serial
+    assert pooled.arrangement.group is g
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 from array import array
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 
 import oracles
 from conftest import get_group, kernels, neighbors, random_arrangement, teleport
 from terraces import _ckernel
+from terraces import groups as G
 from terraces import hillclimb as H
 from terraces import props as P
 
@@ -67,7 +68,7 @@ def test_two_cut_distinctness():
         for c2 in (5, 6):
             seqs = set()
             for order, mask in H._iter_combos(3, False):
-                seqs.add(tuple(H._materialize(list(a.seq), (c1, c2), order, mask)))
+                seqs.add(tuple(oracles._materialize(list(a.seq), (c1, c2), order, mask)))
             assert len(seqs) == 5 and a.seq not in seqs
 
 
@@ -83,14 +84,41 @@ def _compiled_step(g, mode, seq, max_cuts=2, draw=None):
     """One pass of the compiled loop from seq, stopped after one move, or,
     with draw given, one teleport of index draw: (code, seq, altitude)."""
     terrace = mode == "terrace"
-    cls, cap = H._classes(g, mode)
     tables = (H._FLAT_MOVES[2, terrace], H._FLAT_MOVES[3, terrace])
-    ldiv = array("i", chain.from_iterable(g.ldiv))
     seq = array("i", seq)
     draws = array("i", [] if draw is None else [draw])
     state = array("i", [0, 0, 0, draw is not None, 0])
-    code = _ckernel.load().climb(max_cuts, 1, True, tables, ldiv, cls, cap, seq, draws, state)
+    code = _ckernel.load().climb(g, terrace, max_cuts, 1, True, tables, seq, draws, state)
     return code, tuple(seq), state[2]
+
+
+def test_compiled_climb_refuses_bad_buffers():
+    """The climb kernel takes n from the group and refuses an arrangement
+    of another length, a teleport index outside 0..n-1 and a state that is
+    not 5 long, before it reads any of them."""
+    g = get_group("Q12")
+    tables = (H._FLAT_MOVES[2, True], H._FLAT_MOVES[3, True])
+    climb = _ckernel.load().climb
+    seq, state = array("i", range(12)), array("i", [0]) * 5
+    for bad in ({"seq": array("i", range(11))}, {"seq": array("i", range(13))},
+                {"draws": array("i", [12])}, {"draws": array("i", [-1])},
+                {"state": array("i", [0]) * 4}, {"state": array("i", [0]) * 6}):
+        args = {"seq": seq, "draws": array("i", [3]), "state": state, **bad}
+        with pytest.raises(ValueError):
+            climb(g, True, 2, 10, False, tables, args["seq"], args["draws"], args["state"])
+    assert tuple(seq) == tuple(range(12)) and tuple(state) == (0,) * 5
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z9", "D10", "Q12", "E8", "A4"])
+def test_flat_class_tables_stay_in_bounds(spec):
+    """The climb's room test reads the class and cap of every element, the
+    identity included: each class index the kernels read, the identity's
+    and every quotient's, lies inside the caps, and the identity's class
+    has cap 0."""
+    g = G.parse_group_spec(spec)
+    cls, caps, ctab = _ckernel._flat(g, "cls", "caps", "ctab")
+    assert all(0 <= c < len(caps) for c in (*cls, *ctab))
+    assert caps[cls[0]] == 0 and list(caps[:-1]) == G._class_data(g)[1]
 
 
 def test_teleport_examples():
@@ -137,7 +165,7 @@ def test_move_altitude_bounds(rng):
                 base = alt_fn(a)
                 at = sorted(rng.sample(range(1, g.order), cuts))
                 order, mask = combos[rng.randrange(len(combos))]
-                nb = P.Arrangement(g, tuple(H._materialize(list(a.seq), at, order, mask)))
+                nb = P.Arrangement(g, tuple(oracles._materialize(list(a.seq), at, order, mask)))
                 assert -cuts <= alt_fn(nb) - base <= 2 * cuts
 
 
@@ -225,7 +253,7 @@ def test_move_table_junctions_match_materialize(npieces, allow_reversal, rng):
             assert not set(junctions) & joined
             kept = [p for p in joined if p not in broken]
             want = sorted(ldiv[ends[i]][ends[j]] for i, j in kept + list(junctions))
-            out = H._materialize(seq, cuts, order, mask)
+            out = oracles._materialize(seq, cuts, order, mask)
             at = list(accumulate(bounds[k + 1] - bounds[k] for k in order))[:-1]
             assert sorted(ldiv[out[i - 1]][out[i]] for i in at) == want
 
@@ -254,7 +282,7 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
                 ends = _ends(a.seq, cut)
                 for order, mask, junctions, _broken in moves:
                     if not any(room[ldiv[ends[i]][ends[j]]] for i, j in junctions):
-                        nb = P.Arrangement(g, tuple(H._materialize(list(a.seq), cut, order, mask)))
+                        nb = P.Arrangement(g, tuple(oracles._materialize(list(a.seq), cut, order, mask)))
                         assert alt_fn(nb) <= base
         first = next((nb for c in range(1, max_cuts + 1) for nb in neighbors(a, c, allow)
                       if alt_fn(nb) > base), None)

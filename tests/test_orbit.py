@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import deque
 
 import pytest
 
 from conftest import get_group, kernels, naive_is_terrace, neighbors
+from terraces import _ckernel
+from terraces import groups as G
+from terraces import hillclimb as H
 from terraces import props as P
 from terraces.enumerate import EnumMode, enumerate_basic
 from terraces.orbit import _closure, explore_chain, orbit_of, two_piece_moves
@@ -53,15 +57,44 @@ def oracle_orbit_keys(w):
 
 @pytest.mark.parametrize("spec", CATALOGUE_1_TO_10)
 def test_moves_and_orbits_match_oracle(spec, monkeypatch):
-    """The moves, and the orbits on the compiled and the Python neighbour
+    """The moves and the orbits, on the compiled and the Python neighbour
     step, equal the naive oracle's, in order."""
     for w in essential_terraces(spec):
-        for flag in (False, True):
-            assert [m.seq for m in two_piece_moves(w, flag)] == oracle_moves(w, flag)
         want = oracle_orbit_keys(w)
         for python in (False, True):
             with kernels(monkeypatch, python):
+                for flag in (False, True):
+                    assert [m.seq for m in two_piece_moves(w, flag)] == oracle_moves(w, flag), python
                 assert list(orbit_of(w)) == want, python
+
+
+def test_compiled_neighbours_refuse_a_short_buffer():
+    """The neighbour kernel refuses an out buffer shorter than n (1 + (n - 1)
+    moves) ints, and a terrace whose length is not the group's order."""
+    w = P.walecki(10)
+    _pairs, moves, shapes = H._FLAT_MOVES[2, False]
+    need = 10 * (1 + 9 * (len(shapes) // 3))
+    neighbours = _ckernel.load().neighbours
+    assert neighbours(w.group, moves, shapes, array("i", w.seq), array("i", [0]) * need, True) > 1
+    for seq, size in ((w.seq, need - 1), (w.seq, 0), (w.seq[:9], need)):
+        with pytest.raises(ValueError):
+            neighbours(w.group, moves, shapes, array("i", seq), array("i", [0]) * size, True)
+
+
+def test_a_groups_flat_tables_are_built_once():
+    """A freshly parsed group has no flat tables; the first climb builds
+    the ones it reads, and a second climb and a closure of the same group
+    read those same arrays, the closure adding the automorphisms."""
+    g = G.parse_group_spec("D10")
+    assert g._flat is None
+    first = H.climb(g, H.ClimbParams(mode="terrace", seed=1))
+    built = dict(g._flat)
+    assert {"ldiv", "cls", "caps"} <= set(built)
+    second = H.climb(g, H.ClimbParams(mode="terrace", seed=2))
+    assert first.outcome == second.outcome == "found"
+    assert len(orbit_of(second.arrangement)) > 1
+    assert all(g._flat[name] is table for name, table in built.items())
+    assert "auts" in g._flat
 
 
 @pytest.mark.parametrize("spec", CATALOGUE_1_TO_10)

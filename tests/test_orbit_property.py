@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_group
+from oracles import _materialize
 from terraces import props as P
 from terraces.groups import _class_data
-from terraces.hillclimb import _MOVES, ClimbParams, _materialize, climb
+from terraces.hillclimb import _MOVES, ClimbParams, climb
 
 # Every catalogue group of order 2..12 that has terraces (E4 and E8 have none).
 TERRACED_LE_12 = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12", "Z4xZ2",
