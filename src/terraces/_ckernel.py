@@ -10,12 +10,12 @@ order, orderly test and node budget (see the comments in the source).
 `terraces_climb` translates the Python climb loop `oracles.climb` step
 for step: its scan is `oracles.scan` move for move, and its moves,
 teleports and class counts are those of `oracles._Climber`; the seeded
-generator stays in Python, which passes the teleport indices in.
-`terraces_neighbours` translates `oracles._moves`
-followed by the canonical form of each neighbour, in the same order, as
-`oracles.neighbour_forms` lists them.  `terraces_certify` works out a Latin
-square's certificate from its cells alone, with the same first failures
-as `oracles.certify`.  `load` compiles the source with the system C
+generator stays in Python, and the loop calls back for each teleport
+index, so a climb is one call.  `terraces_neighbours` translates
+`oracles._moves` followed by the canonical form of each neighbour, in the
+same order, as `oracles.neighbour_forms` lists them.  `terraces_certify`
+works out a Latin square's certificate from its cells alone, with the
+same first failures as `oracles.certify`.  `load` compiles the source with the system C
 compiler into a per-user cache directory, loads it with `ctypes` and
 returns the four functions as a `Kernel`.  The compiler is needed at first
 use: where no compiler, cache directory or loader works, `load` raises one
@@ -31,7 +31,9 @@ The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
 for signals every 2^20 nodes, and the climb before every scan, and each
 stops when a handler raised, so Ctrl-C interrupts a long walk or climb at
-once.
+once.  An exception raised in a Python callback (the search's leaf, the
+climb's draw and step), a KeyboardInterrupt included, stops the kernel
+too, and the wrapper raises it when the call returns.
 """
 
 from __future__ import annotations
@@ -49,22 +51,46 @@ SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* Leaf report; a nonzero return stops the search. */
-typedef int (*leaf_fn)(void);
-/* PyErr_CheckSignals: runs pending signal handlers, -1 when one raised. */
-typedef int (*check_fn)(void);
+/* Python's C API, which the kernels call holding the GIL:
+   PyErr_CheckSignals (-1 when a signal handler raised),
+   PyObject_CallFunction, PyObject_IsTrue, PyLong_AsLong, Py_DecRef, and
+   None, which stands for no callback.  An error raised in any of them is
+   left pending, and ctypes raises it when the kernel returns. */
+typedef struct {
+    int (*check)(void);
+    void *(*call)(void *f, const char *format, ...);
+    int (*truth)(void *x);
+    long (*value)(void *x);
+    void (*release)(void *x);
+    void *none;
+} py_api;
 #define CHECK_EVERY ((1u << 20) - 1) /* a mask: check every 2^20 nodes */
+
+/* The Python callable f called with no arguments, or given the format
+   "ii" with (a, b): the int value of its answer when value is set, else
+   its truth; -1 when the call or the reading raised. */
+static long pycall(const py_api *py, void *f, const char *format, int a,
+                   int b, int value)
+{
+    void *r = py->call(f, format, a, b);
+    long v = -1;
+    if (r) {
+        v = value ? py->value(r) : py->truth(r);
+        py->release(r);
+    }
+    return v;
+}
 
 typedef struct {
     int n, l2, lo2, hi2, k, end, mirror, naut;
     const int *ldiv, *mul, *bucket, *tab2, *auts;
     int *rem, *seq, *used, *m2, *marks, *cval, *act;
     long long *budget;
-    leaf_fn leaf;
-    check_fn check;
+    void *leaf;
+    const py_api *py;
     unsigned nodes;
-    int halt; /* 1: the leaf callback said stop; 2: node budget spent;
-                 3: a signal handler raised */
+    int halt; /* 1: the leaf callback said stop or raised; 2: node budget
+                 spent; 3: a signal handler raised */
 } K;
 
 /* b_j = b_{n-j} forces a_{end+1} .. a_{n-1}; each must be unused. */
@@ -132,7 +158,7 @@ static long long rec(K *s, int depth, const int *active, int nact)
         }
         --*s->budget;
     }
-    if ((++s->nodes & CHECK_EVERY) == 0 && s->check() < 0) {
+    if ((++s->nodes & CHECK_EVERY) == 0 && s->py->check() < 0) {
         s->halt = 3;
         return 0;
     }
@@ -164,7 +190,7 @@ static long long rec(K *s, int depth, const int *active, int nact)
         if (depth == s->end) {
             if (!s->mirror || mirror(s)) {
                 total++;
-                if (s->leaf && s->leaf()) {
+                if (s->leaf != s->py->none && pycall(s->py, s->leaf, 0, 0, 0, 0)) {
                     s->halt = 1;
                     return total;
                 }
@@ -181,15 +207,16 @@ static long long rec(K *s, int depth, const int *active, int nact)
 }
 
 /* Leaves below a_1 = e and the placed prefix; -1 when the node budget ran
-   out, -2 when memory did, -3 when a signal handler raised (the error is
-   left pending for the caller).  rem, the bucket capacities, is updated in
-   place; *budget, when given, is left at the nodes not spent. */
+   out, -2 when memory did, -3 when a signal handler raised.  leaf, a
+   Python callable or None, is called at each leaf, and a true answer
+   stops the search.  rem, the bucket capacities, is updated in place;
+   *budget, when given, is left at the nodes not spent. */
 long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
                        int mirror_tail, const int *ldiv, const int *mul,
                        const int *bucket, int *rem, const int *tab2,
                        int naut, const int *auts, int nprefix,
-                       const int *prefix, long long *budget, leaf_fn leaf,
-                       check_fn check, int *seq)
+                       const int *prefix, long long *budget, void *leaf,
+                       const py_api *py, int *seq)
 {
     K s;
     long long total;
@@ -198,7 +225,7 @@ long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
     s.n = n, s.l2 = l2, s.lo2 = lo2, s.hi2 = hi2, s.k = k, s.end = end;
     s.mirror = mirror_tail, s.naut = naut, s.ldiv = ldiv, s.mul = mul;
     s.bucket = bucket, s.tab2 = tab2, s.auts = auts, s.rem = rem;
-    s.seq = seq, s.budget = budget, s.leaf = leaf, s.check = check;
+    s.seq = seq, s.budget = budget, s.leaf = leaf, s.py = py;
     s.nodes = 0, s.halt = 0;
     s.used = calloc(n + 1, sizeof(int));
     s.m2 = calloc(n + 1, sizeof(int));
@@ -347,24 +374,23 @@ static int teleport(int n, int *seq, const int *ldiv, const int *cls,
 }
 
 /* The climb loop of `oracles.climb` on seq, in place, in the ncls classes
-   cls with caps cap, resumed from state = (steps, teleports, altitude,
-   teleport pending, draws used): stop at altitude n - 1 or when the step
-   or teleport budget is spent; else scan for one cut, then (max_cuts 2)
-   for two, and take the first move that gains, or teleport draws[state[4]]
-   to the end.  The move tables for 2 and 3 pieces come as the scan takes
-   them, with shapes, one row per move of its piece order and reversal
-   mask.  Returns 0 at altitude n - 1; 1 when the budget is spent; 2 when
-   a teleport is due and the draws are used up, with state[3] set so that
-   the next call teleports without scanning again; with each set, 3 after
-   an accepted move and 4 after a teleport; -2 when memory ran out; -3
-   when a signal handler raised.  state[2] is the altitude on return. */
+   cls with caps cap: stop at altitude n - 1 or when the step or teleport
+   budget is spent; else scan for one cut, then (max_cuts 2) for two, and
+   take the first move that gains, or teleport the entry at draw() to the
+   end; step, unless None, is called as step(moved, altitude) after each
+   move (moved 1) and teleport (moved 0).  The move tables for 2 and 3
+   pieces come as the scan takes them, with shapes, one row per move of its
+   piece order and reversal mask.  out gets (steps, teleports, altitude).
+   Returns 0 at altitude n - 1; 1 when the budget is spent; -2 when memory
+   ran out; -3 when draw answered no index in 0..n-1, or draw, step or a
+   signal handler raised. */
 int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
-                   const int *cap, int max_cuts, int max_steps, int each,
+                   const int *cap, int max_cuts, int max_steps,
                    int npairs2, const int *pairs2, int movelen2,
                    const int *moves2, const int *shapes2, int npairs3,
                    const int *pairs3, int movelen3, const int *moves3,
-                   const int *shapes3, int *seq, int ndraws,
-                   const int *draws, int *state, check_fn check)
+                   const int *shapes3, int *seq, void *draw, void *step,
+                   int *out, const py_api *py)
 {
     const int npairs[4] = {0, 0, npairs2, npairs3};
     const int movelen[4] = {0, 0, movelen2, movelen3};
@@ -373,7 +399,9 @@ int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
     const int *shapes[4] = {0, 0, shapes2, shapes3};
     int *ccnt = calloc((size_t)ncls + n, sizeof(int)), *next = ccnt + ncls;
     unsigned char *room = malloc(n);
-    int alt = 0, code, c, d, i, p, out[3];
+    int alt = 0, code, c, d, i, p, hit[3];
+    long r;
+    out[0] = out[1] = 0;
     if (!ccnt || !room) {
         code = -2;
         goto done;
@@ -388,48 +416,40 @@ int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
             code = 0;
             break;
         }
-        if (state[0] >= max_steps || state[1] >= max_steps) {
+        if (out[0] >= max_steps || out[1] >= max_steps) {
             code = 1;
             break;
         }
-        if (!state[3]) {
-            if (check() < 0) {
+        if (py->check() < 0) {
+            code = -3;
+            break;
+        }
+        for (d = 0, p = 2; p <= max_cuts + 1; p++)
+            if ((d = scan(n, p, npairs[p], pairs[p], movelen[p], moves[p],
+                          seq, ldiv, cls, cap, ccnt, room, hit)) > 0)
+                break;
+        if (d > 0) {
+            const int *sh = shapes[p] + hit[2] * (p + 1);
+            int b[4] = {0, hit[0], hit[1], n}, *end = next;
+            for (i = 0; i < p; i++)
+                end = piece(end, seq, b[sh[i]], b[sh[i] + 1], sh[p] >> sh[i] & 1);
+            memcpy(seq, next, (size_t)n * sizeof(int));
+            alt += d;
+            out[0]++;
+        } else {
+            if ((r = pycall(py, draw, 0, 0, 0, 1)) < 0 || r >= n) {
                 code = -3;
                 break;
             }
-            for (d = 0, p = 2; p <= max_cuts + 1; p++)
-                if ((d = scan(n, p, npairs[p], pairs[p], movelen[p], moves[p],
-                              seq, ldiv, cls, cap, ccnt, room, out)) > 0)
-                    break;
-            if (d > 0) {
-                const int *sh = shapes[p] + out[2] * (p + 1);
-                int b[4] = {0, out[0], out[1], n}, *end = next;
-                for (i = 0; i < p; i++)
-                    end = piece(end, seq, b[sh[i]], b[sh[i] + 1], sh[p] >> sh[i] & 1);
-                memcpy(seq, next, (size_t)n * sizeof(int));
-                alt += d;
-                state[0]++;
-                if (each) {
-                    code = 3;
-                    break;
-                }
-                continue;
-            }
+            alt += teleport(n, seq, ldiv, cls, cap, ccnt, (int)r);
+            out[1]++;
         }
-        if (state[4] >= ndraws) {
-            state[3] = 1;
-            code = 2;
-            break;
-        }
-        state[3] = 0;
-        alt += teleport(n, seq, ldiv, cls, cap, ccnt, draws[state[4]++]);
-        state[1]++;
-        if (each) {
-            code = 4;
+        if (step != py->none && pycall(py, step, "ii", d > 0, alt, 0) < 0) {
+            code = -3;
             break;
         }
     }
-    state[2] = alt;
+    out[2] = alt;
 done:
     free(ccnt);
     free(room);
@@ -586,6 +606,13 @@ _TABLES: dict[str, Callable[[Group], array.array]] = {
 }
 
 
+def _climb_tables(group: Group, terrace: bool) -> list[array.array]:
+    """The tables a climb of group reads: left division, then the class of
+    each element and the cap of each class, the inverse-pair classes when
+    terrace is set, else one class per element, every cap 1."""
+    return _flat(group, "ldiv", *(("cls", "caps") if terrace else ("ids", "ones")))
+
+
 def _flat(group: Group, *names: str) -> list[array.array]:
     """group's tables `names` (see `_TABLES`), each built the first time a
     kernel needs it and kept on the group."""
@@ -620,17 +647,20 @@ def _bind(path: str) -> Kernel:
     """The kernels in the shared object at `path`."""
     import ctypes
 
-    c_int, ptr = ctypes.c_int, ctypes.c_void_p
-    leaf_fn = ctypes.CFUNCTYPE(c_int)
+    c_int, ptr, obj = ctypes.c_int, ctypes.c_void_p, ctypes.py_object
     lib = ctypes.PyDLL(path)
-    check = ctypes.cast(ctypes.pythonapi.PyErr_CheckSignals, ptr).value
+    # py_api in SOURCE.  id(None) is None's address (CPython, the only
+    # Python with ctypes.pythonapi), and None lives as long as the process.
+    names = ("PyErr_CheckSignals", "PyObject_CallFunction", "PyObject_IsTrue", "PyLong_AsLong",
+             "Py_DecRef")
+    api = (ptr * 6)(*(ctypes.cast(getattr(ctypes.pythonapi, name), ptr) for name in names), id(None))
     fn = lib.terraces_dfs
-    fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, leaf_fn, ptr, ptr]
+    fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, obj, ptr, ptr]
     fn.restype = ctypes.c_longlong
     climb_fn = lib.terraces_climb
     table = [c_int, ptr, c_int, ptr, ptr]  # npairs, pairs, movelen, moves, shapes
-    climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, c_int, *table, *table,
-                         ptr, c_int, ptr, ptr, ptr]
+    climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, *table, *table,
+                         ptr, obj, obj, ptr, ptr]
     climb_fn.restype = c_int
     nb_fn = lib.terraces_neighbours
     nb_fn.argtypes = [c_int, c_int] + [ptr] * 5 + [c_int, ptr, ptr]
@@ -661,73 +691,65 @@ def _bind(path: str) -> Kernel:
         if budget is not None:
             start = max(-1, min(budget[0], 1 << 62))
             cell = array.array("q", [start])
-        raised = []
-
-        def on_leaf():
-            # ctypes would print an exception raised here and drop it, a
-            # KeyboardInterrupt included: keep it, stop, raise it below.
-            try:
-                return 1 if leaf(seq) else 0
-            except BaseException as e:
-                raised.append(e)
-                return 1
-
-        callback = leaf_fn(on_leaf) if leaf else leaf_fn(0)  # 0: NULL
         tables = (ldiv, mul, ldiv if directed else ctab, ledger, ldiv if k >= 2 else ctab)
         # The first row of auts is the identity, which prunes nothing: skip it.
         leaves = fn(n, *layer2, k, end, mirror, *map(addr, tables), len(auts) // n - 1,
                     addr(auts) + n * auts.itemsize, len(prefix), addr(placed), cell and addr(cell),
-                    callback, check, addr(seq))
-        if raised:
-            raise raised.pop()
+                    leaf and (lambda: leaf(seq)), api, addr(seq))
         if cell is not None:
             budget[0] -= start - cell[0]
         if leaves == -2:
             raise MemoryError("search kernel out of memory")
         return leaves
 
-    def climb(group, terrace, max_cuts, max_steps, each, tables, seq, draws, state):
-        """Run the climb loop of `oracles.climb` on seq, in place, until it
-        finds, spends its budget, needs more teleport indices or, with each
-        set, takes one move or teleport; returns `terraces_climb`'s code.
-        Quotients are counted in their inverse-pair classes when terrace is
-        set, else one class per quotient, every cap 1.  tables holds the
-        flat move tables (pairs, moves, shapes) of `hillclimb._FLAT_MOVES`
-        for two pieces and for three; seq, the arrangement, draws, the
-        teleport indices, and state (steps, teleports, altitude, teleport
-        pending, draws used) are int arrays."""
+    def climb(group, terrace, max_cuts, max_steps, tables, seq, draw, step=None):
+        """Run the climb loop of `oracles.climb` on seq, an int array of the
+        arrangement, in place, until it finds or spends its budget; returns
+        (found, steps, teleports, altitude).  Quotients are counted in the
+        tables of `_climb_tables`.  tables holds the flat move tables
+        (pairs, moves, shapes) of `hillclimb._FLAT_MOVES` for two pieces
+        and for three.  draw() gives each teleport index, which must lie in
+        0..n-1, and step(moved, altitude), when given, hears of each move
+        (moved 1) and teleport (moved 0); an exception either raises stops
+        the loop and is raised here."""
         n = group.order
-        if len(seq) != n or len(state) != 5 or min(draws, default=0) < 0 or \
-                max(draws, default=0) >= n:
-            raise ValueError("climb state, arrangement or teleport indices of the wrong size")
-        names = ("cls", "caps") if terrace else ("ids", "ones")  # directed: one class per quotient
-        ldiv, cls, cap = _flat(group, "ldiv", *names)
+        if len(seq) != n:
+            raise ValueError(f"an arrangement of {len(seq)} entries for a group of order {n}")
+        ldiv, cls, cap = _climb_tables(group, terrace)
         (p2, m2, s2), (p3, m3, s3) = tables
+        out = array.array("i", [0]) * 3  # steps, teleports, altitude
         code = climb_fn(n, len(cap), addr(ldiv), addr(cls), addr(cap), max_cuts, max_steps,
-                        each, len(p2) // 2, addr(p2), len(m2), addr(m2), addr(s2), len(p3) // 2,
-                        addr(p3), len(m3), addr(m3), addr(s3), addr(seq), len(draws), addr(draws),
-                        addr(state), check)
+                        len(p2) // 2, addr(p2), len(m2), addr(m2), addr(s2), len(p3) // 2, addr(p3),
+                        len(m3), addr(m3), addr(s3), addr(seq), draw, step, addr(out), api)
         if code == -2:
             raise MemoryError("climb out of memory")
-        return code
+        if code == -3:  # with no Python error pending, which ctypes would have raised
+            raise ValueError(f"a teleport index outside 0..{n - 1}")
+        return code == 0, *out
 
-    def neighbours(group, moves, shapes, seq, out, canonical):
-        """The neighbours of the terrace seq that `oracles._moves` lists,
-        repeats included, written back to back to out; returns their
-        number.  Each is re-based, and with canonical set taken to its
-        least image under Aut(group); without it the identity is the only
-        automorphism.  moves and shapes are the 2-piece move table of
-        `hillclimb._FLAT_MOVES` and its piece shapes; seq and out, a buffer
-        of n (1 + (n - 1) moves) ints, are int arrays."""
+    def neighbours(group, moves, shapes, canonical):
+        """seq -> the neighbours of the terrace seq that `oracles._moves`
+        lists, repeats included, as tuples.  Each is re-based, and with
+        canonical set taken to its least image under Aut(group); without
+        it the identity is the only automorphism.  moves and shapes are
+        the 2-piece move table of `hillclimb._FLAT_MOVES` and its piece
+        shapes."""
         n, nmoves = group.order, len(shapes) // 3
-        if len(seq) != n or len(out) < n * (1 + (n - 1) * nmoves):
-            raise ValueError("terrace or neighbour buffer of the wrong size")
         ldiv, cls, auts = _flat(group, "ldiv", "cls", "auts" if canonical else "ids")
-        count = nb_fn(n, nmoves, addr(moves), addr(shapes), addr(seq), addr(ldiv), addr(cls),
-                      len(auts) // n, addr(auts), addr(out))
-        if count < 0:
-            raise MemoryError("neighbour step out of memory")
-        return count
+        out = array.array("i", [0]) * (n * (1 + (n - 1) * nmoves))
+
+        def forms(seq):
+            if len(seq) != n:
+                raise ValueError(f"a terrace of {len(seq)} entries for a group of order {n}")
+            terrace = array.array("i", seq)
+            count = nb_fn(n, nmoves, addr(moves), addr(shapes), addr(terrace), addr(ldiv), addr(cls),
+                          len(auts) // n, addr(auts), addr(out))
+            if count < 0:
+                raise MemoryError("neighbour step out of memory")
+            it = iter(out[: count * n])
+            return list(zip(*[it] * n))  # n entries at a time
+
+        return forms
 
     def certify(n, cells):
         """The certificate fields of the n x n square `cells`, an int array

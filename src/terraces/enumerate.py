@@ -124,11 +124,6 @@ def _odd_order_required(group: Group, kind: str) -> None:
         raise ValueError(f"{kind} enumeration requires odd group order, got {group.order}")
 
 
-def _nonidentity_auts(group: Group) -> list[tuple[int, ...]] | None:
-    auts = [phi for phi in automorphisms(group) if any(phi[i] != i for i in range(group.order))]
-    return auts or None
-
-
 # ---------------------------------------------------------------------------
 # The search kernel
 
@@ -136,7 +131,7 @@ def _nonidentity_auts(group: Group) -> list[tuple[int, ...]] | None:
 def _dfs(
     group: Group,
     mode: EnumMode,
-    auts: list[tuple[int, ...]] | None = None,
+    prune: bool = False,
     sink: list | None = None,
     limit: int | None = None,
     budget: list[int] | None = None,
@@ -145,12 +140,12 @@ def _dfs(
 ) -> int:
     """Number of leaves (complete arrangements of mode.kind) below a_1 = e.
 
-    auts, the non-identity automorphisms, turns on orderly pruning: a
-    prefix that some automorphism maps to a lexicographically smaller one
-    has no canonical completion, so only canonical forms are reached.  With
-    sink set every leaf is appended to it and the search stops after
-    `limit` of them.  budget is a one-cell node allowance; every call of
-    the inner recursion spends one node.
+    prune turns on orderly pruning by Aut(group): a prefix that some
+    automorphism maps to a lexicographically smaller one has no canonical
+    completion, so only canonical forms are reached.  With sink set every
+    leaf is appended to it and the search stops after `limit` of them.
+    budget is a one-cell node allowance; every call of the inner recursion
+    spends one node.
 
     prefix resumes the search below a live prefix (a_2, ..., a_{d+1}), as
     `_live_prefixes` returns it: its entries are placed before the search
@@ -195,7 +190,7 @@ def _dfs(
             sink.append(Arrangement(group, tuple(seq)))
             return limit is not None and len(sink) >= limit
     leaves = kernel.dfs(group, directed, rem, layer2, k, end, kind == "narcissistic" and stop_at is None,
-                        bool(auts), prefix, budget, leaf)
+                        prune, prefix, budget, leaf)
     if leaves < 0:
         raise BudgetExceeded("search node budget exhausted")
     return leaves
@@ -237,13 +232,13 @@ _FORK_MIN_ORDER = 13
 _POOL_TASK: Callable | None = None  # the task function, set in each pool worker
 
 
-def _live_prefixes(group: Group, mode: EnumMode, auts) -> list[tuple[int, ...]]:
+def _live_prefixes(group: Group, mode: EnumMode, prune: bool) -> list[tuple[int, ...]]:
     """The prefixes (a2, a3) that pass every check of `_dfs`, in DFS order;
     [()], the whole tree, when the tree is too shallow to split."""
     if _end_depth(group.order, mode.kind) <= _SPLIT_DEPTH:
         return [()]
     out: list[tuple[int, ...]] = []
-    _dfs(group, mode, auts, sink=out, stop_at=_SPLIT_DEPTH)
+    _dfs(group, mode, prune, sink=out, stop_at=_SPLIT_DEPTH)
     return out
 
 
@@ -277,27 +272,26 @@ def _forked_map(workers: int, fn: Callable, tasks) -> Iterator[Iterator]:
         yield pool.imap(_run_pool_task, tasks)
 
 
-def _count(group: Group, modes, auts, threads: int) -> list[int]:
-    """Leaf counts of the count-only `modes`, which are all essential (auts
-    the non-identity automorphisms) or all not (auts None): one `_dfs` walk
-    each, or, with threads > 1 and order at least _FORK_MIN_ORDER, tasks
-    split by live prefix over one pool of at most min(threads, usable cpus,
-    tasks) forked processes."""
+def _count(group: Group, modes, prune: bool, threads: int) -> list[int]:
+    """Leaf counts of the count-only `modes`, which are all essential
+    (prune set) or all not: one `_dfs` walk each, or, with threads > 1 and
+    order at least _FORK_MIN_ORDER, tasks split by live prefix over one
+    pool of at most min(threads, usable cpus, tasks) forked processes."""
     workers = min(threads, usable_cpus()) if group.order >= _FORK_MIN_ORDER else 1
     if workers > 1:
         tasks = [
             (i, mode, p)
             for i, mode in enumerate(modes)
-            for p in _live_prefixes(group, mode, auts)
+            for p in _live_prefixes(group, mode, prune)
         ]
         workers = min(workers, len(tasks))
     if workers <= 1:
-        return [_dfs(group, mode, auts) for mode in modes]
+        return [_dfs(group, mode, prune) for mode in modes]
     totals = [0] * len(modes)
 
     def count(task):
         i, mode, prefix = task
-        return i, _dfs(group, mode, auts, prefix=prefix)
+        return i, _dfs(group, mode, prune, prefix=prefix)
 
     with _forked_map(workers, count, tasks) as results:
         for i, leaves in results:
@@ -333,16 +327,16 @@ def enumerate_basic(
         wit = None if mode.count_only else (Arrangement(group, (0,)),)
         return EnumResult(1, 1 if mode.essentially_different else None, wit)
 
-    auts = _nonidentity_auts(group) if mode.essentially_different else None
+    prune = mode.essentially_different
     witnesses = None
     if not mode.count_only:
         if threads != 1:
             raise ValueError("witness collection runs single-threaded")
         sink: list[Arrangement] = []
-        leaves = _dfs(group, mode, auts=auts, sink=sink, limit=max_witnesses)
+        leaves = _dfs(group, mode, prune, sink=sink, limit=max_witnesses)
         witnesses = tuple(sink)
     else:
-        [leaves] = _count(group, [mode], auts, threads)
+        [leaves] = _count(group, [mode], prune, threads)
 
     if mode.essentially_different:
         return EnumResult(leaves * len(automorphisms(group)), leaves, witnesses)
@@ -356,7 +350,7 @@ def count_table(group: Group, threads: int = 1) -> tuple[int, int]:
     if group.order == 1:
         return 1, 1
     modes = [EnumMode(kind, essentially_different=True) for kind in ("terrace", "directed")]
-    t, d = _count(group, modes, _nonidentity_auts(group), threads)
+    t, d = _count(group, modes, True, threads)
     return t, d
 
 
@@ -385,8 +379,8 @@ def search_first(
     if group.order == 1:
         return Arrangement(group, (0,))
     elementary_2 = all(x == y for x, y in enumerate(group.inv))
-    auts = _nonidentity_auts(group) if group.order <= DEFAULT_AUT_CAP and not elementary_2 else None
+    prune = group.order <= DEFAULT_AUT_CAP and not elementary_2
     sink: list[Arrangement] = []
     budget = None if max_nodes is None else [max_nodes]
-    _dfs(group, mode, auts=auts, sink=sink, limit=1, budget=budget)
+    _dfs(group, mode, prune, sink=sink, limit=1, budget=budget)
     return sink[0] if sink else None

@@ -24,10 +24,10 @@ hold it to.
 A teleport (move one random element to the end) escapes local maxima and
 costs at most two altitude points.  Trajectories are fully determined by
 the seed: the Mersenne Twister drives one shuffle for the start and one
-randrange per teleport, drawn in Python ahead of the compiled loop in
-batches.  `climb_seeds` runs seeds on a forked pool and
-returns the first found result in seed order as soon as the seeds before it
-are done; a worker sends back the found sequence, not the group.
+randrange per teleport, which the compiled loop calls back to Python for.
+`climb_seeds` runs seeds on a forked pool and returns the first found
+result in seed order as soon as the seeds before it are done; a worker
+sends back the found sequence, not the group.
 """
 
 from __future__ import annotations
@@ -159,22 +159,16 @@ _FLAT_MOVES = {key: _flat_table(*key) for key in _MOVES}
 # inverse-pair classes; directed mode is the same with one class per
 # quotient value and every cap 1.
 
-# Codes of `_ckernel.terraces_climb`: altitude n - 1 reached, budget spent,
-# teleport indices used up, one move taken, one teleport taken.
-_FOUND, _EXHAUSTED, _DRAW, _MOVED, _TELEPORTED = range(5)
-_FIRST_DRAWS, _MAX_DRAWS = 16, 4096  # teleport indices per batch: first, most
-
 
 def climb(group: Group, params: ClimbParams) -> ClimbResult:
     """Steps: random start; accept the first higher neighbour (cuts=1 scan,
     then cuts=2); teleport at local maxima; stop at altitude n-1 or when the
     accepted-move/teleport budget is spent.  Same seed, same trajectory.
 
-    The loop runs in `_ckernel.terraces_climb`.  It returns to Python for
-    more teleport indices, which are drawn in growing batches with one
-    randrange(n) per teleport, in stream order; and, with `record_trace` or
-    `debug_check`, after each move or teleport, to record or recheck the
-    altitude."""
+    The loop runs in one call of `_ckernel.terraces_climb`, which calls
+    back for each teleport index, one randrange(n) per teleport, and, with
+    `record_trace` or `debug_check`, after each move or teleport, to record
+    or recheck the altitude."""
     n = group.order
     if n < 2:
         raise ValueError("climb needs order >= 2")
@@ -184,33 +178,26 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
     rng.shuffle(start)
     seq = array("i", start)
     tables = (_FLAT_MOVES[2, terrace], _FLAT_MOVES[3, terrace])
-    run = _ckernel.load().climb
-    state = array("i", [0]) * 5  # steps, teleports, altitude, teleport pending, draws used
-    draws, batch = array("i"), _FIRST_DRAWS
     trace: list[int] | None = [] if params.record_trace else None
-    each = params.record_trace or params.debug_check
-    while True:
-        code = run(group, terrace, params.max_cuts, params.max_steps, each, tables, seq, draws, state)
-        if code == _DRAW:
-            size = min(batch, params.max_steps - state[1])
-            draws = array("i", (rng.randrange(n) for _ in range(size)))
-            state[4], batch = 0, min(2 * batch, _MAX_DRAWS)
-        elif code in (_MOVED, _TELEPORTED):
-            if params.debug_check:
-                arr = Arrangement(group, tuple(seq))
-                ref = altitude_undirected(arr) if terrace else altitude_directed(arr)
-                if ref != state[2]:
-                    raise AssertionError(f"incremental altitude {state[2]} != recomputed {ref}")
-            if trace is not None and code == _MOVED:
-                trace.append(state[2])
-        else:
-            break
+
+    def step(moved, alt):
+        if params.debug_check:
+            arr = Arrangement(group, tuple(seq))
+            ref = altitude_undirected(arr) if terrace else altitude_directed(arr)
+            if ref != alt:
+                raise AssertionError(f"incremental altitude {alt} != recomputed {ref}")
+        if trace is not None and moved:
+            trace.append(alt)
+
+    found, steps, teleports, _alt = _ckernel.load().climb(
+        group, terrace, params.max_cuts, params.max_steps, tables, seq, lambda: rng.randrange(n),
+        step if params.record_trace or params.debug_check else None)
     arr = None
-    if code == _FOUND:
+    if found:
         arr = Arrangement(group, tuple(seq))
         if not (is_terrace(arr) if terrace else is_directed_terrace(arr)):
             raise AssertionError("altitude bookkeeping and verifier disagree")
-    return ClimbResult("found" if code == _FOUND else "exhausted", arr, state[0], state[1], params.seed,
+    return ClimbResult("found" if found else "exhausted", arr, steps, teleports, params.seed,
                        None if trace is None else tuple(trace))
 
 
@@ -235,6 +222,8 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
         return replace(r, arrangement=None), r.arrangement and r.arrangement.seq
 
     workers = min(threads, usable_cpus(), len(seeds))
+    if workers > 1:  # built here, the tables reach every worker through the fork
+        _ckernel._climb_tables(group, params.mode == "terrace")
     with _forked_map(workers, run, seeds) if workers > 1 else nullcontext(map(run, seeds)) as results:
         for r, seq in results:
             if seq is not None:

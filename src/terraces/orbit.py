@@ -27,7 +27,6 @@ and 0.7 s in Python (Python 3.11, one core).
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import Callable
 
@@ -60,17 +59,8 @@ def _neighbour_forms(g: Group, allow_piece_reversal: bool,
     move table, each taken to its canonical form when canonical is set,
     computed by the compiled kernel, which also lists a neighbour again for
     each repeat."""
-    kernel = _ckernel.load()
-    n = g.order
     _pairs, moves, shapes = _FLAT_MOVES[2, allow_piece_reversal]
-    out = array("i", [0]) * (n * (1 + (n - 1) * (len(shapes) // 3)))
-
-    def forms(seq):
-        count = kernel.neighbours(g, moves, shapes, array("i", seq), out, canonical)
-        it = iter(out[: count * n])
-        return list(zip(*[it] * n))  # n entries at a time: the forms as tuples
-
-    return forms
+    return _ckernel.load().neighbours(g, moves, shapes, canonical)
 
 
 def _closure(

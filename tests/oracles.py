@@ -47,7 +47,7 @@ class _Stop(Exception):
 def dfs(
     group: Group,
     mode: EnumMode,
-    auts: list[tuple[int, ...]] | None = None,
+    prune: bool = False,
     sink: list | None = None,
     limit: int | None = None,
     budget: list[int] | None = None,
@@ -214,8 +214,9 @@ def dfs(
     # Place the prefix with the ledger updates rec makes.  A live prefix is
     # canonical: no automorphism maps it lower, and one that maps an entry
     # higher maps every completion higher, so it prunes nothing below.  The
-    # active automorphisms are exactly those fixing every entry.
-    active = auts
+    # active automorphisms are exactly those fixing every entry.  The first
+    # automorphism is the identity, which prunes nothing.
+    active = automorphisms(group)[1:] if prune else None
     for depth, y in enumerate(prefix, 1):
         seq[depth] = y
         rem[bucket[seq[depth - 1]][y]] -= 1

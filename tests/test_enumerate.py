@@ -225,18 +225,18 @@ def test_parallel_kinds_match_single_thread(split_small_groups, label):
             assert (two.raw_count, two.essential_count) == (one.raw_count, one.essential_count), (spec, ess)
 
 
-def _walk(g, mode, auts, **kw) -> tuple[int, int]:
+def _walk(g, mode, prune, **kw) -> tuple[int, int]:
     """(nodes, leaves) of one _dfs call."""
     budget = [10**12]
-    leaves = E._dfs(g, mode, auts, budget=budget, **kw)
+    leaves = E._dfs(g, mode, prune, budget=budget, **kw)
     return 10**12 - budget[0], leaves
 
 
-def _trace(g, mode, auts, limit) -> tuple:
+def _trace(g, mode, prune, limit) -> tuple:
     """(nodes, leaves, witness sequences) of one _dfs call; witnesses are
     collected, up to limit, when limit is set."""
     sink = None if limit is None else []
-    nodes, leaves = _walk(g, mode, auts, sink=sink, limit=limit)
+    nodes, leaves = _walk(g, mode, prune, sink=sink, limit=limit)
     return nodes, leaves, sink and [w.seq for w in sink]
 
 
@@ -248,7 +248,6 @@ def test_prefix_resume_adds_up_to_the_unsplit_count(monkeypatch, spec):
     T3 case cuts one level deeper, where the replay also places b^(3) marks.
     Both kernels are held to this."""
     g = get_group(spec)
-    auts = E._nonidentity_auts(g)
     cases = [
         (EnumMode("terrace", essentially_different=True), 2),
         (EnumMode("directed", essentially_different=True), 2),
@@ -257,16 +256,16 @@ def test_prefix_resume_adds_up_to_the_unsplit_count(monkeypatch, spec):
     ]
     for python, (mode, depth) in itertools.product((False, True), cases):
         with kernels(monkeypatch, python):
-            active = auts if mode.essentially_different else None
+            prune = mode.essentially_different
             prefixes: list = []
-            top, _ = _walk(g, mode, active, sink=prefixes, stop_at=depth)
+            top, _ = _walk(g, mode, prune, sink=prefixes, stop_at=depth)
             if depth == E._SPLIT_DEPTH:
-                assert prefixes == E._live_prefixes(g, mode, active)
+                assert prefixes == E._live_prefixes(g, mode, prune)
             assert prefixes and all(len(p) == depth for p in prefixes)
             assert prefixes == sorted(set(prefixes))
-            below = [_walk(g, mode, active, prefix=p) for p in prefixes]
+            below = [_walk(g, mode, prune, prefix=p) for p in prefixes]
             split = (top + sum(nodes for nodes, _ in below), sum(leaves for _, leaves in below))
-            assert split == _walk(g, mode, active), (spec, mode, python)
+            assert split == _walk(g, mode, prune), (spec, mode, python)
 
 
 @pytest.mark.parametrize("essential, depth", [(True, 6), (False, 4)])
@@ -278,21 +277,20 @@ def test_narcissistic_prefix_resume_replays_the_c_ledger(monkeypatch, essential,
     kernels reach the same prefixes with the same nodes."""
     g = get_group("G21_1")
     mode = EnumMode("narcissistic", essentially_different=essential)
-    active = E._nonidentity_auts(g) if essential else None
     seen = []
     for python in (False, True):
         with kernels(monkeypatch, python):
             prefixes: list = []
-            top, _ = _walk(g, mode, active, sink=prefixes, stop_at=E._SPLIT_DEPTH)
-            assert prefixes == E._live_prefixes(g, mode, active)
+            top, _ = _walk(g, mode, essential, sink=prefixes, stop_at=E._SPLIT_DEPTH)
+            assert prefixes == E._live_prefixes(g, mode, essential)
             reached: list = []
             for p in prefixes:
                 below: list = []
-                nodes, _ = _walk(g, mode, active, sink=below, prefix=p, stop_at=depth)
+                nodes, _ = _walk(g, mode, essential, sink=below, prefix=p, stop_at=depth)
                 top += nodes
                 reached += below
             unsplit: list = []
-            nodes, _ = _walk(g, mode, active, sink=unsplit, stop_at=depth)
+            nodes, _ = _walk(g, mode, essential, sink=unsplit, stop_at=depth)
             assert (top, reached) == (nodes, unsplit)
             seen.append((nodes, unsplit))
     assert seen[0] == seen[1]
@@ -311,17 +309,16 @@ def test_compiled_kernel_matches_the_python_kernel(monkeypatch, spec):
     up to order 12, unpruned counts up to order 10, and the first witness
     and the first 20 streamed witnesses, pruned and not."""
     g = get_group(spec)
-    auts = E._nonidentity_auts(g)
-    runs = [(auts, None), (None, 1), (auts, 1), (None, 20), (auts, 20)]
+    runs = [(True, None), (False, 1), (True, 1), (False, 20), (True, 20)]
     if g.order <= 10:
-        runs.append((None, None))
+        runs.append((False, None))
     for label, (mode, _pred) in KIND_CASES.items():
         if mode.kind in ODD_KINDS and g.order % 2 == 0:
             continue
         got = []
         for python in (False, True):
             with kernels(monkeypatch, python):
-                got.append([_trace(g, mode, active, limit) for active, limit in runs])
+                got.append([_trace(g, mode, prune, limit) for prune, limit in runs])
         assert got[0] == got[1], (spec, label)
 
 
@@ -414,8 +411,7 @@ def test_pool_size_is_capped_without_starting_processes(fake_pools, monkeypatch,
     assert count_table(g, threads=2) == KNOWN_COUNTS["Z10"]
     assert fake_pools == []  # Z10 is below _FORK_MIN_ORDER
     monkeypatch.setattr(E, "_FORK_MIN_ORDER", 10)
-    auts = E._nonidentity_auts(g)
-    tasks = sum(len(E._live_prefixes(g, EnumMode(k, essentially_different=True), auts))
+    tasks = sum(len(E._live_prefixes(g, EnumMode(k, essentially_different=True), True))
                 for k in ("terrace", "directed"))
     assert count_table(g, threads=10**6) == KNOWN_COUNTS["Z10"]
     assert count_table(g, threads=2) == KNOWN_COUNTS["Z10"]

@@ -80,33 +80,57 @@ def test_neighbors_exclude_original(rng):
         assert all(nb.seq != a.seq for nb in neighbors(a, 2, False))
 
 
+class _TeleportDue(Exception):
+    """Raised by a draw that must not be called."""
+
+
 def _compiled_step(g, mode, seq, max_cuts=2, draw=None):
-    """One pass of the compiled loop from seq, stopped after one move, or,
-    with draw given, one teleport of index draw: (code, seq, altitude)."""
+    """One compiled call from seq with a budget of one step: (what, seq,
+    altitude), what being "found", "moved" or "teleported", or "teleport
+    due" (altitude None) when the loop asks for a teleport index and draw
+    is None; else the index it gets is draw."""
     terrace = mode == "terrace"
     tables = (H._FLAT_MOVES[2, terrace], H._FLAT_MOVES[3, terrace])
     seq = array("i", seq)
-    draws = array("i", [] if draw is None else [draw])
-    state = array("i", [0, 0, 0, draw is not None, 0])
-    code = _ckernel.load().climb(g, terrace, max_cuts, 1, True, tables, seq, draws, state)
-    return code, tuple(seq), state[2]
+
+    def index():
+        if draw is None:
+            raise _TeleportDue
+        return draw
+
+    try:
+        found, steps, teleports, alt = _ckernel.load().climb(g, terrace, max_cuts, 1, tables, seq, index)
+    except _TeleportDue:
+        return "teleport due", tuple(seq), None
+    return "found" if found else "moved" if steps else "teleported", tuple(seq), alt
 
 
 def test_compiled_climb_refuses_bad_buffers():
     """The climb kernel takes n from the group and refuses an arrangement
-    of another length, a teleport index outside 0..n-1 and a state that is
-    not 5 long, before it reads any of them."""
+    of another length before it reads it, and a teleport index outside
+    0..n-1 before it teleports."""
     g = get_group("Q12")
     tables = (H._FLAT_MOVES[2, True], H._FLAT_MOVES[3, True])
     climb = _ckernel.load().climb
-    seq, state = array("i", range(12)), array("i", [0]) * 5
-    for bad in ({"seq": array("i", range(11))}, {"seq": array("i", range(13))},
-                {"draws": array("i", [12])}, {"draws": array("i", [-1])},
-                {"state": array("i", [0]) * 4}, {"state": array("i", [0]) * 6}):
-        args = {"seq": seq, "draws": array("i", [3]), "state": state, **bad}
-        with pytest.raises(ValueError):
-            climb(g, True, 2, 10, False, tables, args["seq"], args["draws"], args["state"])
-    assert tuple(seq) == tuple(range(12)) and tuple(state) == (0,) * 5
+    for bad in (array("i", range(11)), array("i", range(13))):
+        with pytest.raises(ValueError, match="arrangement"):
+            climb(g, True, 2, 10, tables, bad, lambda: 3)
+        assert list(bad) == list(range(len(bad)))
+    # E8 has no terrace, so its climb comes to a teleport: a bad index
+    # leaves the arrangement as it was when the teleport was due.
+    g = get_group("E8")
+
+    def due():
+        raise _TeleportDue
+
+    before = array("i", range(8))
+    with pytest.raises(_TeleportDue):
+        climb(g, True, 2, 1000, tables, before, due)
+    for r in (8, -1):
+        seq = array("i", range(8))
+        with pytest.raises(ValueError, match="teleport index"):
+            climb(g, True, 2, 1000, tables, seq, lambda: r)
+        assert seq == before != array("i", range(8))
 
 
 @pytest.mark.parametrize("spec", ["Z2", "Z9", "D10", "Q12", "E8", "A4"])
@@ -130,19 +154,27 @@ def test_teleport_examples():
 
 @pytest.mark.parametrize("mode", H.MODES)
 def test_climber_teleport_updates_the_counts(mode, rng):
-    """The Python climber's teleport of every index, the first and the
-    last included, moves what the oracle moves and leaves the class counts
-    and the altitude of a fresh count; one compiled teleport moves the same
-    and leaves the same altitude."""
+    """From a local maximum the Python climber's `try_improve` reached,
+    its teleport of every index, the first and the last included, moves
+    what the oracle moves and leaves the class counts and the altitude of
+    a fresh count; one compiled teleport moves the same and leaves the
+    same altitude."""
     g = get_group("Q12")
+    top = None
+    while top is None or top.alt == g.order - 1:  # a terrace is no local maximum
+        top = oracles._Climber(g, mode, list(random_arrangement(g, rng).seq))
+        while top.try_improve(2):
+            pass
+    a = P.Arrangement(g, tuple(top.seq))
+    assert _compiled_step(g, mode, a.seq) == ("teleport due", a.seq, None)
     for r in range(g.order):
-        a = random_arrangement(g, rng)
         climber = oracles._Climber(g, mode, list(a.seq))
         climber.teleport(r)
         assert tuple(climber.seq) == teleport(a, _FixedIndex(r)).seq
         fresh = oracles._Climber(g, mode, list(climber.seq))
         assert (climber.ccnt, climber.alt) == (fresh.ccnt, fresh.alt)
-        assert _compiled_step(g, mode, a.seq, draw=r) == (H._TELEPORTED, tuple(climber.seq), fresh.alt)
+        what = "found" if fresh.alt == g.order - 1 else "teleported"
+        assert _compiled_step(g, mode, a.seq, draw=r) == (what, tuple(climber.seq), fresh.alt)
 
 
 def test_move_altitude_bounds(rng):
@@ -287,12 +319,13 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
         first = next((nb for c in range(1, max_cuts + 1) for nb in neighbors(a, c, allow)
                       if alt_fn(nb) > base), None)
         assert climber.try_improve(max_cuts) == (first is not None)
-        code, seq, alt = _compiled_step(g, mode, a.seq, max_cuts)
+        what, seq, alt = _compiled_step(g, mode, a.seq, max_cuts)
         if first is None:
             assert tuple(climber.seq) == seq == a.seq
-            assert code == (H._FOUND if base == g.order - 1 else H._DRAW)
+            assert what == ("found" if base == g.order - 1 else "teleport due")
         else:
-            assert tuple(climber.seq) == seq == first.seq and code == H._MOVED
+            assert tuple(climber.seq) == seq == first.seq
+            assert what == ("found" if alt == g.order - 1 else "moved")
             assert climber.alt == alt == alt_fn(first)
         a = teleport(a, rng) if first is None else first
 
@@ -384,7 +417,7 @@ def test_compiled_scan_matches_the_python_scan(spec, monkeypatch):
 @pytest.mark.parametrize(
     "spec, params",
     [
-        # teleports that span several batches of drawn indices
+        # 400 teleports
         ("D6", H.ClimbParams("directed", seed=1, max_steps=400)),
         ("E8", H.ClimbParams("terrace", seed=2, max_steps=400, record_trace=True)),
         ("Q12", H.ClimbParams("directed", seed=1, max_steps=0)),
@@ -397,8 +430,8 @@ def test_compiled_scan_matches_the_python_scan(spec, monkeypatch):
     ],
 )
 def test_compiled_climb_matches_the_python_loop(spec, params):
-    """The compiled loop takes the steps of `oracles.climb`: across batches
-    of teleport indices, with no budget, with one cut, and when it returns
+    """The compiled loop takes the steps of `oracles.climb`: over hundreds
+    of teleports, with no budget, with one cut, and when it calls back
     after each move or teleport to record or recheck the altitude."""
     g = get_group(spec)
     got, want = H.climb(g, params), oracles.climb(g, params)
@@ -407,7 +440,42 @@ def test_compiled_climb_matches_the_python_loop(spec, params):
     if params.max_steps == 0:
         assert (got.outcome, got.steps_taken, got.teleports_taken) == ("exhausted", 0, 0)
     if spec in ("D6", "E8") and params.max_steps == 400:
-        assert got.teleports_taken == 400 > 3 * H._FIRST_DRAWS
+        assert got.teleports_taken == 400
+
+
+def test_a_climb_is_one_compiled_call(monkeypatch):
+    """A climb of 400 teleports that records its trace and rechecks every
+    altitude is one `Kernel.climb` call, and takes the oracle's steps."""
+    g = get_group("D6")
+    params = H.ClimbParams("directed", seed=1, max_steps=400, record_trace=True, debug_check=True)
+    kernel, calls = _ckernel.load(), []
+
+    def climb(*args):
+        calls.append(args[0])
+        return kernel.climb(*args)
+
+    monkeypatch.setattr(_ckernel, "_KERNEL", kernel._replace(climb=climb))
+    r = H.climb(g, params)
+    assert calls == [g] and r.teleports_taken == 400
+    assert r.to_dict() == oracles.climb(g, params).to_dict()
+
+
+def test_an_error_in_a_climb_callback_reaches_the_caller(monkeypatch, capfd):
+    """An exception raised in a callback of the compiled climb stops it and
+    reaches the caller: the AssertionError of a debug_check that
+    disagrees, and a KeyboardInterrupt raised by draw; ctypes prints
+    nothing."""
+    monkeypatch.setattr(H, "altitude_directed", lambda arr: P.altitude_directed(arr) + 1)
+    with pytest.raises(AssertionError, match="incremental altitude"):
+        H.climb(get_group("Q12"), H.ClimbParams("directed", seed=1, debug_check=True))
+
+    def draw():
+        raise KeyboardInterrupt
+
+    tables = (H._FLAT_MOVES[2, True], H._FLAT_MOVES[3, True])
+    with pytest.raises(KeyboardInterrupt):  # E8 has no terrace: its climb teleports
+        _ckernel.load().climb(get_group("E8"), True, 2, 1000, tables, array("i", range(8)), draw)
+    assert "Exception ignored" not in capfd.readouterr().err
 
 
 def test_ctrl_c_stops_a_compiled_climb_within_a_second(tmp_path):
@@ -420,18 +488,18 @@ def test_ctrl_c_stops_a_compiled_climb_within_a_second(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(H.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # E64 has no terrace, so this climb spends its budget, about 20 s.  One
-    # batch of teleport indices covers the budget, so that the whole climb
-    # runs in one compiled call and only the loop's own poll can stop it.
+    # E64 has no terrace, so this climb spends its budget, about 20 s, in
+    # one compiled call; the signal lands in the loop's own poll or in a
+    # callback for a teleport index.
     code = ("from terraces import _ckernel, groups, hillclimb as H\n"
-            "_ckernel.load(); g = groups.parse_group_spec('E64'); H._FIRST_DRAWS = 200_000\n"
+            "_ckernel.load(); g = groups.parse_group_spec('E64')\n"
             "print('ready', flush=True)\n"
             "H.climb(g, H.ClimbParams(mode='terrace', max_steps=200_000))\n")
     proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env)
     try:
         assert proc.stdout.readline() == "ready\n"
-        time.sleep(0.5)  # past the draws (0.1 s) and well inside the climb
+        time.sleep(0.5)  # well inside the climb
         assert proc.poll() is None
         t0 = time.monotonic()
         proc.send_signal(signal.SIGINT)
@@ -516,6 +584,17 @@ def test_climb_seeds_first_found_wins():
     assert seq_result.outcome == "found" and seq_result.seed == 4
     par_result = H.climb_seeds(g, params, seeds=[4, 5, 6], threads=2)
     assert par_result == seq_result and par_result.arrangement.group is g
+
+
+@pytest.mark.skipif(H.usable_cpus() < 2, reason="climb_seeds forks no pool on one CPU")
+def test_climb_seeds_builds_the_tables_before_it_forks():
+    """A fresh group climbed only in pool workers has a climb's tables in
+    the parent, built there once, before the fork, rather than in each
+    worker."""
+    for mode, names in (("terrace", {"ldiv", "cls", "caps"}), ("directed", {"ldiv", "ids", "ones"})):
+        g = G.parse_group_spec("Q12")
+        r = H.climb_seeds(g, H.ClimbParams(mode=mode, max_steps=10_000), seeds=[4, 5], threads=2)
+        assert r.outcome == "found" and set(g._flat) == names, mode
 
 
 def test_climb_rejects_trivial_group():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-from array import array
 from collections import deque
 
 import pytest
@@ -68,17 +67,18 @@ def test_moves_and_orbits_match_oracle(spec, monkeypatch):
                 assert list(orbit_of(w)) == want, python
 
 
-def test_compiled_neighbours_refuse_a_short_buffer():
-    """The neighbour kernel refuses an out buffer shorter than n (1 + (n - 1)
-    moves) ints, and a terrace whose length is not the group's order."""
+def test_compiled_neighbours_refuse_a_terrace_of_the_wrong_length():
+    """The neighbour step, bound once per group, refuses a terrace whose
+    length is not the group's order, and still steps afterwards."""
     w = P.walecki(10)
     _pairs, moves, shapes = H._FLAT_MOVES[2, False]
-    need = 10 * (1 + 9 * (len(shapes) // 3))
-    neighbours = _ckernel.load().neighbours
-    assert neighbours(w.group, moves, shapes, array("i", w.seq), array("i", [0]) * need, True) > 1
-    for seq, size in ((w.seq, need - 1), (w.seq, 0), (w.seq[:9], need)):
-        with pytest.raises(ValueError):
-            neighbours(w.group, moves, shapes, array("i", seq), array("i", [0]) * size, True)
+    forms = _ckernel.load().neighbours(w.group, moves, shapes, True)
+    first = forms(w.seq)
+    assert len(first) > 1 and all(len(f) == 10 for f in first)
+    for seq in (w.seq[:9], w.seq + (0,), ()):
+        with pytest.raises(ValueError, match="terrace"):
+            forms(seq)
+    assert forms(w.seq) == first
 
 
 def test_a_groups_flat_tables_are_built_once():
