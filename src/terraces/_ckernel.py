@@ -22,10 +22,20 @@ use: where no compiler, cache directory or loader works, `load` raises one
 `OSError` that names the compiler, the directories tried and the last
 lines of the compiler's own message.
 
-Only this module knows the flat int layout of the group tables the C
-source reads: the search, climb and neighbour wrappers take a `Group`,
-whose tables `_flat` builds once and keeps on it.  The certificate wrapper
-reads the cells alone, so it stays a check that does not depend on a group.
+Only this module knows the flat int layout of the tables the C source
+reads.  The search, climb and neighbour wrappers take a `Group`, whose
+tables `_flat` builds once and keeps on it.  The certificate wrapper reads
+the cells alone, so it stays a check that does not depend on a group.
+
+The climb's moves are one move table per piece count (two or three) and
+reversal flag, built once at import (`_MOVES`): for each (piece order,
+reversal mask), the pairs of piece ends the move joins and the ones it
+breaks.  One scan serves both climb modes and both cut counts, and the
+orbit closure's neighbour step walks the 2-piece table.  Each table is
+packed into one int array (`_PACKED`), and the wrappers choose it from
+their mode flag.  An exact prefilter skips every cut tuple and every move
+that forms no junction in a class with room, since such a move cannot
+raise the altitude; only the rest reach the gain test.
 
 The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
@@ -42,7 +52,7 @@ import array
 import os
 import tempfile
 import zlib
-from itertools import chain
+from itertools import chain, permutations
 from typing import Callable, NamedTuple
 
 from .groups import Group, _class_data, automorphisms
@@ -299,29 +309,49 @@ static int update(const int *cls, const int *cap, int *ccnt, const int *rm,
     return d;
 }
 
-/* `oracles.scan` for npieces = 2 or 3: the cut tuples in `combinations`
-   order; for each, the end-pair prefilter, then the moves in table order,
-   each tested for a junction with room and then for a positive gain.
-   The ends are indexed heads first, then tails, as in `_move_table`;
-   pairs holds npairs (first end, second end) pairs, and moves, of length
-   movelen, one row of 1 + 4 (npieces - 1) ints per move: the junction
-   count k, k junction pairs and k broken pairs, zero-padded.  Returns the
-   gain of the first move that gains, with out = (c1, c2, move index),
-   c2 = n for one cut, and ccnt left updated by the move; 0 when none
-   does.  room is n bytes of scratch. */
-static int scan(int n, int npieces, int npairs, const int *pairs,
-                int movelen, const int *moves, const int *seq,
-                const int *ldiv, const int *cls, const int *cap, int *ccnt,
-                unsigned char *room, int *out)
+/* A packed move table, `_ckernel._pack`, for p = 2 or 3 pieces: npairs,
+   nmoves, the npairs end pairs some move joins, then one row of ROW(p)
+   ints per move: the junction count k, k junction pairs and k broken
+   pairs, zero-padded to 4 (p - 1) ints, then from ORDER(p) the piece
+   order and the reversal mask.  The ends are indexed heads first, then
+   tails, as in `_ckernel._move_table`. */
+#define ROW(p) (5 * (p) - 2)
+#define ORDER(p) (4 * (p) - 3)
+#define ROWS(table) ((table) + 2 + 2 * (table)[0])
+
+/* seq cut at b[1..p), with b[0] = 0 and b[p] = n, reassembled to dst as
+   the move row mv says: its pieces in order, each reversed where the
+   mask has its bit. */
+static void reassemble(int *dst, const int *seq, const int *b, int p,
+                       const int *mv)
 {
-    const int p = npieces, stride = 1 + 4 * (p - 1), last = p == 3 ? n - 1 : n;
-    int b[4] = {0, 0, n, n}, ends[6], rm[2], add[2], c1, c2, d, i, m;
+    const int *sh = mv + ORDER(p);
+    int i;
+    for (i = 0; i < p; i++)
+        dst = piece(dst, seq, b[sh[i]], b[sh[i] + 1], sh[p] >> sh[i] & 1);
+}
+
+/* `oracles.scan` for p = 2 or 3 pieces: the cut tuples in `combinations`
+   order; for each, the end-pair prefilter, then the moves of the packed
+   table in order, each tested for a junction with room and then for a
+   positive gain.  Returns the gain of the first move that gains, with
+   *hit its row, b = (0, c1, c2, n), c2 = n for one cut, and ccnt left
+   updated by the move; 0 when none does.  room is n bytes of scratch. */
+static int scan(int n, int p, const int *table, const int *seq,
+                const int *ldiv, const int *cls, const int *cap, int *ccnt,
+                unsigned char *room, int *b, const int **hit)
+{
+    const int npairs = table[0], nmoves = table[1], *pairs = table + 2;
+    const int last = p == 3 ? n - 1 : n;
+    int ends[6], rm[2], add[2], c1, c2, d, i, m;
     /* room[v]: the class of quotient v holds fewer than cap entries */
     for (i = 0; i < n; i++)
         room[i] = ccnt[cls[i]] < cap[cls[i]];
+    b[0] = 0, b[3] = n;
 #define Q(x, y) ldiv[ends[x] * n + ends[y]]
     for (c1 = 1; c1 < n; c1++)
         for (c2 = p == 3 ? c1 + 1 : n; c2 <= last; c2++) {
+            const int *mv = ROWS(table);
             b[1] = c1, b[2] = c2;
             for (i = 0; i < p; i++) {
                 ends[i] = seq[b[i]];
@@ -331,9 +361,8 @@ static int scan(int n, int npieces, int npairs, const int *pairs,
                 ;
             if (i == npairs)
                 continue;
-            for (m = 0; m * stride < movelen; m++) {
-                const int *mv = moves + m * stride, k = mv[0];
-                const int *junc = mv + 1, *brk = junc + 2 * k;
+            for (m = 0; m < nmoves; m++, mv += ROW(p)) {
+                const int k = mv[0], *junc = mv + 1, *brk = junc + 2 * k;
                 for (i = 0; i < k && !room[Q(junc[2 * i], junc[2 * i + 1])]; i++)
                     ;
                 if (i == k)
@@ -343,7 +372,7 @@ static int scan(int n, int npieces, int npairs, const int *pairs,
                     rm[i] = Q(brk[2 * i], brk[2 * i + 1]);
                 }
                 if ((d = update(cls, cap, ccnt, rm, add, k)) > 0) {
-                    out[0] = c1, out[1] = c2, out[2] = m;
+                    *hit = mv;
                     return d;
                 }
                 update(cls, cap, ccnt, add, rm, k);
@@ -378,28 +407,20 @@ static int teleport(int n, int *seq, const int *ldiv, const int *cls,
    budget is spent; else scan for one cut, then (max_cuts 2) for two, and
    take the first move that gains, or teleport the entry at draw() to the
    end; step, unless None, is called as step(moved, altitude) after each
-   move (moved 1) and teleport (moved 0).  The move tables for 2 and 3
-   pieces come as the scan takes them, with shapes, one row per move of its
-   piece order and reversal mask.  out gets (steps, teleports, altitude).
-   Returns 0 at altitude n - 1; 1 when the budget is spent; -2 when memory
-   ran out; -3 when draw answered no index in 0..n-1, or draw, step or a
-   signal handler raised. */
+   move (moved 1) and teleport (moved 0).  table2 and table3 are the
+   packed move tables for 2 and 3 pieces.  out gets (steps, teleports,
+   altitude).  Returns 0 at altitude n - 1; 1 when the budget is spent; -2
+   when memory ran out; -3 when draw answered no index in 0..n-1, or draw,
+   step or a signal handler raised. */
 int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
                    const int *cap, int max_cuts, int max_steps,
-                   int npairs2, const int *pairs2, int movelen2,
-                   const int *moves2, const int *shapes2, int npairs3,
-                   const int *pairs3, int movelen3, const int *moves3,
-                   const int *shapes3, int *seq, void *draw, void *step,
-                   int *out, const py_api *py)
+                   const int *table2, const int *table3, int *seq,
+                   void *draw, void *step, int *out, const py_api *py)
 {
-    const int npairs[4] = {0, 0, npairs2, npairs3};
-    const int movelen[4] = {0, 0, movelen2, movelen3};
-    const int *pairs[4] = {0, 0, pairs2, pairs3};
-    const int *moves[4] = {0, 0, moves2, moves3};
-    const int *shapes[4] = {0, 0, shapes2, shapes3};
     int *ccnt = calloc((size_t)ncls + n, sizeof(int)), *next = ccnt + ncls;
     unsigned char *room = malloc(n);
-    int alt = 0, code, c, d, i, p, hit[3];
+    const int *hit = 0;
+    int alt = 0, code, c, d, i, p, b[4];
     long r;
     out[0] = out[1] = 0;
     if (!ccnt || !room) {
@@ -425,14 +446,11 @@ int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
             break;
         }
         for (d = 0, p = 2; p <= max_cuts + 1; p++)
-            if ((d = scan(n, p, npairs[p], pairs[p], movelen[p], moves[p],
-                          seq, ldiv, cls, cap, ccnt, room, hit)) > 0)
+            if ((d = scan(n, p, p == 2 ? table2 : table3, seq, ldiv, cls, cap,
+                          ccnt, room, b, &hit)) > 0)
                 break;
         if (d > 0) {
-            const int *sh = shapes[p] + hit[2] * (p + 1);
-            int b[4] = {0, hit[0], hit[1], n}, *end = next;
-            for (i = 0; i < p; i++)
-                end = piece(end, seq, b[sh[i]], b[sh[i] + 1], sh[p] >> sh[i] & 1);
+            reassemble(next, seq, b, p, hit);
             memcpy(seq, next, (size_t)n * sizeof(int));
             alt += d;
             out[0]++;
@@ -480,14 +498,13 @@ static void least(int n, const int *ldiv, int naut, const int *auts,
 
 /* `orbit._moves` and the canonical form of each neighbour, for the terrace
    seq: out gets, n ints each and repeats included, the canonical forms of
-   the whole reversal, then, cut by cut, of each 2-piece move whose new
-   junction's quotient is in the class of the junction it breaks.  moves
-   has the scan's rows (1, i, j, k, l) and shapes one row (first piece,
-   second piece, mask) per move; out holds n (1 + (n - 1) nmoves) ints.
-   Returns the number of forms written, -2 when memory ran out. */
-int terraces_neighbours(int n, int nmoves, const int *moves,
-                        const int *shapes, const int *seq, const int *ldiv,
-                        const int *cls, int naut, const int *auts, int *out)
+   the whole reversal, then, cut by cut, of each move of the packed 2-piece
+   table whose new junction's quotient is in the class of the junction it
+   breaks; out holds n (1 + (n - 1) nmoves) ints.  Returns the number of
+   forms written, -2 when memory ran out. */
+int terraces_neighbours(int n, const int *table, const int *seq,
+                        const int *ldiv, const int *cls, int naut,
+                        const int *auts, int *out)
 {
     int b[3] = {0, 0, n}, ends[4], c, m, count = 1;
     int *cand = malloc(2 * (size_t)n * sizeof(int)), *form = cand + n;
@@ -496,16 +513,15 @@ int terraces_neighbours(int n, int nmoves, const int *moves,
     piece(cand, seq, 0, n, 1);
     least(n, ldiv, naut, auts, cand, form, out);
     for (c = 1; c < n; c++) {
+        const int *mv = ROWS(table);
         b[1] = c;
         ends[0] = seq[0], ends[1] = seq[c], ends[2] = seq[c - 1];
         ends[3] = seq[n - 1];
-        for (m = 0; m < nmoves; m++) {
-            const int *mv = moves + 5 * m, *sh = shapes + 3 * m;
+        for (m = 0; m < table[1]; m++, mv += ROW(2)) {
             if (cls[ldiv[ends[mv[1]] * n + ends[mv[2]]]] !=
                 cls[ldiv[ends[mv[3]] * n + ends[mv[4]]]])
                 continue;
-            piece(piece(cand, seq, b[sh[0]], b[sh[0] + 1], sh[2] >> sh[0] & 1),
-                  seq, b[sh[1]], b[sh[1] + 1], sh[2] >> sh[1] & 1);
+            reassemble(cand, seq, b, 2, mv);
             least(n, ldiv, naut, auts, cand, form, out + (size_t)count++ * n);
         }
     }
@@ -591,7 +607,8 @@ _KERNEL: Kernel | None = None  # the loaded kernels, once built
 # built by its entry here: left division and multiplication (n x n); the
 # inverse-pair class of each element and the cap of each class, with the
 # identity in a last class of cap 0, so that the climb's room test reads
-# no entry outside the counts; the class of each quotient (n x n); one
+# no entry outside the counts and the search ledger's identity bucket is
+# empty; the class of each quotient (n x n); one
 # class per element, which is also the identity automorphism, and a cap
 # of 1 each; and every automorphism, the identity first (n each).
 _TABLES: dict[str, Callable[[Group], array.array]] = {
@@ -604,6 +621,62 @@ _TABLES: dict[str, Callable[[Group], array.array]] = {
     "ones": lambda g: array.array("i", [1]) * g.order,
     "auts": lambda g: array.array("i", chain.from_iterable(automorphisms(g))),
 }
+
+
+# The climb's move tables.  Move order: cut positions ascending, then piece
+# orders lexicographically, then reversal masks ascending (bit i reverses
+# the piece with original index i).  The identity combination is skipped.
+
+
+def _iter_combos(npieces: int, allow_reversal: bool):
+    masks = range(1 << npieces) if allow_reversal else (0,)
+    ident = tuple(range(npieces))
+    for order in permutations(range(npieces)):
+        for mask in masks:
+            if order == ident and mask == 0:
+                continue
+            yield order, mask
+
+
+def _move_table(npieces: int, allow_reversal: bool):
+    """(pairs, moves) for one piece count, moves in `_iter_combos` order.
+
+    The ends of the pieces are indexed heads first, then tails:
+    (seq[0], seq[c1], ..., seq[c1 - 1], ..., seq[n - 1]).  A move is
+    (order, mask, junctions, broken): the (last end, first end) pairs it
+    joins that the arrangement does not, and the ones it breaks; the two
+    lists have equal length.  `pairs` holds every end pair some move joins.
+    """
+    p = npieces
+    joined = [(p + k, k + 1) for k in range(p - 1)]
+    moves = []
+    for order, mask in _iter_combos(p, allow_reversal):
+        joins = [
+            (a if (mask >> a) & 1 else p + a, p + b if (mask >> b) & 1 else b)
+            for a, b in zip(order, order[1:])
+        ]
+        junctions = tuple(j for j in joins if j not in joined)
+        broken = tuple(j for j in joined if j not in joins)
+        moves.append((order, mask, junctions, broken))
+    pairs = tuple(dict.fromkeys(j for m in moves for j in m[2]))
+    return pairs, tuple(moves)
+
+
+def _pack(pairs, moves) -> array.array:
+    """A move table in the one int array the C source reads (see ROW
+    there): len(pairs), len(moves), the pairs, then per move the junction
+    count, the junctions and the broken pairs, zero-padded to 4 (p - 1)
+    ints, then the piece order and the mask."""
+    out = [len(pairs), len(moves), *chain(*pairs)]
+    for order, mask, junctions, broken in moves:
+        out += [len(junctions), *chain(*junctions, *broken)]
+        out += [0] * (4 * (len(order) - 1 - len(junctions)))
+        out += [*order, mask]
+    return array.array("i", out)  # sized exactly, so that ASan sees a read past the end
+
+
+_MOVES = {(p, rev): _move_table(p, rev) for p in (2, 3) for rev in (False, True)}
+_PACKED = {key: _pack(*table) for key, table in _MOVES.items()}
 
 
 def _climb_tables(group: Group, terrace: bool) -> list[array.array]:
@@ -658,12 +731,10 @@ def _bind(path: str) -> Kernel:
     fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, obj, ptr, ptr]
     fn.restype = ctypes.c_longlong
     climb_fn = lib.terraces_climb
-    table = [c_int, ptr, c_int, ptr, ptr]  # npairs, pairs, movelen, moves, shapes
-    climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, *table, *table,
-                         ptr, obj, obj, ptr, ptr]
+    climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, ptr, ptr, ptr, obj, obj, ptr, ptr]
     climb_fn.restype = c_int
     nb_fn = lib.terraces_neighbours
-    nb_fn.argtypes = [c_int, c_int] + [ptr] * 5 + [c_int, ptr, ptr]
+    nb_fn.argtypes = [c_int] + [ptr] * 4 + [c_int, ptr, ptr]
     nb_fn.restype = c_int
     cert_fn = lib.terraces_certify
     cert_fn.argtypes = [c_int, ptr, ptr]
@@ -672,19 +743,23 @@ def _bind(path: str) -> Kernel:
     def addr(a: array.array) -> int:
         return a.buffer_info()[0]
 
-    def dfs(group, directed, rem, layer2, k, end, mirror, prune, prefix, budget, leaf):
+    def dfs(group, directed, ones, layer2, k, end, mirror, prune, prefix, budget, leaf):
         """Leaves below a_1 = e and `prefix`, or -1 when the node budget ran
         out.  b is bucketed by quotient when directed, else by class, and
-        rem holds each bucket's capacity; layer2 is (kind, first depth,
-        last depth); prune turns on orderly pruning by Aut(group).  budget
-        is None or a one-cell list, left at the nodes not spent.  leaf,
-        when given, is called with the current sequence at each leaf, and
-        a true answer stops the walk."""
+        each bucket holds one entry, or with ones unset a class its cap; the
+        identity's bucket holds none.  layer2 is (kind, first depth, last
+        depth); prune turns on orderly pruning by Aut(group).  budget is
+        None or a one-cell list, left at the nodes not spent.  leaf, when
+        given, is called with the current sequence at each leaf, and a true
+        answer stops the walk."""
         n = group.order
-        ldiv, mul, ctab, auts = _flat(group, "ldiv", "mul", "ctab", "auts" if prune else "ids")
+        ldiv, mul, ctab, caps, auts = _flat(group, "ldiv", "mul", "ctab", "caps", "auts" if prune else "ids")
         # The kernel reads and writes plain arrays by address; a ctypes
         # array type per call would leave a reference cycle behind.
-        ledger = array.array("i", rem)
+        if directed:
+            ledger = array.array("i", [0] + [1] * (n - 1))
+        else:
+            ledger = array.array("i", [min(cap, 1) for cap in caps] if ones else caps)
         placed = array.array("i", prefix)
         seq = array.array("i", [0]) * n
         cell = None
@@ -702,13 +777,13 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("search kernel out of memory")
         return leaves
 
-    def climb(group, terrace, max_cuts, max_steps, tables, seq, draw, step=None):
+    def climb(group, terrace, max_cuts, max_steps, seq, draw, step=None):
         """Run the climb loop of `oracles.climb` on seq, an int array of the
-        arrangement, in place, until it finds or spends its budget; returns
-        (found, steps, teleports, altitude).  Quotients are counted in the
-        tables of `_climb_tables`.  tables holds the flat move tables
-        (pairs, moves, shapes) of `hillclimb._FLAT_MOVES` for two pieces
-        and for three.  draw() gives each teleport index, which must lie in
+        arrangement, in place, until it finds or spends its budget, which
+        stops at 2^31 - 1 steps; returns (found, steps, teleports,
+        altitude).  Quotients are counted in the tables of `_climb_tables`,
+        and the moves come from the packed tables with piece reversal when
+        terrace is set.  draw() gives each teleport index, which must lie in
         0..n-1, and step(moved, altitude), when given, hears of each move
         (moved 1) and teleport (moved 0); an exception either raises stops
         the loop and is raised here."""
@@ -716,34 +791,32 @@ def _bind(path: str) -> Kernel:
         if len(seq) != n:
             raise ValueError(f"an arrangement of {len(seq)} entries for a group of order {n}")
         ldiv, cls, cap = _climb_tables(group, terrace)
-        (p2, m2, s2), (p3, m3, s3) = tables
         out = array.array("i", [0]) * 3  # steps, teleports, altitude
-        code = climb_fn(n, len(cap), addr(ldiv), addr(cls), addr(cap), max_cuts, max_steps,
-                        len(p2) // 2, addr(p2), len(m2), addr(m2), addr(s2), len(p3) // 2, addr(p3),
-                        len(m3), addr(m3), addr(s3), addr(seq), draw, step, addr(out), api)
+        code = climb_fn(n, len(cap), addr(ldiv), addr(cls), addr(cap), max_cuts,
+                        min(max_steps, (1 << 31) - 1), addr(_PACKED[2, terrace]),
+                        addr(_PACKED[3, terrace]), addr(seq), draw, step, addr(out), api)
         if code == -2:
             raise MemoryError("climb out of memory")
         if code == -3:  # with no Python error pending, which ctypes would have raised
             raise ValueError(f"a teleport index outside 0..{n - 1}")
         return code == 0, *out
 
-    def neighbours(group, moves, shapes, canonical):
+    def neighbours(group, allow_reversal, canonical):
         """seq -> the neighbours of the terrace seq that `oracles._moves`
-        lists, repeats included, as tuples.  Each is re-based, and with
-        canonical set taken to its least image under Aut(group); without
-        it the identity is the only automorphism.  moves and shapes are
-        the 2-piece move table of `hillclimb._FLAT_MOVES` and its piece
-        shapes."""
-        n, nmoves = group.order, len(shapes) // 3
+        lists, repeats included, as tuples: the moves of the packed 2-piece
+        table, with piece reversal when allow_reversal is set.  Each is
+        re-based, and with canonical set taken to its least image under
+        Aut(group); without it the identity is the only automorphism."""
+        n, table = group.order, _PACKED[2, allow_reversal]
         ldiv, cls, auts = _flat(group, "ldiv", "cls", "auts" if canonical else "ids")
-        out = array.array("i", [0]) * (n * (1 + (n - 1) * nmoves))
+        out = array.array("i", [0]) * (n * (1 + (n - 1) * table[1]))
 
         def forms(seq):
             if len(seq) != n:
                 raise ValueError(f"a terrace of {len(seq)} entries for a group of order {n}")
             terrace = array.array("i", seq)
-            count = nb_fn(n, nmoves, addr(moves), addr(shapes), addr(terrace), addr(ldiv), addr(cls),
-                          len(auts) // n, addr(auts), addr(out))
+            count = nb_fn(n, addr(table), addr(terrace), addr(ldiv), addr(cls), len(auts) // n,
+                          addr(auts), addr(out))
             if count < 0:
                 raise MemoryError("neighbour step out of memory")
             it = iter(out[: count * n])

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import _ckernel
-from .groups import DEFAULT_AUT_CAP, Group, _class_data, automorphisms
+from .groups import DEFAULT_AUT_CAP, Group, automorphisms
 from .props import Arrangement
 
 __all__ = [
@@ -158,17 +158,11 @@ def _dfs(
     kernel = _ckernel.load()
     n = group.order
     kind = mode.kind
-    # Layer 1, the bucket ledger: b_depth lands in a bucket with a capacity.
-    # Directed kinds bucket by the quotient itself (capacity 1), the others
-    # by its inverse-pair class (capacities 1 and 2, or 1 for the first
-    # half of a narcissistic b, whose second half is the mirror image).  The
-    # identity's bucket has capacity 0.
+    # Layer 1, the bucket ledger, which the kernel builds: b_depth lands in
+    # its quotient's bucket for directed kinds (capacity 1), else in its
+    # inverse-pair class (capacity the class's cap, or 1 for the first half
+    # of a narcissistic b, whose second half is the mirror image).
     directed = kind in _DIRECTED_KINDS
-    if directed:
-        rem = [0] + [1] * (n - 1) + [0]
-    else:
-        caps = _class_data(group)[1]
-        rem = ([1] * len(caps) if kind == "narcissistic" else list(caps)) + [0]
     # Layer 2 as (the C source's number for it, first depth, last depth).
     half = (n - 1) // 2
     k = mode.k if kind == "directed_tk" else 1
@@ -189,7 +183,8 @@ def _dfs(
         def leaf(seq):
             sink.append(Arrangement(group, tuple(seq)))
             return limit is not None and len(sink) >= limit
-    leaves = kernel.dfs(group, directed, rem, layer2, k, end, kind == "narcissistic" and stop_at is None,
+    narcissistic = kind == "narcissistic"
+    leaves = kernel.dfs(group, directed, narcissistic, layer2, k, end, narcissistic and stop_at is None,
                         prune, prefix, budget, leaf)
     if leaves < 0:
         raise BudgetExceeded("search node budget exhausted")

@@ -9,17 +9,11 @@ therefore worth offering as a move; directed mode is the same count with
 one class per quotient value and every cap 1, and offers no reversal,
 which scrambles values.
 
-One scan serves both modes and both cut counts.  It walks a move table
-built once at import: for each (piece order, reversal mask), the pairs of
-piece ends the move joins.  An exact prefilter skips every cut tuple and
-every move that forms no junction in a class with room, since such a move
-cannot raise the altitude; only the rest reach the gain test.  The whole
-climb loop, scans, moves, teleports and class counts, runs in C
-(`_ckernel`, the shared object that also holds the search kernel), on the
-arrangement in an int array, the move table flattened at import and the
-group's tables, which `_ckernel` builds once per group; it takes the same
-steps as its Python twin, `climb` in `tests/oracles.py`, which the tests
-hold it to.
+The whole climb loop, scans, moves, teleports and class counts, runs in
+one call of C (`_ckernel`, the shared object that also holds the search
+kernel and the climb's move tables), on the arrangement in an int array;
+it takes the same steps as its Python twin, `climb` in `tests/oracles.py`,
+which the tests hold it to.
 
 A teleport (move one random element to the end) escapes local maxima and
 costs at most two altitude points.  Trajectories are fully determined by
@@ -36,7 +30,6 @@ import random
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import chain, permutations
 
 from . import _ckernel
 from .enumerate import _forked_map, usable_cpus
@@ -93,67 +86,6 @@ class ClimbResult:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Move enumeration.  Component order: cut positions ascending, then piece
-# orders lexicographically, then reversal masks ascending (bit i reverses
-# the piece with original index i).  The identity combination is skipped.
-
-
-def _iter_combos(npieces: int, allow_reversal: bool):
-    masks = range(1 << npieces) if allow_reversal else (0,)
-    ident = tuple(range(npieces))
-    for order in permutations(range(npieces)):
-        for mask in masks:
-            if order == ident and mask == 0:
-                continue
-            yield order, mask
-
-
-def _move_table(npieces: int, allow_reversal: bool):
-    """(pairs, moves) for one piece count, moves in `_iter_combos` order.
-
-    The ends of the pieces are indexed heads first, then tails:
-    (seq[0], seq[c1], ..., seq[c1 - 1], ..., seq[n - 1]).  A move is
-    (order, mask, junctions, broken): the (last end, first end) pairs it
-    joins that the arrangement does not, and the ones it breaks; the two
-    lists have equal length.  `pairs` holds every end pair some move joins.
-    """
-    p = npieces
-    joined = [(p + k, k + 1) for k in range(p - 1)]
-    moves = []
-    for order, mask in _iter_combos(p, allow_reversal):
-        joins = [
-            (a if (mask >> a) & 1 else p + a, p + b if (mask >> b) & 1 else b)
-            for a, b in zip(order, order[1:])
-        ]
-        junctions = tuple(j for j in joins if j not in joined)
-        broken = tuple(j for j in joined if j not in joins)
-        moves.append((order, mask, junctions, broken))
-    pairs = tuple(dict.fromkeys(j for m in moves for j in m[2]))
-    return pairs, tuple(moves)
-
-
-_MOVES = {(p, rev): _move_table(p, rev) for p in (2, 3) for rev in (False, True)}
-
-
-def _flat_table(npieces: int, allow_reversal: bool) -> tuple[array, array, array]:
-    """`_MOVES[npieces, allow_reversal]` as int arrays for the compiled code:
-    the pairs, flat; one row of 1 + 4 (npieces - 1) ints per move, the
-    junction count, the junctions and the broken pairs, zero-padded; and
-    one row per move of its piece order and mask."""
-    pairs, moves = _MOVES[npieces, allow_reversal]
-    stride = 1 + 4 * (npieces - 1)
-    flat, shapes = array("i"), array("i")
-    for order, mask, junctions, broken in moves:
-        row = [len(junctions), *chain(*junctions, *broken)]
-        flat.extend(row + [0] * (stride - len(row)))
-        shapes.extend((*order, mask))
-    return array("i", chain(*pairs)), flat, shapes
-
-
-_FLAT_MOVES = {key: _flat_table(*key) for key in _MOVES}
-
-
 # The climb.  The altitude is the number of quotients that fit in their
 # class: sum over classes of min(count, cap).  Terrace mode uses the
 # inverse-pair classes; directed mode is the same with one class per
@@ -177,7 +109,6 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
     start = list(range(n))
     rng.shuffle(start)
     seq = array("i", start)
-    tables = (_FLAT_MOVES[2, terrace], _FLAT_MOVES[3, terrace])
     trace: list[int] | None = [] if params.record_trace else None
 
     def step(moved, alt):
@@ -190,7 +121,7 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
             trace.append(alt)
 
     found, steps, teleports, _alt = _ckernel.load().climb(
-        group, terrace, params.max_cuts, params.max_steps, tables, seq, lambda: rng.randrange(n),
+        group, terrace, params.max_cuts, params.max_steps, seq, lambda: rng.randrange(n),
         step if params.record_trace or params.debug_check else None)
     arr = None
     if found:

@@ -16,13 +16,14 @@ every quotient).  Closures work over canonical forms, so the counts are
 counts of essentially different terraces.
 
 A closure step, the canonical forms of one terrace's neighbours, runs in
-C (`_ckernel.terraces_neighbours`); `two_piece_moves` is the same step
-with the identity as the only automorphism.  Its Python twin,
-`neighbour_forms` in `tests/oracles.py`, takes `oracles._moves` and a
-least image under Aut(G) of each; the tests hold the two to the same
-forms in the same order.  The
-chain walk `explore_chain(walecki(14), 5000)` takes about 0.08 s compiled
-and 0.7 s in Python (Python 3.11, one core).
+C (`_ckernel.terraces_neighbours`), which owns the move table and picks
+it from the reversal flag; `_neighbour_forms` binds it for one group.
+`two_piece_moves` is the same step with the identity as the only
+automorphism.  Its Python twin, `neighbour_forms` in `tests/oracles.py`,
+takes `oracles._moves` and a least image under Aut(G) of each; the tests
+hold the two to the same forms in the same order.  The chain walk
+`explore_chain(walecki(14), 5000)` takes about 0.08 s compiled and 0.7 s
+in Python (Python 3.11, one core).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Callable
 
 from . import _ckernel
 from .groups import Group
-from .hillclimb import _FLAT_MOVES
 from .props import Arrangement, canonical_form, is_terrace
 
 __all__ = ["two_piece_moves", "orbit_of", "explore_chain"]
@@ -59,8 +59,7 @@ def _neighbour_forms(g: Group, allow_piece_reversal: bool,
     move table, each taken to its canonical form when canonical is set,
     computed by the compiled kernel, which also lists a neighbour again for
     each repeat."""
-    _pairs, moves, shapes = _FLAT_MOVES[2, allow_piece_reversal]
-    return _ckernel.load().neighbours(g, moves, shapes, canonical)
+    return _ckernel.load().neighbours(g, allow_piece_reversal, canonical)
 
 
 def _closure(

@@ -22,7 +22,7 @@ from terraces import groups as G
 from terraces import hillclimb as H
 from terraces import orbit as O
 from terraces import props as P
-from terraces.hillclimb import _iter_combos
+from terraces._ckernel import _iter_combos
 
 # Known enumeration results for 5 <= |G| <= 15: spec -> (t, d).
 KNOWN_COUNTS = {

@@ -20,9 +20,12 @@ same order:
   `check_row_complete`, `check_row_quasi_complete`, `roman_k_max` and
   `transpose`).
 
-`conftest.kernels` swaps the first three in for the compiled routines,
-through the same names, so that a test runs one body on both and
-compares; the certify tests call both and compare their certificates.
+The climb and the closure step read the move tables `_ckernel._MOVES` as
+tuples, where the C source reads each packed into one int array
+(`_ckernel._PACKED`).  `conftest.kernels` swaps the first three in for
+the compiled routines, through the same names, so that a test runs one
+body on both and compares; the certify tests call both and compare their
+certificates.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from array import array
 from itertools import combinations
 from typing import Callable
 
+from terraces._ckernel import _MOVES
 from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_depth
 from terraces.groups import Group, _class_data, automorphisms
-from terraces.hillclimb import _MOVES, ClimbParams, ClimbResult
+from terraces.hillclimb import ClimbParams, ClimbResult
 from terraces.latin import LatinSquare, SquareCertificate
 from terraces.props import (Arrangement, altitude_directed, altitude_undirected, is_directed_terrace,
                             is_terrace)

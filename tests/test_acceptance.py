@@ -19,6 +19,7 @@ from terraces import groups as G
 from terraces import hillclimb as H
 from terraces import latin as L
 from terraces import props as P
+from terraces._ckernel import _iter_combos
 from terraces.enumerate import EnumMode, count_table, enumerate_basic, search_first
 from terraces.orbit import explore_chain, orbit_of
 
@@ -188,7 +189,7 @@ def test_criterion8_move_and_teleport_altitude_bounds():
         else:
             c1 = rng.randrange(1, n - 1)
             cc = (c1, rng.randrange(c1 + 1, n))
-        combos = list(H._iter_combos(cuts + 1, allow_reversal))
+        combos = list(_iter_combos(cuts + 1, allow_reversal))
         order, mask = combos[rng.randrange(len(combos))]
         return tuple(oracles._materialize(list(seq), cc, order, mask))
 

@@ -57,6 +57,15 @@ def test_climb_exhausts_with_exit_3(tmp_path, capsys):
     assert payload["result"]["outcome"] == "exhausted"
 
 
+def test_climb_with_a_budget_past_2_31_finds(tmp_path, capsys):
+    code, payload = run_json(
+        capsys, "climb", "--group", "Q12", "--seed", "1", "--max-steps", "3000000000",
+        "--outdir", str(tmp_path),
+    )
+    assert code == 0
+    assert payload["result"]["outcome"] == "found"
+
+
 @pytest.mark.parametrize("spec, mode", [
     ("E8", "terrace"), ("Z4xZ2", "directed"), ("Z9", "directed"), ("Q8", "directed"),
 ])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 from array import array
 from itertools import accumulate, combinations, product
@@ -67,7 +68,7 @@ def test_two_cut_distinctness():
     for c1 in (1, 3):
         for c2 in (5, 6):
             seqs = set()
-            for order, mask in H._iter_combos(3, False):
+            for order, mask in _ckernel._iter_combos(3, False):
                 seqs.add(tuple(oracles._materialize(list(a.seq), (c1, c2), order, mask)))
             assert len(seqs) == 5 and a.seq not in seqs
 
@@ -89,8 +90,6 @@ def _compiled_step(g, mode, seq, max_cuts=2, draw=None):
     altitude), what being "found", "moved" or "teleported", or "teleport
     due" (altitude None) when the loop asks for a teleport index and draw
     is None; else the index it gets is draw."""
-    terrace = mode == "terrace"
-    tables = (H._FLAT_MOVES[2, terrace], H._FLAT_MOVES[3, terrace])
     seq = array("i", seq)
 
     def index():
@@ -99,7 +98,7 @@ def _compiled_step(g, mode, seq, max_cuts=2, draw=None):
         return draw
 
     try:
-        found, steps, teleports, alt = _ckernel.load().climb(g, terrace, max_cuts, 1, tables, seq, index)
+        found, steps, teleports, alt = _ckernel.load().climb(g, mode == "terrace", max_cuts, 1, seq, index)
     except _TeleportDue:
         return "teleport due", tuple(seq), None
     return "found" if found else "moved" if steps else "teleported", tuple(seq), alt
@@ -110,11 +109,10 @@ def test_compiled_climb_refuses_bad_buffers():
     of another length before it reads it, and a teleport index outside
     0..n-1 before it teleports."""
     g = get_group("Q12")
-    tables = (H._FLAT_MOVES[2, True], H._FLAT_MOVES[3, True])
     climb = _ckernel.load().climb
     for bad in (array("i", range(11)), array("i", range(13))):
         with pytest.raises(ValueError, match="arrangement"):
-            climb(g, True, 2, 10, tables, bad, lambda: 3)
+            climb(g, True, 2, 10, bad, lambda: 3)
         assert list(bad) == list(range(len(bad)))
     # E8 has no terrace, so its climb comes to a teleport: a bad index
     # leaves the arrangement as it was when the teleport was due.
@@ -125,11 +123,11 @@ def test_compiled_climb_refuses_bad_buffers():
 
     before = array("i", range(8))
     with pytest.raises(_TeleportDue):
-        climb(g, True, 2, 1000, tables, before, due)
+        climb(g, True, 2, 1000, before, due)
     for r in (8, -1):
         seq = array("i", range(8))
         with pytest.raises(ValueError, match="teleport index"):
-            climb(g, True, 2, 1000, tables, seq, lambda: r)
+            climb(g, True, 2, 1000, seq, lambda: r)
         assert seq == before != array("i", range(8))
 
 
@@ -181,7 +179,7 @@ def test_move_altitude_bounds(rng):
     """One uniformly drawn neighbour per arrangement and move kind: a cut
     tuple and a (piece order, reversal mask), as `neighbors` lists them."""
     kinds = [
-        (cuts, alt_fn, list(H._iter_combos(cuts + 1, allow)))
+        (cuts, alt_fn, list(_ckernel._iter_combos(cuts + 1, allow)))
         for cuts, alt_fn, allow in (
             (1, P.altitude_directed, False),
             (2, P.altitude_directed, False),
@@ -271,8 +269,8 @@ def test_move_table_junctions_match_materialize(npieces, allow_reversal, rng):
     keeps, are the quotients at the piece boundaries of `_materialize`."""
     g = get_group("Q12")
     ldiv, n = g.ldiv, g.order
-    pairs, moves = H._MOVES[npieces, allow_reversal]
-    assert [m[:2] for m in moves] == list(H._iter_combos(npieces, allow_reversal))
+    pairs, moves = _ckernel._MOVES[npieces, allow_reversal]
+    assert [m[:2] for m in moves] == list(_ckernel._iter_combos(npieces, allow_reversal))
     assert set(pairs) == {j for m in moves for j in m[2]}
     joined = {(npieces + k, k + 1) for k in range(npieces - 1)}
     for _ in range(40):
@@ -288,6 +286,33 @@ def test_move_table_junctions_match_materialize(npieces, allow_reversal, rng):
             out = oracles._materialize(seq, cuts, order, mask)
             at = list(accumulate(bounds[k + 1] - bounds[k] for k in order))[:-1]
             assert sorted(ldiv[out[i - 1]][out[i]] for i in at) == want
+
+
+def _c_offset(name, p):
+    """The C source's offset macro `name` at p pieces, evaluated."""
+    param, body = re.search(rf"#define {name}\((\w+)\) (.+)", _ckernel.SOURCE).groups()
+    return eval(body.replace(param, str(p)))
+
+
+@pytest.mark.parametrize("npieces, allow_reversal", list(_ckernel._MOVES))
+def test_packed_move_tables_unpack_to_the_move_tables(npieces, allow_reversal):
+    """Read with the C source's offsets, each packed table gives back its
+    move table exactly: its end pairs, then per move the junctions, the
+    broken pairs, zeros up to ORDER(p), the piece order and the mask."""
+    assert "#define ROWS(table) ((table) + 2 + 2 * (table)[0])" in _ckernel.SOURCE
+    row, order = _c_offset("ROW", npieces), _c_offset("ORDER", npieces)
+    t = list(_ckernel._PACKED[npieces, allow_reversal])
+    npairs, nmoves, rows = t[0], t[1], t[2 + 2 * t[0]:]
+    pairs = tuple(zip(t[2 : 2 + 2 * npairs : 2], t[3 : 2 + 2 * npairs : 2]))
+    assert len(rows) == nmoves * row
+    moves = []
+    for mv in (rows[m * row : (m + 1) * row] for m in range(nmoves)):
+        k = mv[0]
+        ends = list(zip(mv[1 : 1 + 4 * k : 2], mv[2 : 1 + 4 * k : 2]))
+        assert mv[1 + 4 * k : order] == [0] * (order - 1 - 4 * k)
+        moves.append((tuple(mv[order : order + npieces]), mv[order + npieces], tuple(ends[:k]),
+                      tuple(ends[k:])))
+    assert (pairs, tuple(moves)) == _ckernel._MOVES[npieces, allow_reversal]
 
 
 @pytest.mark.parametrize("spec", ["Z12", "D12", "Q12", "Z4xZ2", "E8"])
@@ -309,7 +334,7 @@ def test_try_improve_takes_the_first_improving_neighbour(spec, mode, max_cuts, r
         climber = oracles._Climber(g, mode, list(a.seq))
         room = [climber.ccnt[c] < climber.cap[c] for c in climber.cls]
         for cuts in range(1, max_cuts + 1):
-            _pairs, moves = H._MOVES[cuts + 1, allow]
+            _pairs, moves = _ckernel._MOVES[cuts + 1, allow]
             for cut in combinations(range(1, g.order), cuts):
                 ends = _ends(a.seq, cut)
                 for order, mask, junctions, _broken in moves:
@@ -472,9 +497,8 @@ def test_an_error_in_a_climb_callback_reaches_the_caller(monkeypatch, capfd):
     def draw():
         raise KeyboardInterrupt
 
-    tables = (H._FLAT_MOVES[2, True], H._FLAT_MOVES[3, True])
     with pytest.raises(KeyboardInterrupt):  # E8 has no terrace: its climb teleports
-        _ckernel.load().climb(get_group("E8"), True, 2, 1000, tables, array("i", range(8)), draw)
+        _ckernel.load().climb(get_group("E8"), True, 2, 1000, array("i", range(8)), draw)
     assert "Exception ignored" not in capfd.readouterr().err
 
 
@@ -595,6 +619,14 @@ def test_climb_seeds_builds_the_tables_before_it_forks():
         g = G.parse_group_spec("Q12")
         r = H.climb_seeds(g, H.ClimbParams(mode=mode, max_steps=10_000), seeds=[4, 5], threads=2)
         assert r.outcome == "found" and set(g._flat) == names, mode
+
+
+@pytest.mark.parametrize("max_steps", [3_000_000_000, 4_294_967_297])
+def test_a_budget_past_the_c_int_range_climbs_as_the_largest_one(max_steps):
+    """A step budget past 2^31 - 1, which the compiled loop's int counters
+    never pass, is clamped to it rather than wrapped around."""
+    r = H.climb(get_group("Q12"), H.ClimbParams("directed", seed=1, max_steps=max_steps))
+    assert (r.outcome, r.steps_taken, r.teleports_taken) == ("found", 8, 3)
 
 
 def test_climb_rejects_trivial_group():

@@ -71,8 +71,7 @@ def test_compiled_neighbours_refuse_a_terrace_of_the_wrong_length():
     """The neighbour step, bound once per group, refuses a terrace whose
     length is not the group's order, and still steps afterwards."""
     w = P.walecki(10)
-    _pairs, moves, shapes = H._FLAT_MOVES[2, False]
-    forms = _ckernel.load().neighbours(w.group, moves, shapes, True)
+    forms = _ckernel.load().neighbours(w.group, False, True)
     first = forms(w.seq)
     assert len(first) > 1 and all(len(f) == 10 for f in first)
     for seq in (w.seq[:9], w.seq + (0,), ()):

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import terraces
+from terraces import _ckernel
 from terraces import groups as G
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -65,3 +67,11 @@ def test_import_and_group_set_up_start_no_compiler():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=60)
     assert json.loads(out.stdout) == [[], True], out.stdout
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+def test_the_kernel_source_compiles_clean_under_warnings():
+    """The C source compiles with every -Wall -Wextra warning an error."""
+    out = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+                         input=_ckernel.SOURCE, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
