@@ -6,7 +6,8 @@ in C, built on first use.
 `tests/oracles.py` that the tests hold it to.  `terraces_dfs` translates
 the Python kernel `oracles.dfs` node for node: the same bucket ledger,
 layer-2 marks, T_k rows, forced narcissistic tail, ascending candidate
-order, orderly test and node budget (see the comments in the source).
+order, orderly test and node budget (see the comments in the source);
+its T_k rows run m = 2 .. k, where the oracle keeps b^(2) in its layer 2.
 `terraces_climb` translates the Python climb loop `oracles.climb` step
 for step: its scan is `oracles.scan` move for move, and its moves,
 teleports and class counts are those of `oracles._Climber`; the seeded
@@ -23,9 +24,10 @@ use: where no compiler, cache directory or loader works, `load` raises one
 lines of the compiler's own message.
 
 Only this module knows the flat int layout of the tables the C source
-reads.  The search, climb and neighbour wrappers take a `Group`, whose
+reads, and, in `_KINDS`, how the search encodes each kind it takes by
+name.  The search, climb and neighbour wrappers take a `Group`, whose
 tables `_flat` builds once and keeps on it.  The certificate wrapper reads
-the cells alone, so it stays a check that does not depend on a group.
+a square's rows alone, so it stays a check that does not depend on a group.
 
 The climb's moves are one move table per piece count (two or three) and
 reversal flag, built once at import (`_MOVES`): for each (piece order,
@@ -92,8 +94,8 @@ static long pycall(const py_api *py, void *f, const char *format, int a,
 }
 
 typedef struct {
-    int n, l2, lo2, hi2, k, end, mirror, naut;
-    const int *ldiv, *mul, *bucket, *tab2, *auts;
+    int n, l2, k, end, mirror, naut;
+    const int *ldiv, *mul, *bucket, *ctab, *auts;
     int *rem, *seq, *used, *m2, *marks, *cval, *act;
     long long *budget;
     void *leaf;
@@ -125,18 +127,16 @@ static int mirror(K *s)
     return ok;
 }
 
-/* The layer-2 value of a_{depth+1} = y, or -1 where the kind has none:
-   b^(2) for T_k (l2 = 1), the class of b for half-and-half (l2 = 2), or
-   c_depth = b_depth c_{depth-1} for the narcissistic kind (l2 = 3). */
+/* The layer-2 value of a_{depth+1} = y, or -1 where the kind has none: at
+   depths 1 .. (n - 1) / 2, the class of b for half-and-half (l2 = 1), or
+   c_depth = b_depth c_{depth-1} for the narcissistic kind (l2 = 2). */
 static inline int layer2(const K *s, int depth, int y)
 {
     const int n = s->n;
-    if (depth < s->lo2 || depth > s->hi2)
+    if (!s->l2 || depth > (n - 1) / 2)
         return -1;
     if (s->l2 == 1)
-        return s->tab2[s->seq[depth - 2] * n + y];
-    if (s->l2 == 2)
-        return s->tab2[s->seq[depth - 1] * n + y];
+        return s->ctab[s->seq[depth - 1] * n + y];
     return s->mul[s->ldiv[s->seq[depth - 1] * n + y] * n + s->cval[depth - 1]];
 }
 
@@ -150,7 +150,7 @@ static inline void place(K *s, int depth, int y, int c2, int on)
         s->m2[c2] = on;
         s->cval[depth] = c2;
     }
-    for (m = 3; m <= s->k && m <= depth; m++)
+    for (m = 2; m <= s->k && m <= depth; m++) /* T_k row m: b^(m) */
         s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]] = on;
     s->used[y] = on;
 }
@@ -177,10 +177,10 @@ static long long rec(K *s, int depth, const int *active, int nact)
         int c2, nn = 0, skip = 0;
         if (s->used[y] || !s->rem[brow[y]])
             continue;
-        c2 = s->l2 ? layer2(s, depth, y) : -1;
+        c2 = layer2(s, depth, y);
         if (c2 >= 0 && s->m2[c2])
             continue;
-        for (m = 3; m <= s->k && m <= depth; m++)
+        for (m = 2; m <= s->k && m <= depth; m++)
             if (s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]]) {
                 skip = 1;
                 break;
@@ -216,27 +216,26 @@ static long long rec(K *s, int depth, const int *active, int nact)
     return total;
 }
 
-/* Leaves below a_1 = e and the placed prefix; -1 when the node budget ran
-   out, -2 when memory did, -3 when a signal handler raised.  leaf, a
-   Python callable or None, is called at each leaf, and a true answer
-   stops the search.  rem, the bucket capacities, is updated in place;
-   *budget, when given, is left at the nodes not spent. */
-long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
-                       int mirror_tail, const int *ldiv, const int *mul,
-                       const int *bucket, int *rem, const int *tab2,
-                       int naut, const int *auts, int nprefix,
-                       const int *prefix, long long *budget, void *leaf,
-                       const py_api *py, int *seq)
+/* Leaves below a_1 = e and the placed prefix, cut at depth end; -1 when
+   the node budget ran out, -2 when memory did, -3 when a signal handler
+   raised.  leaf, a Python callable or None, is called at each leaf, and a
+   true answer stops the search.  rem, the bucket capacities, is updated
+   in place; *budget, when given, is left at the nodes not spent. */
+long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
+                       const int *mul, const int *bucket, int *rem,
+                       const int *ctab, int naut, const int *auts,
+                       int nprefix, const int *prefix, long long *budget,
+                       void *leaf, const py_api *py, int *seq)
 {
     K s;
     long long total;
     int d, i, nact = naut, w = naut > 0 ? naut : 1;
     int *act0;
-    s.n = n, s.l2 = l2, s.lo2 = lo2, s.hi2 = hi2, s.k = k, s.end = end;
-    s.mirror = mirror_tail, s.naut = naut, s.ldiv = ldiv, s.mul = mul;
-    s.bucket = bucket, s.tab2 = tab2, s.auts = auts, s.rem = rem;
-    s.seq = seq, s.budget = budget, s.leaf = leaf, s.py = py;
-    s.nodes = 0, s.halt = 0;
+    s.n = n, s.l2 = l2, s.k = k, s.end = end;
+    s.mirror = l2 == 2 && end == (n - 1) / 2, s.naut = naut;
+    s.ldiv = ldiv, s.mul = mul, s.bucket = bucket, s.ctab = ctab;
+    s.auts = auts, s.rem = rem, s.seq = seq, s.budget = budget;
+    s.leaf = leaf, s.py = py, s.nodes = 0, s.halt = 0;
     s.used = calloc(n + 1, sizeof(int));
     s.m2 = calloc(n + 1, sizeof(int));
     s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
@@ -248,7 +247,7 @@ long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
     }
     s.used[0] = 1;
     seq[0] = 0;
-    if (l2 == 3)
+    if (l2 == 2)
         s.m2[0] = 1; /* c_0 = e is taken */
     /* A live prefix is canonical: the automorphisms fixing every entry
        stay active below it, and no other prunes anything there. */
@@ -257,7 +256,7 @@ long long terraces_dfs(int n, int l2, int lo2, int hi2, int k, int end,
         act0[i] = i;
     for (d = 1; d <= nprefix; d++) {
         int y = prefix[d - 1], kept = 0;
-        int c2 = l2 ? layer2(&s, d, y) : -1;
+        int c2 = layer2(&s, d, y);
         s.seq[d] = y;
         place(&s, d, y, c2, 1);
         for (i = 0; i < nact; i++)
@@ -607,19 +606,49 @@ _KERNEL: Kernel | None = None  # the loaded kernels, once built
 # built by its entry here: left division and multiplication (n x n); the
 # inverse-pair class of each element and the cap of each class, with the
 # identity in a last class of cap 0, so that the climb's room test reads
-# no entry outside the counts and the search ledger's identity bucket is
-# empty; the class of each quotient (n x n); one
+# no entry outside the counts; the class of each quotient (n x n); one
 # class per element, which is also the identity automorphism, and a cap
-# of 1 each; and every automorphism, the identity first (n each).
+# of 1 each; and every automorphism, the identity first (n each).  Each is
+# built from a list, sized exactly, so that ASan sees a read past its end.
 _TABLES: dict[str, Callable[[Group], array.array]] = {
-    "ldiv": lambda g: array.array("i", chain.from_iterable(g.ldiv)),
-    "mul": lambda g: array.array("i", chain.from_iterable(g.mul)),
+    "ldiv": lambda g: _rows(g.ldiv),
+    "mul": lambda g: _rows(g.mul),
     "cls": lambda g: array.array("i", [len(_class_data(g)[1])] + _class_data(g)[2][1:]),
     "caps": lambda g: array.array("i", _class_data(g)[1] + [0]),
-    "ctab": lambda g: array.array("i", map(_flat(g, "cls")[0].__getitem__, _flat(g, "ldiv")[0])),
-    "ids": lambda g: array.array("i", range(g.order)),
+    "ctab": lambda g: array.array("i", [*map(_flat(g, "cls")[0].__getitem__, _flat(g, "ldiv")[0])]),
+    "ids": lambda g: array.array("i", [*range(g.order)]),
     "ones": lambda g: array.array("i", [1]) * g.order,
-    "auts": lambda g: array.array("i", chain.from_iterable(automorphisms(g))),
+    "auts": lambda g: _rows(automorphisms(g)),
+}
+
+
+def _rows(rows) -> array.array:
+    """The int rows `rows`, one after another, in one exactly sized array."""
+    return array.array("i", [x for row in rows for x in row])
+
+
+class _Kind(NamedTuple):
+    """A search kind: b bucketed by quotient (directed) or by inverse-pair
+    class; the C source's layer 2 (see layer2 there), 0 none, 1 the classes
+    of b's first half, 2 the narcissistic c_d; a T_k depth k >= 2 (tk)."""
+
+    directed: bool
+    layer2: int
+    tk: bool
+
+    @property
+    def mirrored(self) -> bool:  # the second half of b mirrors the first
+        return self.layer2 == 2
+
+
+# The search kinds, in the order `enumerate.KINDS` lists them.
+_KINDS = {
+    "directed": _Kind(True, 0, False),
+    "terrace": _Kind(False, 0, False),
+    "directed_tk": _Kind(True, 0, True),
+    "half_and_half": _Kind(False, 1, False),
+    "narcissistic": _Kind(False, 2, False),
+    "directed_half_and_half": _Kind(True, 1, False),
 }
 
 
@@ -728,7 +757,7 @@ def _bind(path: str) -> Kernel:
              "Py_DecRef")
     api = (ptr * 6)(*(ctypes.cast(getattr(ctypes.pythonapi, name), ptr) for name in names), id(None))
     fn = lib.terraces_dfs
-    fn.argtypes = [c_int] * 7 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, obj, ptr, ptr]
+    fn.argtypes = [c_int] * 4 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, obj, ptr, ptr]
     fn.restype = ctypes.c_longlong
     climb_fn = lib.terraces_climb
     climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, ptr, ptr, ptr, obj, obj, ptr, ptr]
@@ -743,32 +772,31 @@ def _bind(path: str) -> Kernel:
     def addr(a: array.array) -> int:
         return a.buffer_info()[0]
 
-    def dfs(group, directed, ones, layer2, k, end, mirror, prune, prefix, budget, leaf):
-        """Leaves below a_1 = e and `prefix`, or -1 when the node budget ran
-        out.  b is bucketed by quotient when directed, else by class, and
-        each bucket holds one entry, or with ones unset a class its cap; the
-        identity's bucket holds none.  layer2 is (kind, first depth, last
-        depth); prune turns on orderly pruning by Aut(group).  budget is
-        None or a one-cell list, left at the nodes not spent.  leaf, when
-        given, is called with the current sequence at each leaf, and a true
-        answer stops the walk."""
+    def dfs(group, kind, k, end, prune, prefix, budget, leaf):
+        """Leaves of `kind` (see `_KINDS`) with T_k depth k below a_1 = e
+        and `prefix`, cut at depth end, or -1 when the node budget ran out.
+        prune turns on orderly pruning by Aut(group).  budget is None or a
+        one-cell list, left at the nodes not spent.  leaf, when given, is
+        called with the current sequence at each leaf, and a true answer
+        stops the walk."""
         n = group.order
-        ldiv, mul, ctab, caps, auts = _flat(group, "ldiv", "mul", "ctab", "caps", "auts" if prune else "ids")
+        entry = _KINDS[kind]
+        # A bucket holds one entry, or a class's cap for an unmirrored class
+        # kind.  The identity's bucket is never read: its y is a_d, used.
+        ledger = "ones" if entry.directed or entry.mirrored else "caps"
+        ldiv, mul, ctab, rem, auts = _flat(group, "ldiv", "mul", "ctab", ledger, "auts" if prune else "ids")
         # The kernel reads and writes plain arrays by address; a ctypes
         # array type per call would leave a reference cycle behind.
-        if directed:
-            ledger = array.array("i", [0] + [1] * (n - 1))
-        else:
-            ledger = array.array("i", [min(cap, 1) for cap in caps] if ones else caps)
+        rem = array.array("i", rem)  # a copy, which the kernel updates
         placed = array.array("i", prefix)
         seq = array.array("i", [0]) * n
         cell = None
         if budget is not None:
             start = max(-1, min(budget[0], 1 << 62))
             cell = array.array("q", [start])
-        tables = (ldiv, mul, ldiv if directed else ctab, ledger, ldiv if k >= 2 else ctab)
+        tables = (ldiv, mul, ldiv if entry.directed else ctab, rem, ctab)
         # The first row of auts is the identity, which prunes nothing: skip it.
-        leaves = fn(n, *layer2, k, end, mirror, *map(addr, tables), len(auts) // n - 1,
+        leaves = fn(n, entry.layer2, k, end, *map(addr, tables), len(auts) // n - 1,
                     addr(auts) + n * auts.itemsize, len(prefix), addr(placed), cell and addr(cell),
                     leaf and (lambda: leaf(seq)), api, addr(seq))
         if cell is not None:
@@ -825,15 +853,16 @@ def _bind(path: str) -> Kernel:
         return forms
 
     def certify(n, cells):
-        """The certificate fields of the n x n square `cells`, an int array
-        in row order with entries in 0..n-1 (as `LatinSquare` checks), as
-        two arrays of 10, rows then columns: complete, the first repeat's
-        positions (r0, c0, r, c), quasi-complete, the first pair x < y not
-        adjacent twice and its count (x, y, count), and the largest Roman k."""
-        if len(cells) != n * n:
-            raise ValueError(f"{len(cells)} cells for a square of order {n}")
+        """The certificate fields of the n x n square whose rows are `cells`,
+        with entries in 0..n-1 (as `LatinSquare` checks), as two arrays of
+        10, rows then columns: complete, the first repeat's positions (r0,
+        c0, r, c), quasi-complete, the first pair x < y not adjacent twice
+        and its count (x, y, count), and the largest Roman k."""
+        flat = _rows(cells)
+        if len(flat) != n * n:
+            raise ValueError(f"{len(flat)} cells for a square of order {n}")
         out = array.array("i", [0]) * 20
-        if cert_fn(n, addr(cells), addr(out)) < 0:
+        if cert_fn(n, addr(flat), addr(out)) < 0:
             raise MemoryError("certify out of memory")
         return out[:10], out[10:]
 

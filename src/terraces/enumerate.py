@@ -5,7 +5,9 @@ one depth-first kernel, `_dfs`.  It fixes a_1 = e (left translation is
 quotiented out up front), extends prefixes with candidates in ascending id
 order, and prunes as soon as the partial quotient list violates the kind.
 `_dfs` runs the walk in C (`_ckernel`, compiled with the system C compiler
-on the first call and cached per user).  Its Python twin, `dfs` in
+on the first call and cached per user), passing the kind by name, the T_k
+depth and the depth to stop at; `_ckernel._KINDS` alone says how a kind is
+encoded, and `KINDS` lists its names.  Its Python twin, `dfs` in
 `tests/oracles.py`, visits the same nodes and reaches the same leaves in
 the same order; the tests hold the compiled kernel to it for every kind.
 
@@ -30,8 +32,8 @@ Walking the mirrored quotients back from a_n gives a_{n+1-j} = a_n c_{j-1}^-1
 for j = 1, ..., m + 1, the middle entry a_{m+1} at j = m + 1.  So the tail
 repeats an entry exactly when two of c_0, ..., c_{m-1} are equal, and holds
 a_{m+1} exactly when c_m equals one of them.  A prefix whose c_0, ..., c_d
-(d <= m) are not pairwise distinct has no completion, and `_dfs` cuts it at
-depth d in its capacity-1 layer, with c_0 = e taken from the start.  The cut
+(d <= m) are not pairwise distinct has no completion, and the kernel cuts it
+at depth d in its layer 2, with c_0 = e taken from the start.  The cut
 is exact: it drops only prefixes without a completion and keeps the walk's
 order, and the mirror step still checks the tail against the head.  In an
 abelian group c_d = a_{d+1}, so it never fires there; in G27_4 it cuts the
@@ -72,15 +74,8 @@ __all__ = [
     "DEFAULT_SEARCH_CAP",
 ]
 
-KINDS = (
-    "directed",
-    "terrace",
-    "directed_tk",
-    "half_and_half",
-    "narcissistic",
-    "directed_half_and_half",
-)
-_DIRECTED_KINDS = {"directed", "directed_tk", "directed_half_and_half"}
+KINDS = tuple(_ckernel._KINDS)
+_DIRECTED_KINDS = {kind for kind, entry in _ckernel._KINDS.items() if entry.directed}
 
 DEFAULT_TERRACE_CAP = 16
 DEFAULT_DIRECTED_CAP = 24
@@ -103,13 +98,12 @@ class EnumMode:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown enumeration kind {self.kind!r}")
-        if self.kind == "directed_tk" and self.k < 2:
-            raise ValueError("directed_tk requires k >= 2 (k=1 is kind='directed')")
+        tk = _ckernel._KINDS[self.kind].tk  # only a T_k kind takes k >= 2, and it needs one
+        if (self.k < 2) if tk else (self.k != 1):
+            raise ValueError(f"{self.kind} takes k {'>= 2' if tk else '= 1'}, got k={self.k}")
 
     def label(self) -> str:
-        if self.kind == "directed_tk":
-            return f"directed_t{self.k}"
-        return self.kind
+        return f"directed_t{self.k}" if self.k > 1 else self.kind
 
 
 @dataclass
@@ -119,9 +113,13 @@ class EnumResult:
     witnesses: tuple[Arrangement, ...] | None = None
 
 
-def _odd_order_required(group: Group, kind: str) -> None:
-    if kind in ("half_and_half", "narcissistic", "directed_half_and_half") and group.order % 2 == 0:
-        raise ValueError(f"{kind} enumeration requires odd group order, got {group.order}")
+def _check_group(group: Group, mode: EnumMode) -> None:
+    """Refuse a kind with a layer 2 on an even order, and a T_k depth past n - 1."""
+    n = group.order
+    if _ckernel._KINDS[mode.kind].layer2 and n % 2 == 0:
+        raise ValueError(f"{mode.kind} enumeration requires odd group order, got {n}")
+    if n > 1 and mode.k > n - 1:
+        raise ValueError(f"k={mode.k} out of range 1..{n - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +151,9 @@ def _dfs(
     appends each surviving prefix (a_2, ..., a_{stop_at+1}) to sink.
 
     The walk runs in the compiled kernel (`_ckernel`), which takes the
-    group and reports each leaf through one callback.
+    group and the kind and reports each leaf through one callback.
     """
-    kernel = _ckernel.load()
-    n = group.order
-    kind = mode.kind
-    # Layer 1, the bucket ledger, which the kernel builds: b_depth lands in
-    # its quotient's bucket for directed kinds (capacity 1), else in its
-    # inverse-pair class (capacity the class's cap, or 1 for the first half
-    # of a narcissistic b, whose second half is the mirror image).
-    directed = kind in _DIRECTED_KINDS
-    # Layer 2 as (the C source's number for it, first depth, last depth).
-    half = (n - 1) // 2
-    k = mode.k if kind == "directed_tk" else 1
-    if k >= 2:
-        layer2 = (1, 2, n - 1)
-    elif kind in ("half_and_half", "directed_half_and_half"):
-        layer2 = (2, 1, half)
-    elif kind == "narcissistic":
-        layer2 = (3, 1, half)
-    else:
-        layer2 = (0, 0, -1)
-    end = _end_depth(n, kind) if stop_at is None else stop_at
+    end = _end_depth(group.order, mode.kind) if stop_at is None else stop_at
     leaf = None
     if sink is not None and stop_at is not None:
         def leaf(seq):
@@ -183,18 +162,15 @@ def _dfs(
         def leaf(seq):
             sink.append(Arrangement(group, tuple(seq)))
             return limit is not None and len(sink) >= limit
-    narcissistic = kind == "narcissistic"
-    leaves = kernel.dfs(group, directed, narcissistic, layer2, k, end, narcissistic and stop_at is None,
-                        prune, prefix, budget, leaf)
+    leaves = _ckernel.load().dfs(group, mode.kind, mode.k, end, prune, prefix, budget, leaf)
     if leaves < 0:
         raise BudgetExceeded("search node budget exhausted")
     return leaves
 
 
 def _end_depth(n: int, kind: str) -> int:
-    """Depth of the last free choice: a_{n}, or the middle entry for the
-    narcissistic kind, whose second half mirrors the first."""
-    return (n - 1) // 2 if kind == "narcissistic" else n - 1
+    """Depth of the last free choice: a_n, or the middle entry of a mirrored kind."""
+    return (n - 1) // 2 if _ckernel._KINDS[kind].mirrored else n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +179,6 @@ def _end_depth(n: int, kind: str) -> int:
 
 def _default_cap(kind: str) -> int:
     return DEFAULT_DIRECTED_CAP if kind in _DIRECTED_KINDS else DEFAULT_TERRACE_CAP
-
-
-def _check_tk_range(group: Group, mode: EnumMode) -> None:
-    if mode.kind == "directed_tk" and group.order > 1 and mode.k > group.order - 1:
-        raise ValueError(f"k={mode.k} out of range 1..{group.order - 1}")
 
 
 # Parallel counts (see the module docstring), on a forked pool whose
@@ -314,8 +285,7 @@ def enumerate_basic(
     cap = _default_cap(mode.kind) if cap is None else cap
     if group.order > cap:
         raise ValueError(f"enumeration capped at order {cap}, group has {group.order}")
-    _odd_order_required(group, mode.kind)
-    _check_tk_range(group, mode)
+    _check_group(group, mode)
     n = group.order
 
     if n == 1:
@@ -369,8 +339,7 @@ def search_first(
         raise ValueError(f"search capped at order {cap}, group has {group.order}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
-    _odd_order_required(group, mode.kind)
-    _check_tk_range(group, mode)
+    _check_group(group, mode)
     if group.order == 1:
         return Arrangement(group, (0,))
     elementary_2 = all(x == y for x, y in enumerate(group.inv))

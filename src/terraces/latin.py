@@ -11,9 +11,7 @@ re-verifiable witness for the first failure it sees.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 from . import _ckernel
 from .props import Arrangement
@@ -77,7 +75,7 @@ def certify(sq: LatinSquare) -> SquareCertificate:
     compiled `_ckernel.terraces_certify`; each witness is the first failure
     in row order, re-verifiable by reading the cells it names."""
     n, cells = sq.order, sq.cells
-    rows, cols = _ckernel.load().certify(n, array("i", chain.from_iterable(cells)))
+    rows, cols = _ckernel.load().certify(n, cells)
     row_ok, r0, c0, r, c, quasi_ok, x, y, count, roman = rows
     row_wit = quasi_wit = None
     if not row_ok:

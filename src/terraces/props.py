@@ -333,7 +333,10 @@ def arrangement_from_json(payload: dict, group: Group | None = None) -> Arrangem
 
 
 def load_arrangement(path: str | Path, group: Group | None = None) -> Arrangement:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:  # not a ValueError, as json's other refusals are
+        raise ValueError(f"terrace file {str(path)!r} nests too deeply to read") from None
     return arrangement_from_json(payload, group)
 
 

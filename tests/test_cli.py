@@ -183,6 +183,18 @@ def test_verify_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_deeply_nested_terrace_file_exits_2(tmp_path, capsys):
+    """A file nested past the JSON decoder's recursion limit is bad input:
+    verify, square and orbit each exit 2 with a one-line JSON error."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    for command in ["verify", "square", "orbit"]:
+        code = main([command, "--terrace", str(deep), "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, command
+        assert len(captured.err.splitlines()) == 1 and "nests too deeply" in json.loads(captured.err)["error"]
+
+
 def test_bad_group_spec_exits_2(tmp_path, capsys):
     for spec in ["Z4xW9", "Z100000"]:
         code = main(["group", "--group", spec, "--outdir", str(tmp_path)])

@@ -35,6 +35,10 @@ def test_mode_validation():
         EnumMode("nonsense")
     with pytest.raises(ValueError):
         EnumMode("directed_tk", k=1)
+    for kind in E.KINDS:  # only directed_tk takes a T_k depth
+        if kind != "directed_tk":
+            with pytest.raises(ValueError):
+                EnumMode(kind, k=5)
     assert EnumMode("directed_tk", k=2).label() == "directed_t2"
 
 
@@ -169,6 +173,7 @@ KIND_CASES = {
     "terrace": (EnumMode("terrace"), P.is_terrace),
     "directed_t2": (EnumMode("directed_tk", k=2), lambda a: P.is_directed_tk(a, 2)),
     "directed_t3": (EnumMode("directed_tk", k=3), lambda a: P.is_directed_tk(a, 3)),
+    "directed_t4": (EnumMode("directed_tk", k=4), lambda a: P.is_directed_tk(a, 4)),
     "half_and_half": (EnumMode("half_and_half"), lambda a: P.is_terrace(a) and P.is_half_and_half(a)),
     "narcissistic": (EnumMode("narcissistic"), lambda a: P.is_terrace(a) and P.is_narcissistic(a)),
     "directed_half_and_half": (
@@ -460,6 +465,16 @@ def test_max_nodes_edge(monkeypatch, spec, mode, nodes, found):
             assert (w is not None) == found
             with pytest.raises(BudgetExceeded):
                 search_first(g, mode, max_nodes=nodes - 1)
+
+
+def test_g21_t2_first_witness_nodes_are_pinned():
+    """The agreement tests stop at order 12; past it the compiled kernel is
+    held to a pin: the pruned G21_1 T2 first-witness search visits
+    1,674,373 nodes and finds this witness."""
+    g = get_group("G21_1")
+    nodes, _leaves, found = _trace(g, EnumMode("directed_tk", k=2), True, 1)
+    assert nodes == 1_674_373
+    assert found == [(0, 1, 3, 2, 7, 11, 17, 16, 19, 4, 14, 18, 13, 9, 20, 8, 10, 5, 6, 15, 12)]
 
 
 def test_streamed_witnesses_pass_their_verifiers():

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,13 @@ def test_the_kernel_source_compiles_clean_under_warnings():
     out = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
                          input=_ckernel.SOURCE, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("spec", ["Z5", "D10", "Q12"])
+def test_the_kernel_tables_are_built_at_exact_size(spec):
+    """Every table the kernels read ends where its buffer does, so that the
+    sanitizers report a read one int past it."""
+    g = G.parse_group_spec(spec)
+    empty = sys.getsizeof(array("i"))
+    for name, table in zip(_ckernel._TABLES, _ckernel._flat(g, *_ckernel._TABLES)):
+        assert sys.getsizeof(table) == empty + len(table) * table.itemsize, name
