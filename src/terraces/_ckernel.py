@@ -1,8 +1,8 @@
 """The compiled kernels: `enumerate._dfs`, the climb loop of
-`hillclimb.climb`, the orbit closure's neighbour step and `latin.certify`
-in C, built on first use.
+`hillclimb.climb`, the orbit closure and its neighbour step, and
+`latin.certify` in C, built on first use.
 
-`SOURCE` holds four C functions, each with a Python twin in
+`SOURCE` holds five C functions, each with a Python twin in
 `tests/oracles.py` that the tests hold it to.  `terraces_dfs` translates
 the Python kernel `oracles.dfs` node for node: the same bucket ledger,
 layer-2 marks, T_k rows, forced narcissistic tail, ascending candidate
@@ -14,20 +14,26 @@ teleports and class counts are those of `oracles._Climber`; the seeded
 generator stays in Python, and the loop calls back for each teleport
 index, so a climb is one call.  `terraces_neighbours` translates
 `oracles._moves` followed by the canonical form of each neighbour, in the
-same order, as `oracles.neighbour_forms` lists them.  `terraces_certify`
-works out a Latin square's certificate from its cells alone, with the
-same first failures as `oracles.certify`.  `load` compiles the source with the system C
-compiler into a per-user cache directory, loads it with `ctypes` and
-returns the four functions as a `Kernel`.  The compiler is needed at first
-use: where no compiler, cache directory or loader works, `load` raises one
-`OSError` that names the compiler, the directories tried and the last
-lines of the compiler's own message.
+same order, as `oracles.neighbour_forms` lists them.  `terraces_closure`
+runs a whole breadth-first closure over that step, as `oracles.closure`
+does: it takes the start's canonical form itself, keeps the forms in one
+growing array that is also the queue, drops repeats with an
+open-addressing hash set over it, and calls back for each new form only.
+`terraces_certify` works out a Latin square's certificate from its cells
+alone, with the same first failures as `oracles.certify`.  `load`
+compiles the source with the system C compiler into a per-user cache
+directory, loads it with `ctypes` and returns the five functions as a
+`Kernel`.  The compiler is needed at first use: where no compiler, cache
+directory or loader works, `load` raises one `OSError` that names the
+compiler, the directories tried and the last lines of the compiler's own
+message.
 
 Only this module knows the flat int layout of the tables the C source
 reads, and, in `_KINDS`, how the search encodes each kind it takes by
-name.  The search, climb and neighbour wrappers take a `Group`, whose
-tables `_flat` builds once and keeps on it.  The certificate wrapper reads
-a square's rows alone, so it stays a check that does not depend on a group.
+name.  The search, climb, neighbour and closure wrappers take a `Group`,
+whose tables `_flat` builds once and keeps on it.  The certificate wrapper
+reads a square's rows alone, so it stays a check that does not depend on a
+group.
 
 The climb's moves are one move table per piece count (two or three) and
 reversal flag, built once at import (`_MOVES`): for each (piece order,
@@ -41,11 +47,12 @@ raise the altitude; only the rest reach the gain test.
 
 The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
-for signals every 2^20 nodes, and the climb before every scan, and each
-stops when a handler raised, so Ctrl-C interrupts a long walk or climb at
-once.  An exception raised in a Python callback (the search's leaf, the
-climb's draw and step), a KeyboardInterrupt included, stops the kernel
-too, and the wrapper raises it when the call returns.
+for signals every 2^20 nodes, the climb before every scan and the closure
+before every step, and each stops when a handler raised, so Ctrl-C
+interrupts a long walk, climb or closure at once.  An exception raised in
+a Python callback (the search's leaf, the climb's draw and step, the
+closure's visit), a KeyboardInterrupt included, stops the kernel too, and
+the wrapper raises it when the call returns.
 """
 
 from __future__ import annotations
@@ -499,18 +506,15 @@ static void least(int n, const int *ldiv, int naut, const int *auts,
    seq: out gets, n ints each and repeats included, the canonical forms of
    the whole reversal, then, cut by cut, of each move of the packed 2-piece
    table whose new junction's quotient is in the class of the junction it
-   breaks; out holds n (1 + (n - 1) nmoves) ints.  Returns the number of
-   forms written, -2 when memory ran out. */
+   breaks; out holds n (1 + (n - 1) nmoves) ints, cand is 2 n of scratch.
+   Returns the number of forms written. */
 int terraces_neighbours(int n, const int *table, const int *seq,
                         const int *ldiv, const int *cls, int naut,
-                        const int *auts, int *out)
+                        const int *auts, int *cand, int *out)
 {
     int b[3] = {0, 0, n}, ends[4], c, m, count = 1;
-    int *cand = malloc(2 * (size_t)n * sizeof(int)), *form = cand + n;
-    if (!cand)
-        return -2;
     piece(cand, seq, 0, n, 1);
-    least(n, ldiv, naut, auts, cand, form, out);
+    least(n, ldiv, naut, auts, cand, cand + n, out);
     for (c = 1; c < n; c++) {
         const int *mv = ROWS(table);
         b[1] = c;
@@ -521,11 +525,86 @@ int terraces_neighbours(int n, const int *table, const int *seq,
                 cls[ldiv[ends[mv[3]] * n + ends[mv[4]]]])
                 continue;
             reassemble(cand, seq, b, 2, mv);
-            least(n, ldiv, naut, auts, cand, form, out + (size_t)count++ * n);
+            least(n, ldiv, naut, auts, cand, cand + n, out + (size_t)count++ * n);
         }
     }
-    free(cand);
     return count;
+}
+
+/* Where form is in the open-addressing set slot (size a power of two, -1
+   empty) of indices into forms, else the empty slot its probe ends at. */
+static size_t find(const int *slot, size_t size, const int *forms,
+                   const int *form, int n)
+{
+    unsigned long long x = 0;
+    size_t h;
+    int i;
+    for (i = 0; i < n; i++)
+        x = (x + (unsigned)form[i]) * 0x9e3779b97f4a7c15ull;
+    for (h = (x ^ x >> 32) & (size - 1); slot[h] >= 0; h = (h + 1) & (size - 1))
+        if (!memcmp(forms + (size_t)slot[h] * n, form, n * sizeof(int)))
+            break;
+    return h;
+}
+
+/* The breadth-first closure of the terrace start under the moves of
+   `terraces_neighbours`, over canonical forms: start's, then each new one
+   in the order the steps list them.  forms keeps them in that order, which
+   is also the queue, with space for room forms, and slot, an
+   open-addressing set of 2 room indices into it, drops repeats.  Each new
+   form is written to cur and visit() called; the walk stops when visit
+   answers true, at limit forms, or when no form is left.  Returns the
+   number of forms; -2 when memory ran out, -3 when visit or a signal
+   handler raised. */
+int terraces_closure(int n, const int *table, const int *start,
+                     const int *ldiv, const int *cls, int naut,
+                     const int *auts, int limit, int *cur, void *visit,
+                     const py_api *py)
+{
+    const size_t w = n * sizeof(int), most = 1 + (size_t)(n - 1) * table[1];
+    int *nb = malloc((most + 2) * w), *cand = nb + most * n;
+    int *forms = 0, *slot = 0, *grown, count = 0, head = 0, got = 1, code = -2, i;
+    size_t room = 0, h;
+    long r;
+    if (!nb)
+        return -2;
+    least(n, ldiv, naut, auts, start, cand, nb); /* the start, a step of one */
+    for (;;) {
+        for (i = 0; i < got; i++) {
+            if ((size_t)count == room) { /* double the room, and rehash */
+                room = room ? 2 * room : 64;
+                free(slot);
+                if (!(slot = malloc(2 * room * sizeof(int))) ||
+                    !(grown = realloc(forms, room * w)))
+                    goto out;
+                forms = grown;
+                memset(slot, 0xff, 2 * room * sizeof(int));
+                for (h = 0; h < (size_t)count; h++)
+                    slot[find(slot, 2 * room, forms, forms + h * n, n)] = (int)h;
+            }
+            h = find(slot, 2 * room, forms, nb + (size_t)i * n, n);
+            if (slot[h] >= 0)
+                continue;
+            slot[h] = count;
+            memcpy(forms + (size_t)count++ * n, nb + (size_t)i * n, w);
+            memcpy(cur, nb + (size_t)i * n, w);
+            if ((r = pycall(py, visit, 0, 0, 0, 0)) != 0 || count >= limit) {
+                code = r < 0 ? -3 : count;
+                goto out;
+            }
+        }
+        if (head == count || py->check() < 0) {
+            code = head < count ? -3 : count;
+            break;
+        }
+        got = terraces_neighbours(n, table, forms + (size_t)head++ * n, ldiv,
+                                  cls, naut, auts, cand, nb);
+    }
+out:
+    free(nb);
+    free(forms);
+    free(slot);
+    return code;
 }
 
 /* The first ordered pair repeated at offset m along the lines of the n x n
@@ -733,6 +812,7 @@ class Kernel(NamedTuple):
     dfs: Callable
     climb: Callable
     neighbours: Callable
+    closure: Callable
     certify: Callable
 
 
@@ -763,8 +843,11 @@ def _bind(path: str) -> Kernel:
     climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, ptr, ptr, ptr, obj, obj, ptr, ptr]
     climb_fn.restype = c_int
     nb_fn = lib.terraces_neighbours
-    nb_fn.argtypes = [c_int] + [ptr] * 4 + [c_int, ptr, ptr]
+    nb_fn.argtypes = [c_int] + [ptr] * 4 + [c_int, ptr, ptr, ptr]
     nb_fn.restype = c_int
+    closure_fn = lib.terraces_closure
+    closure_fn.argtypes = [c_int] + [ptr] * 4 + [c_int, ptr, c_int, ptr, obj, ptr]
+    closure_fn.restype = c_int
     cert_fn = lib.terraces_certify
     cert_fn.argtypes = [c_int, ptr, ptr]
     cert_fn.restype = c_int
@@ -829,28 +912,46 @@ def _bind(path: str) -> Kernel:
             raise ValueError(f"a teleport index outside 0..{n - 1}")
         return code == 0, *out
 
-    def neighbours(group, allow_reversal, canonical):
+    def neighbours(group, allow_reversal):
         """seq -> the neighbours of the terrace seq that `oracles._moves`
-        lists, repeats included, as tuples: the moves of the packed 2-piece
-        table, with piece reversal when allow_reversal is set.  Each is
-        re-based, and with canonical set taken to its least image under
-        Aut(group); without it the identity is the only automorphism."""
+        lists, re-based and repeats included, as tuples: the moves of the
+        packed 2-piece table, with piece reversal when allow_reversal is
+        set.  The step runs with the identity as the only automorphism;
+        `closure` runs it with all of Aut(group)."""
         n, table = group.order, _PACKED[2, allow_reversal]
-        ldiv, cls, auts = _flat(group, "ldiv", "cls", "auts" if canonical else "ids")
+        ldiv, cls, auts = _flat(group, "ldiv", "cls", "ids")
         out = array.array("i", [0]) * (n * (1 + (n - 1) * table[1]))
+        cand = array.array("i", [0]) * (2 * n)
 
         def forms(seq):
             if len(seq) != n:
                 raise ValueError(f"a terrace of {len(seq)} entries for a group of order {n}")
             terrace = array.array("i", seq)
             count = nb_fn(n, addr(table), addr(terrace), addr(ldiv), addr(cls), len(auts) // n,
-                          addr(auts), addr(out))
-            if count < 0:
-                raise MemoryError("neighbour step out of memory")
+                          addr(auts), addr(cand), addr(out))
             it = iter(out[: count * n])
             return list(zip(*[it] * n))  # n entries at a time
 
         return forms
+
+    def closure(group, allow_reversal, seq, visit, limit=None):
+        """Call visit(form) for each canonical form, a tuple, of the closure
+        of the terrace seq under the moves of `neighbours`, breadth first
+        from seq's own form and each new form once, until visit answers
+        true, limit forms (at most 2^31 - 1) have been visited, or none is
+        left.  Returns the number visited; an exception raised in visit
+        stops the walk and is raised here."""
+        n, table = group.order, _PACKED[2, allow_reversal]
+        if len(seq) != n:
+            raise ValueError(f"a terrace of {len(seq)} entries for a group of order {n}")
+        ldiv, cls, auts = _flat(group, "ldiv", "cls", "auts")
+        start, cur = array.array("i", seq), array.array("i", [0]) * n
+        bound = (1 << 31) - 1 if limit is None else min(limit, (1 << 31) - 1)
+        count = closure_fn(n, addr(table), addr(start), addr(ldiv), addr(cls), len(auts) // n,
+                           addr(auts), bound, addr(cur), lambda: visit(tuple(cur)), api)
+        if count == -2:
+            raise MemoryError("closure out of memory")
+        return count
 
     def certify(n, cells):
         """The certificate fields of the n x n square whose rows are `cells`,
@@ -866,7 +967,7 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("certify out of memory")
         return out[:10], out[10:]
 
-    return Kernel(dfs, climb, neighbours, certify)
+    return Kernel(dfs, climb, neighbours, closure, certify)
 
 
 def _build(directory: str) -> Kernel:

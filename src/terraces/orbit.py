@@ -15,25 +15,24 @@ broken one's class, and only those results are built (re-basing keeps
 every quotient).  Closures work over canonical forms, so the counts are
 counts of essentially different terraces.
 
-A closure step, the canonical forms of one terrace's neighbours, runs in
-C (`_ckernel.terraces_neighbours`), which owns the move table and picks
-it from the reversal flag; `_neighbour_forms` binds it for one group.
-`two_piece_moves` is the same step with the identity as the only
-automorphism.  Its Python twin, `neighbour_forms` in `tests/oracles.py`,
-takes `oracles._moves` and a least image under Aut(G) of each; the tests
-hold the two to the same forms in the same order.  The chain walk
-`explore_chain(walecki(14), 5000)` takes about 0.08 s compiled and 0.7 s
-in Python (Python 3.11, one core).
+A closure is one call of C (`_ckernel.terraces_closure`, via `_walk`): it
+steps each form in discovery order, drops repeats in a hash set and calls
+back for new forms only, which `_closure` checks as `Arrangement`s and
+offers to the predicate.  `two_piece_moves` takes the neighbour step alone
+(`_neighbour_forms`), with the identity as the only automorphism.  The
+tests hold both to their Python twins in `tests/oracles.py`, form for
+form.  `explore_chain(walecki(14), 5000)` takes about 0.02 s compiled
+(0.04 s with `is_extendable` as the predicate) and 0.5 s in Python
+(Python 3.11, one process).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from . import _ckernel
 from .groups import Group
-from .props import Arrangement, canonical_form, is_terrace
+from .props import Arrangement, is_terrace
 
 __all__ = ["two_piece_moves", "orbit_of", "explore_chain"]
 
@@ -43,7 +42,7 @@ def two_piece_moves(a: Arrangement, allow_piece_reversal: bool) -> list[Arrangem
     swapped, and reversed when the flag allows), re-based and deduplicated."""
     if not is_terrace(a):
         raise ValueError("two_piece_moves is defined on terraces")
-    based = _neighbour_forms(a.group, allow_piece_reversal, canonical=False)(a.seq)
+    based = _neighbour_forms(a.group, allow_piece_reversal)(a.seq)
     return [Arrangement(a.group, s) for s in dict.fromkeys(based)]
 
 
@@ -53,41 +52,38 @@ def orbit_of(a: Arrangement) -> dict[tuple[int, ...], Arrangement]:
     return _closure(a, allow_piece_reversal=False)[0]
 
 
-def _neighbour_forms(g: Group, allow_piece_reversal: bool,
-                     canonical: bool = True) -> Callable[[tuple[int, ...]], list]:
-    """seq -> the re-based neighbours of the terrace seq in the order of the
-    move table, each taken to its canonical form when canonical is set,
-    computed by the compiled kernel, which also lists a neighbour again for
-    each repeat."""
-    return _ckernel.load().neighbours(g, allow_piece_reversal, canonical)
+def _neighbour_forms(g: Group, allow_piece_reversal: bool) -> Callable[[tuple[int, ...]], list]:
+    """The compiled neighbour step, `Kernel.neighbours`: seq -> the re-based
+    neighbours of the terrace seq, repeats included."""
+    return _ckernel.load().neighbours(g, allow_piece_reversal)
 
 
-def _closure(
-    a: Arrangement,
-    allow_piece_reversal: bool,
-    predicate: Callable[[Arrangement], bool] | None = None,
-    limit: int | None = None,
-) -> tuple[dict[tuple[int, ...], Arrangement], Arrangement | None]:
+def _walk(g: Group, allow_piece_reversal: bool, seq: tuple[int, ...],
+          visit: Callable[[tuple[int, ...]], bool], limit: int | None) -> int:
+    """The compiled closure, `Kernel.closure`: visit(form) for each new
+    canonical form; returns the number visited."""
+    return _ckernel.load().closure(g, allow_piece_reversal, seq, visit, limit)
+
+
+def _closure(a: Arrangement, allow_piece_reversal: bool, predicate: Callable[[Arrangement], bool] | None = None,
+             limit: int | None = None) -> tuple[dict[tuple[int, ...], Arrangement], Arrangement | None]:
+    """({canonical form: its arrangement} in discovery order, the first that
+    predicate accepts or None) of the closure of the terrace a."""
     if not is_terrace(a):
         raise ValueError("closure is defined on terraces")
     g = a.group
-    neighbour_forms = _neighbour_forms(g, allow_piece_reversal)
-    start = canonical_form(a)
-    forms = {start.seq: start}
-    if predicate is not None and predicate(start):
-        return forms, start
-    queue = deque([start.seq])
-    while queue:
-        for cf in neighbour_forms(queue.popleft()):
-            if cf in forms:
-                continue
-            rep = forms[cf] = Arrangement(g, cf)
-            if predicate is not None and predicate(rep):
-                return forms, rep
-            if limit is not None and len(forms) >= limit:
-                return forms, None
-            queue.append(cf)
-    return forms, None
+    forms: dict[tuple[int, ...], Arrangement] = {}
+    witness = None
+
+    def visit(form: tuple[int, ...]) -> bool:
+        nonlocal witness
+        rep = forms[form] = Arrangement(g, form)
+        if predicate is not None and predicate(rep):
+            witness = rep
+        return witness is not None
+
+    _walk(g, allow_piece_reversal, a.seq, visit, limit)
+    return forms, witness
 
 
 def explore_chain(
@@ -98,8 +94,8 @@ def explore_chain(
     """Breadth-first chain closure with single-piece reversal allowed.
 
     Stops as soon as `predicate` accepts a canonical representative, or
-    once `limit` distinct canonical forms have been seen.  Returns the
-    witness (or None) and the number of forms visited.
+    once `limit` distinct canonical forms, the start's included, have been
+    visited.  Returns the witness (or None) and the number visited.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")

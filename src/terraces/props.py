@@ -105,16 +105,13 @@ def is_directed_terrace(a: Arrangement) -> bool:
 
 def is_terrace(a: Arrangement) -> bool:
     """Each involution exactly once in b; each pair {x, x^-1} twice in total."""
-    g = a.group
-    if g.order == 1:
-        return True
-    counts = Counter(diff_list(a))
-    for z in involutions(g):
-        if counts.get(z, 0) != 1:
-            return False
-    inv = g.inv
-    for x in range(1, g.order):
-        if inv[x] != x and counts.get(x, 0) + counts.get(inv[x], 0) != 2:
+    g, s = a.group, a.seq
+    ldiv, inv = g.ldiv, g.inv
+    counts = [0] * g.order
+    for x, y in zip(s, s[1:]):
+        counts[ldiv[x][y]] += 1
+    for x in range(1, g.order):  # for an involution x = x^-1: counts[x] == 1
+        if counts[x] + counts[inv[x]] != 2:
             return False
     return True
 

@@ -11,10 +11,15 @@ same order:
   applies moves and teleports, and `scan` is its first-improvement move
   scan, move for move (with `_gain`, and `_classes`, the class of each
   quotient and the cap of each class);
-- `neighbour_forms` is `orbit._neighbour_forms`, the closure step: the
-  canonical forms of one terrace's neighbours, as `_moves` lists them
-  (with `_materialize`, which cuts and reassembles an arrangement); with
-  the identity for Aut(G), `_moves` is also `orbit.two_piece_moves`;
+- `neighbour_forms` is `orbit._neighbour_forms`, the neighbour step: one
+  terrace's re-based neighbours as `_moves` lists them (with
+  `_materialize`, which cuts and reassembles an arrangement), and with
+  `canonical` set their canonical forms, the closure step;
+- `closure` is `orbit._walk`, the whole closure over that step: the same
+  forms in the same order, each new one visited once;
+- `counted_is_terrace` is `props.is_terrace` as it was written before
+  it counted b into a list: a `Counter` of `diff_list`, and the
+  involutions checked apart;
 - `certify` is `latin.certify`, a Latin square's certificate with the
   same witnesses, from the same scans of the cells (with `_offset_repeat`,
   `check_row_complete`, `check_row_quasi_complete`, `roman_k_max` and
@@ -22,7 +27,7 @@ same order:
 
 The climb and the closure step read the move tables `_ckernel._MOVES` as
 tuples, where the C source reads each packed into one int array
-(`_ckernel._PACKED`).  `conftest.kernels` swaps the first three in for
+(`_ckernel._PACKED`).  `conftest.kernels` swaps the first four in for
 the compiled routines, through the same names, so that a test runs one
 body on both and compares; the certify tests call both and compare their
 certificates.
@@ -32,16 +37,17 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter, deque
 from itertools import combinations
 from typing import Callable
 
 from terraces._ckernel import _MOVES
 from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_depth
-from terraces.groups import Group, _class_data, automorphisms
+from terraces.groups import Group, _class_data, automorphisms, involutions
 from terraces.hillclimb import ClimbParams, ClimbResult
 from terraces.latin import LatinSquare, SquareCertificate
-from terraces.props import (Arrangement, altitude_directed, altitude_undirected, is_directed_terrace,
-                            is_terrace)
+from terraces.props import (Arrangement, altitude_directed, altitude_undirected, diff_list,
+                            is_directed_terrace, is_terrace)
 
 
 class _Stop(Exception):
@@ -459,14 +465,54 @@ def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[t
 
 
 def neighbour_forms(g: Group, allow_piece_reversal: bool,
-                    canonical: bool = True) -> Callable[[tuple[int, ...]], list]:
+                    canonical: bool = False) -> Callable[[tuple[int, ...]], list]:
     """seq -> the neighbours `_moves` gives for the terrace seq, in its
-    order, each a least image under Aut(g) when canonical is set.  The
-    compiled step lists a neighbour again for each repeat, which the
-    callers' dedup drops."""
+    order, each a least image under Aut(g) when canonical is set, as
+    `closure` takes them.  The compiled step lists a neighbour again for
+    each repeat, which the callers' dedup drops."""
     auts = automorphisms(g) if canonical else [tuple(range(g.order))]
     return lambda seq: [min(tuple(phi[x] for x in nb) for phi in auts)
                         for nb in _moves(g, seq, allow_piece_reversal)]
+
+
+def closure(g: Group, allow_piece_reversal: bool, seq: tuple[int, ...],
+            visit: Callable[[tuple[int, ...]], bool], limit: int | None = None) -> int:
+    """`orbit._walk`: visit(form) for the least image under Aut(g) of the
+    re-based seq, then breadth first for each new form `neighbour_forms`
+    lists, until visit answers true, limit forms have been visited, or none
+    is left; returns the number visited."""
+    step = neighbour_forms(g, allow_piece_reversal, canonical=True)
+    row = g.ldiv[seq[0]]
+    start = min(tuple(phi[row[x]] for x in seq) for phi in automorphisms(g))
+    seen = {start}
+    queue = deque([start])
+    if visit(start) or (limit is not None and len(seen) >= limit):
+        return len(seen)
+    while queue:
+        for cf in step(queue.popleft()):
+            if cf in seen:
+                continue
+            seen.add(cf)
+            if visit(cf) or (limit is not None and len(seen) >= limit):
+                return len(seen)
+            queue.append(cf)
+    return len(seen)
+
+
+def counted_is_terrace(a: Arrangement) -> bool:
+    """Each involution exactly once in b; each pair {x, x^-1} twice in total."""
+    g = a.group
+    if g.order == 1:
+        return True
+    counts = Counter(diff_list(a))
+    for z in involutions(g):
+        if counts.get(z, 0) != 1:
+            return False
+    inv = g.inv
+    for x in range(1, g.order):
+        if inv[x] != x and counts.get(x, 0) + counts.get(inv[x], 0) != 2:
+            return False
+    return True
 
 
 def transpose(sq: LatinSquare) -> LatinSquare:

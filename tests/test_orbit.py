@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import deque
 
 import pytest
@@ -71,7 +72,7 @@ def test_compiled_neighbours_refuse_a_terrace_of_the_wrong_length():
     """The neighbour step, bound once per group, refuses a terrace whose
     length is not the group's order, and still steps afterwards."""
     w = P.walecki(10)
-    forms = _ckernel.load().neighbours(w.group, False, True)
+    forms = _ckernel.load().neighbours(w.group, False)
     first = forms(w.seq)
     assert len(first) > 1 and all(len(f) == 10 for f in first)
     for seq in (w.seq[:9], w.seq + (0,), ()):
@@ -208,3 +209,107 @@ def test_chain_respects_limit(monkeypatch):
         with kernels(monkeypatch, python):
             _w, visited = explore_chain(P.walecki(13), limit=100, predicate=lambda r: False)
         assert visited == 100, python
+
+
+def _left_shift(w):
+    """w left-multiplied by its last entry: a terrace with the same quotients
+    that is not based, so the closure must take its form itself."""
+    mul, x = w.group.mul, w.seq[-1]
+    return P.Arrangement(w.group, tuple(mul[x][y] for y in w.seq))
+
+
+CLOSURE_PREDICATES = {
+    "none": None,
+    "extendable": lambda r: P.is_extendable(r)[0],
+    "middle_is_1": lambda r: r.seq[len(r.seq) // 2] == 1,
+}
+
+
+def _both_closures(monkeypatch, start, flag, predicate=None, limit=None):
+    """(forms, witness seq) of the compiled closure, then of the Python
+    twin's, each with its forms as a list in discovery order."""
+    got = []
+    for python in (False, True):
+        with kernels(monkeypatch, python):
+            forms, witness = _closure(start, flag, predicate, limit)
+        got.append((list(forms), witness and witness.seq))
+    return got
+
+
+@pytest.mark.parametrize("spec", CATALOGUE_1_TO_10)
+def test_compiled_closures_match_the_oracle_closures(spec, monkeypatch):
+    """The whole closures from three essential terraces, each started from
+    a left shift of itself, give the same forms in the same order and the
+    same witness on the compiled kernel and the Python twin, with and
+    without piece reversal; the first form is the start's canonical form,
+    and every form an arrangement of a terrace."""
+    for w in essential_terraces(spec)[:3]:
+        start = _left_shift(w)
+        for flag in (False, True):
+            for name, predicate in CLOSURE_PREDICATES.items():
+                compiled, python = _both_closures(monkeypatch, start, flag, predicate)
+                assert compiled == python, (w.seq, flag, name)
+                forms, witness = compiled
+                assert forms[0] == P.canonical_form(w).seq
+                if witness is not None:
+                    assert forms[-1] == witness and predicate(P.Arrangement(w.group, witness))
+
+
+def test_compiled_and_oracle_chains_agree_on_a_limited_z14_chain(monkeypatch):
+    """The Z14 chain walk stopped at 1500 forms, and stopped at the first
+    form whose middle entry is 1, agrees on both paths."""
+    w = P.walecki(14)
+    compiled, python = _both_closures(monkeypatch, w, True, None, 1500)
+    assert compiled == python and len(compiled[0]) == 1500 and compiled[1] is None
+    middle = CLOSURE_PREDICATES["middle_is_1"]
+    compiled, python = _both_closures(monkeypatch, w, True, middle, 1500)
+    assert compiled == python and compiled[1] is not None and 1 < len(compiled[0]) < 1500
+
+
+@pytest.mark.parametrize("limit", [1, 2, 100])
+def test_compiled_and_oracle_chains_count_the_start_in_the_limit(limit, monkeypatch):
+    """explore_chain visits exactly limit forms, the start's form first."""
+    w = P.walecki(14)
+    for python in (False, True):
+        with kernels(monkeypatch, python):
+            witness, visited = explore_chain(w, limit, lambda r: False)
+            forms = list(_closure(w, True, None, limit)[0])
+        assert (witness, visited, len(forms)) == (None, limit, limit), python
+        assert forms[0] == P.canonical_form(w).seq
+
+
+class _Raised(Exception):
+    pass
+
+
+def test_a_raising_predicate_stops_the_compiled_and_oracle_closures(monkeypatch):
+    """An exception raised in the predicate, on the 30th form, reaches the
+    caller of either closure, and the next closure runs to the same end."""
+    w = P.walecki(12)
+    want = explore_chain(w, 100_000, lambda r: P.is_extendable(r)[0])
+    for python in (False, True):
+        calls = itertools.count(1)
+
+        def bad(r):
+            if next(calls) == 30:
+                raise _Raised
+            return False
+
+        with kernels(monkeypatch, python):
+            with pytest.raises(_Raised):
+                explore_chain(P.walecki(14), 5000, bad)
+            assert next(calls) == 31, python
+            assert explore_chain(w, 100_000, lambda r: P.is_extendable(r)[0]) == want, python
+
+
+def test_compiled_closure_refuses_a_terrace_of_the_wrong_length():
+    """The compiled closure refuses a start whose length is not the group's
+    order, and the returned count is the number of forms visited."""
+    w = P.walecki(10)
+    closure = _ckernel.load().closure
+    for seq in (w.seq[:9], w.seq + (0,), ()):
+        with pytest.raises(ValueError, match="terrace"):
+            closure(w.group, True, seq, lambda form: False)
+    seen = []
+    assert closure(w.group, True, w.seq, lambda form: seen.append(form)) == len(seen) > 1
+    assert closure(w.group, True, w.seq, lambda form: True, 5) == 1
