@@ -1,8 +1,8 @@
 """The compiled kernels: `enumerate._dfs`, the climb loop of
-`hillclimb.climb`, the orbit closure and its neighbour step, and
-`latin.certify` in C, built on first use.
+`hillclimb.climb`, the orbit closure and `latin.certify` in C, built on
+first use.
 
-`SOURCE` holds five C functions, each with a Python twin in
+`SOURCE` exports four C functions, each with a Python twin in
 `tests/oracles.py` that the tests hold it to.  `terraces_dfs` translates
 the Python kernel `oracles.dfs` node for node: the same bucket ledger,
 layer-2 marks, T_k rows, forced narcissistic tail, ascending candidate
@@ -12,38 +12,38 @@ its T_k rows run m = 2 .. k, where the oracle keeps b^(2) in its layer 2.
 for step: its scan is `oracles.scan` move for move, and its moves,
 teleports and class counts are those of `oracles._Climber`; the seeded
 generator stays in Python, and the loop calls back for each teleport
-index, so a climb is one call.  `terraces_neighbours` translates
-`oracles._moves` followed by the canonical form of each neighbour, in the
-same order, as `oracles.neighbour_forms` lists them.  `terraces_closure`
-runs a whole breadth-first closure over that step, as `oracles.closure`
-does: it takes the start's canonical form itself, keeps the forms in one
-growing array that is also the queue, drops repeats with an
-open-addressing hash set over it, and calls back for each new form only.
-`terraces_certify` works out a Latin square's certificate from its cells
-alone, with the same first failures as `oracles.certify`.  `load`
-compiles the source with the system C compiler into a per-user cache
-directory, loads it with `ctypes` and returns the five functions as a
-`Kernel`.  The compiler is needed at first use: where no compiler, cache
-directory or loader works, `load` raises one `OSError` that names the
-compiler, the directories tried and the last lines of the compiler's own
-message.
+index, so a climb is one call.  `terraces_closure` runs a whole
+breadth-first closure, as `oracles.closure` does: its step, the static
+`terraces_neighbours`, lists the moves of `orbit._moves` in the same order
+and takes the canonical form of each; it takes the start's canonical form
+itself, keeps the forms in one growing array that is also the queue,
+drops repeats with an open-addressing hash set over it, and calls back
+for each new form only.  `terraces_certify` works out a Latin square's
+certificate from its cells alone, with the same first failures as
+`oracles.certify`.  `load` compiles the source with the system C compiler
+into a per-user cache directory, loads it with `ctypes` and returns the
+four functions as a `Kernel`.  The compiler is needed at first use: where
+no compiler, cache directory or loader works, `load` raises one `OSError`
+that names the compiler, the directories tried and the last lines of the
+compiler's own message.
 
 Only this module knows the flat int layout of the tables the C source
 reads, and, in `_KINDS`, how the search encodes each kind it takes by
-name.  The search, climb, neighbour and closure wrappers take a `Group`,
-whose tables `_flat` builds once and keeps on it.  The certificate wrapper
-reads a square's rows alone, so it stays a check that does not depend on a
+name.  The search, climb and closure wrappers take a `Group`, whose
+tables `_flat` builds once and keeps on it.  The certificate wrapper reads
+a square's rows alone, so it stays a check that does not depend on a
 group.
 
 The climb's moves are one move table per piece count (two or three) and
 reversal flag, built once at import (`_MOVES`): for each (piece order,
 reversal mask), the pairs of piece ends the move joins and the ones it
 breaks.  One scan serves both climb modes and both cut counts, and the
-orbit closure's neighbour step walks the 2-piece table.  Each table is
-packed into one int array (`_PACKED`), and the wrappers choose it from
-their mode flag.  An exact prefilter skips every cut tuple and every move
-that forms no junction in a class with room, since such a move cannot
-raise the altitude; only the rest reach the gain test.
+orbit's neighbour step, in C and in `orbit._moves`, walks the 2-piece
+table.  Each table is packed into one int array (`_PACKED`), and the
+wrappers choose it from their mode flag.  An exact prefilter skips every
+cut tuple and every move that forms no junction in a class with room,
+since such a move cannot raise the altitude; only the rest reach the gain
+test.
 
 The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
 and raises the Python error pending when it returns.  The search checks
@@ -223,11 +223,12 @@ static long long rec(K *s, int depth, const int *active, int nact)
     return total;
 }
 
-/* Leaves below a_1 = e and the placed prefix, cut at depth end; -1 when
-   the node budget ran out, -2 when memory did, -3 when a signal handler
-   raised.  leaf, a Python callable or None, is called at each leaf, and a
-   true answer stops the search.  rem, the bucket capacities, is updated
-   in place; *budget, when given, is left at the nodes not spent. */
+/* Leaves below a_1 = e and the placed prefix, cut at depth end (at order
+   1, end 0: the one leaf (e), which spends no node); -1 when the node
+   budget ran out, -2 when memory did, -3 when a signal handler raised.
+   leaf, a Python callable or None, is called at each leaf, and a true
+   answer stops the search.  rem, the bucket capacities, is updated in
+   place; *budget, when given, is left at the nodes not spent. */
 long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
                        const int *mul, const int *bucket, int *rem,
                        const int *ctab, int naut, const int *auts,
@@ -271,7 +272,12 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
                 act0[kept++] = act0[i];
         nact = kept;
     }
-    total = rec(&s, nprefix + 1, act0, nact);
+    if (end == 0) { /* order 1: the arrangement (e) is the one leaf */
+        total = 1;
+        if (leaf != py->none)
+            pycall(py, leaf, 0, 0, 0, 0);
+    } else
+        total = rec(&s, nprefix + 1, act0, nact);
     if (s.halt >= 2)
         total = 1 - s.halt;
 out:
@@ -508,9 +514,9 @@ static void least(int n, const int *ldiv, int naut, const int *auts,
    table whose new junction's quotient is in the class of the junction it
    breaks; out holds n (1 + (n - 1) nmoves) ints, cand is 2 n of scratch.
    Returns the number of forms written. */
-int terraces_neighbours(int n, const int *table, const int *seq,
-                        const int *ldiv, const int *cls, int naut,
-                        const int *auts, int *cand, int *out)
+static int terraces_neighbours(int n, const int *table, const int *seq,
+                               const int *ldiv, const int *cls, int naut,
+                               const int *auts, int *cand, int *out)
 {
     int b[3] = {0, 0, n}, ends[4], c, m, count = 1;
     piece(cand, seq, 0, n, 1);
@@ -562,12 +568,13 @@ int terraces_closure(int n, const int *table, const int *start,
                      const py_api *py)
 {
     const size_t w = n * sizeof(int), most = 1 + (size_t)(n - 1) * table[1];
-    int *nb = malloc((most + 2) * w), *cand = nb + most * n;
+    int *nb = malloc((most + 2) * w), *cand;
     int *forms = 0, *slot = 0, *grown, count = 0, head = 0, got = 1, code = -2, i;
     size_t room = 0, h;
     long r;
     if (!nb)
         return -2;
+    cand = nb + most * n;
     least(n, ldiv, naut, auts, start, cand, nb); /* the start, a step of one */
     for (;;) {
         for (i = 0; i < got; i++) {
@@ -811,7 +818,6 @@ class Kernel(NamedTuple):
 
     dfs: Callable
     climb: Callable
-    neighbours: Callable
     closure: Callable
     certify: Callable
 
@@ -842,9 +848,6 @@ def _bind(path: str) -> Kernel:
     climb_fn = lib.terraces_climb
     climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, ptr, ptr, ptr, obj, obj, ptr, ptr]
     climb_fn.restype = c_int
-    nb_fn = lib.terraces_neighbours
-    nb_fn.argtypes = [c_int] + [ptr] * 4 + [c_int, ptr, ptr, ptr]
-    nb_fn.restype = c_int
     closure_fn = lib.terraces_closure
     closure_fn.argtypes = [c_int] + [ptr] * 4 + [c_int, ptr, c_int, ptr, obj, ptr]
     closure_fn.restype = c_int
@@ -912,31 +915,9 @@ def _bind(path: str) -> Kernel:
             raise ValueError(f"a teleport index outside 0..{n - 1}")
         return code == 0, *out
 
-    def neighbours(group, allow_reversal):
-        """seq -> the neighbours of the terrace seq that `oracles._moves`
-        lists, re-based and repeats included, as tuples: the moves of the
-        packed 2-piece table, with piece reversal when allow_reversal is
-        set.  The step runs with the identity as the only automorphism;
-        `closure` runs it with all of Aut(group)."""
-        n, table = group.order, _PACKED[2, allow_reversal]
-        ldiv, cls, auts = _flat(group, "ldiv", "cls", "ids")
-        out = array.array("i", [0]) * (n * (1 + (n - 1) * table[1]))
-        cand = array.array("i", [0]) * (2 * n)
-
-        def forms(seq):
-            if len(seq) != n:
-                raise ValueError(f"a terrace of {len(seq)} entries for a group of order {n}")
-            terrace = array.array("i", seq)
-            count = nb_fn(n, addr(table), addr(terrace), addr(ldiv), addr(cls), len(auts) // n,
-                          addr(auts), addr(cand), addr(out))
-            it = iter(out[: count * n])
-            return list(zip(*[it] * n))  # n entries at a time
-
-        return forms
-
     def closure(group, allow_reversal, seq, visit, limit=None):
         """Call visit(form) for each canonical form, a tuple, of the closure
-        of the terrace seq under the moves of `neighbours`, breadth first
+        of the terrace seq under the moves of `orbit._moves`, breadth first
         from seq's own form and each new form once, until visit answers
         true, limit forms (at most 2^31 - 1) have been visited, or none is
         left.  Returns the number visited; an exception raised in visit
@@ -967,7 +948,7 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("certify out of memory")
         return out[:10], out[10:]
 
-    return Kernel(dfs, climb, neighbours, closure, certify)
+    return Kernel(dfs, climb, closure, certify)
 
 
 def _build(directory: str) -> Kernel:

@@ -263,7 +263,7 @@ def _load_terrace(args):
     return load_arrangement(args.terrace, g)
 
 
-# --property name -> classify() key; t<k> is read separately.
+# --property name -> classify() key; t<k>, k >= 1, is read separately.
 _PROPERTIES = {
     "basic": "basic",
     "terrace": "terrace",
@@ -282,11 +282,11 @@ def cmd_verify(args, cfg: RunConfig):
     for prop in args.property or []:
         if prop in _PROPERTIES:
             checks[prop] = report[_PROPERTIES[prop]] is True
-        elif prop[:1] == "t" and prop[1:].isdigit():
+        elif prop[:1] == "t" and prop[1:].isdecimal() and int(prop[1:]) >= 1:
             checks[prop] = report["max_k_directed_tk"] >= int(prop[1:])
         else:
             raise ValueError(f"unknown property {prop!r}; choose from "
-                             f"{tuple(_PROPERTIES)} or t<k>")
+                             f"{tuple(_PROPERTIES)} or t<k> with k >= 1")
     result = {
         "group": arr.group.spec,
         "terrace": list(arr.seq),

@@ -151,7 +151,8 @@ def _dfs(
     appends each surviving prefix (a_2, ..., a_{stop_at+1}) to sink.
 
     The walk runs in the compiled kernel (`_ckernel`), which takes the
-    group and the kind and reports each leaf through one callback.
+    group and the kind and reports each leaf through one callback.  At
+    order 1 the one leaf, of every kind, is (e).
     """
     end = _end_depth(group.order, mode.kind) if stop_at is None else stop_at
     leaf = None
@@ -286,12 +287,6 @@ def enumerate_basic(
     if group.order > cap:
         raise ValueError(f"enumeration capped at order {cap}, group has {group.order}")
     _check_group(group, mode)
-    n = group.order
-
-    if n == 1:
-        wit = None if mode.count_only else (Arrangement(group, (0,)),)
-        return EnumResult(1, 1 if mode.essentially_different else None, wit)
-
     prune = mode.essentially_different
     witnesses = None
     if not mode.count_only:
@@ -312,8 +307,6 @@ def count_table(group: Group, threads: int = 1) -> tuple[int, int]:
     """(t, d): essentially different terraces and directed terraces, |G| <= 15."""
     if group.order > 15:
         raise ValueError(f"count_table covers orders up to 15, group has {group.order}")
-    if group.order == 1:
-        return 1, 1
     modes = [EnumMode(kind, essentially_different=True) for kind in ("terrace", "directed")]
     t, d = _count(group, modes, True, threads)
     return t, d
@@ -340,8 +333,6 @@ def search_first(
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
     _check_group(group, mode)
-    if group.order == 1:
-        return Arrangement(group, (0,))
     elementary_2 = all(x == y for x, y in enumerate(group.inv))
     prune = group.order <= DEFAULT_AUT_CAP and not elementary_2
     sink: list[Arrangement] = []

@@ -188,8 +188,8 @@ def random_arrangement(group: G.Group, rng: random.Random) -> P.Arrangement:
 @contextlib.contextmanager
 def kernels(monkeypatch, python: bool):
     """Run the body on the compiled kernels, or, with python set, on their
-    Python twins in `oracles.py`: `enumerate._dfs`, `hillclimb.climb`,
-    `orbit._neighbour_forms` and `orbit._walk` are patched for the body.
+    Python twins in `oracles.py`: `enumerate._dfs`, `hillclimb.climb` and
+    `orbit._walk` are patched for the body.
     They are module attributes, so forked pool workers inherit the patch."""
     # Imported here, not at the top: bench/run.py imports this file for
     # KNOWN_COUNTS, and loading the oracles there would add to the peak RSS
@@ -200,7 +200,6 @@ def kernels(monkeypatch, python: bool):
         if python:
             m.setattr(E, "_dfs", oracles.dfs)
             m.setattr(H, "climb", oracles.climb)
-            m.setattr(O, "_neighbour_forms", oracles.neighbour_forms)
             m.setattr(O, "_walk", oracles.closure)
         yield
 

@@ -11,12 +11,10 @@ same order:
   applies moves and teleports, and `scan` is its first-improvement move
   scan, move for move (with `_gain`, and `_classes`, the class of each
   quotient and the cap of each class);
-- `neighbour_forms` is `orbit._neighbour_forms`, the neighbour step: one
-  terrace's re-based neighbours as `_moves` lists them (with
-  `_materialize`, which cuts and reassembles an arrangement), and with
-  `canonical` set their canonical forms, the closure step;
-- `closure` is `orbit._walk`, the whole closure over that step: the same
-  forms in the same order, each new one visited once;
+- `closure` is `orbit._walk`, the whole orbit closure: it steps with
+  `orbit._moves` and takes each neighbour's least image under Aut(G)
+  itself, so it visits the same forms in the same order, each new one
+  once;
 - `counted_is_terrace` is `props.is_terrace` as it was written before
   it counted b into a list: a `Counter` of `diff_list`, and the
   involutions checked apart;
@@ -25,9 +23,10 @@ same order:
   `check_row_complete`, `check_row_quasi_complete`, `roman_k_max` and
   `transpose`).
 
-The climb and the closure step read the move tables `_ckernel._MOVES` as
+The climb (with `_materialize`, which cuts and reassembles an
+arrangement) and `orbit._moves` read the move tables `_ckernel._MOVES` as
 tuples, where the C source reads each packed into one int array
-(`_ckernel._PACKED`).  `conftest.kernels` swaps the first four in for
+(`_ckernel._PACKED`).  `conftest.kernels` swaps the first three in for
 the compiled routines, through the same names, so that a test runs one
 body on both and compares; the certify tests call both and compare their
 certificates.
@@ -46,6 +45,7 @@ from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_d
 from terraces.groups import Group, _class_data, automorphisms, involutions
 from terraces.hillclimb import ClimbParams, ClimbResult
 from terraces.latin import LatinSquare, SquareCertificate
+from terraces.orbit import _moves
 from terraces.props import (Arrangement, altitude_directed, altitude_undirected, diff_list,
                             is_directed_terrace, is_terrace)
 
@@ -240,6 +240,10 @@ def dfs(
             active = [phi for phi in active if phi[y] == y] or None
 
     try:
+        if end == 0:  # order 1: the arrangement (e) is the one leaf, spending no node
+            if sink is not None:
+                leaf()
+            return 1
         return rec(len(prefix) + 1, active)
     except _Stop:
         return len(sink)
@@ -448,48 +452,25 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
         teleports += 1
 
 
-def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[tuple[int, ...]]:
-    """The based terraces one move away from the terrace `seq`, first
-    occurrences in order: the whole reversal, then the move table cut by cut."""
-    ldiv, cls = g.ldiv, _class_data(g)[2]
-    row = ldiv[seq[-1]]
-    out = {tuple(row[x] for x in reversed(seq)): None}
-    for c in range(1, len(seq)):
-        ends = (seq[0], seq[c], seq[c - 1], seq[-1])
-        for order, mask, ((i, j),), ((k, l),) in _MOVES[2, allow_piece_reversal][1]:
-            if cls[ldiv[ends[i]][ends[j]]] == cls[ldiv[ends[k]][ends[l]]]:
-                cand = _materialize(seq, (c,), order, mask)
-                row = ldiv[cand[0]]
-                out[tuple(row[x] for x in cand)] = None
-    return list(out)
-
-
-def neighbour_forms(g: Group, allow_piece_reversal: bool,
-                    canonical: bool = False) -> Callable[[tuple[int, ...]], list]:
-    """seq -> the neighbours `_moves` gives for the terrace seq, in its
-    order, each a least image under Aut(g) when canonical is set, as
-    `closure` takes them.  The compiled step lists a neighbour again for
-    each repeat, which the callers' dedup drops."""
-    auts = automorphisms(g) if canonical else [tuple(range(g.order))]
-    return lambda seq: [min(tuple(phi[x] for x in nb) for phi in auts)
-                        for nb in _moves(g, seq, allow_piece_reversal)]
-
-
 def closure(g: Group, allow_piece_reversal: bool, seq: tuple[int, ...],
             visit: Callable[[tuple[int, ...]], bool], limit: int | None = None) -> int:
     """`orbit._walk`: visit(form) for the least image under Aut(g) of the
-    re-based seq, then breadth first for each new form `neighbour_forms`
-    lists, until visit answers true, limit forms have been visited, or none
-    is left; returns the number visited."""
-    step = neighbour_forms(g, allow_piece_reversal, canonical=True)
+    re-based seq, then breadth first for the least image of each neighbour
+    `orbit._moves` lists that is new, until visit answers true, limit forms
+    have been visited, or none is left; returns the number visited."""
+    auts = automorphisms(g)
+
+    def least(s):
+        return min(tuple(phi[x] for x in s) for phi in auts)
+
     row = g.ldiv[seq[0]]
-    start = min(tuple(phi[row[x]] for x in seq) for phi in automorphisms(g))
+    start = least([row[x] for x in seq])
     seen = {start}
     queue = deque([start])
     if visit(start) or (limit is not None and len(seen) >= limit):
         return len(seen)
     while queue:
-        for cf in step(queue.popleft()):
+        for cf in map(least, _moves(g, queue.popleft(), allow_piece_reversal)):
             if cf in seen:
                 continue
             seen.add(cf)

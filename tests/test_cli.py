@@ -163,6 +163,20 @@ def test_verify_failed_property_exits_1(tmp_path, capsys):
     assert payload["result"]["checks"]["directed"] is False
 
 
+@pytest.mark.parametrize("prop", ["t0", "t00", "t", "t\u00b2"])
+def test_verify_t0_is_an_unknown_property(tmp_path, capsys, prop):
+    """t<k> takes k >= 1 in decimal digits: t0, which every arrangement
+    would pass, exits 2, while t1 still checks a directed terrace."""
+    path = tmp_path / "z4.json"
+    path.write_text('{"group": "Z4", "elements": [0, 1, 2, 3]}')
+    argv = ["verify", "--terrace", str(path), "--outdir", str(tmp_path), "--property"]
+    code = main([*argv, prop])
+    captured = capsys.readouterr()
+    assert code == 2 and "unknown property" in captured.err and not captured.out
+    code, payload = run_json(capsys, *argv, "t1")
+    assert code == 1 and payload["result"]["checks"] == {"t1": False}
+
+
 def test_verify_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in [

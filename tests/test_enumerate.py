@@ -301,8 +301,7 @@ def test_narcissistic_prefix_resume_replays_the_c_ledger(monkeypatch, essential,
     assert seen[0] == seen[1]
 
 
-# Z1 never reaches a kernel: the public functions answer it directly.
-AGREEMENT_GROUPS = [f"Z{n}" for n in range(2, 13)] + [
+AGREEMENT_GROUPS = [f"Z{n}" for n in range(1, 13)] + [
     "E4", "E8", "D6", "D8", "D10", "D12", "Q8", "Q12", "Z4xZ2", "Z3xZ3", "Z6xZ2", "A4",
 ]
 
@@ -567,6 +566,23 @@ def test_abelian_non_binary_groups_have_no_directed_terraces():
         g = get_group(spec)
         assert len(G.involutions(g)) != 1 and G.is_abelian(g)
         assert enumerate_basic(g, EnumMode("directed")).raw_count == 0, spec
+
+
+def test_compiled_and_python_kernels_reach_the_one_leaf_of_z1(monkeypatch):
+    """At order 1 both kernels reach one leaf, (e), for every kind, spend
+    no node on it, and the public functions answer from it: one terrace
+    and one directed terrace, and (e) as the first witness of every kind,
+    even with no node to spend."""
+    one = get_group("Z1")
+    for python in (False, True):
+        with kernels(monkeypatch, python):
+            for label, (mode, _pred) in KIND_CASES.items():
+                sink: list = []
+                assert _walk(one, mode, True, sink=sink) == (0, 1), (label, python)
+                assert [w.seq for w in sink] == [(0,)], (label, python)
+                assert search_first(one, mode, max_nodes=0).seq == (0,), (label, python)
+                assert enumerate_basic(one, mode).raw_count == 1, (label, python)
+            assert count_table(one) == (1, 1), python
 
 
 def test_degenerate_orders():

@@ -57,28 +57,28 @@ def oracle_orbit_keys(w):
 
 @pytest.mark.parametrize("spec", CATALOGUE_1_TO_10)
 def test_moves_and_orbits_match_oracle(spec, monkeypatch):
-    """The moves and the orbits, on the compiled and the Python neighbour
-    step, equal the naive oracle's, in order."""
+    """The moves, and the orbits on the compiled and the Python closure,
+    equal the naive oracle's, in order."""
     for w in essential_terraces(spec):
+        for flag in (False, True):
+            assert [m.seq for m in two_piece_moves(w, flag)] == oracle_moves(w, flag), flag
         want = oracle_orbit_keys(w)
         for python in (False, True):
             with kernels(monkeypatch, python):
-                for flag in (False, True):
-                    assert [m.seq for m in two_piece_moves(w, flag)] == oracle_moves(w, flag), python
                 assert list(orbit_of(w)) == want, python
 
 
-def test_compiled_neighbours_refuse_a_terrace_of_the_wrong_length():
-    """The neighbour step, bound once per group, refuses a terrace whose
-    length is not the group's order, and still steps afterwards."""
-    w = P.walecki(10)
-    forms = _ckernel.load().neighbours(w.group, False)
-    first = forms(w.seq)
-    assert len(first) > 1 and all(len(f) == 10 for f in first)
-    for seq in (w.seq[:9], w.seq + (0,), ()):
-        with pytest.raises(ValueError, match="terrace"):
-            forms(seq)
-    assert forms(w.seq) == first
+def test_compiled_closure_steps_first_to_the_forms_of_two_piece_moves():
+    """The compiled closure's first step, from each essential terrace w,
+    visits the canonical forms of two_piece_moves(w), w's own left out, in
+    their first-occurrence order: the C step against the Python moves."""
+    for spec in CATALOGUE_1_TO_10:
+        for w in essential_terraces(spec):
+            for flag in (False, True):
+                step = dict.fromkeys(P.canonical_form(m).seq for m in two_piece_moves(w, flag))
+                step.pop(w.seq, None)
+                forms = list(_closure(w, flag, None, 1 + len(step))[0])
+                assert forms == [w.seq, *step], (spec, w.seq, flag)
 
 
 def test_a_groups_flat_tables_are_built_once():
@@ -100,7 +100,7 @@ def test_a_groups_flat_tables_are_built_once():
 @pytest.mark.parametrize("spec", CATALOGUE_1_TO_10)
 def test_compiled_chains_match_the_python_chains(spec, monkeypatch):
     """The first 300 forms of the chain walks from two essential terraces
-    come in the same order on the compiled and the Python neighbour step."""
+    come in the same order on the compiled and the Python closure."""
     for w in essential_terraces(spec)[:2]:
         got = []
         for python in (False, True):

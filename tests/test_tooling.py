@@ -70,6 +70,14 @@ def test_import_and_group_set_up_start_no_compiler():
     assert json.loads(out.stdout) == [[], True], out.stdout
 
 
+def test_the_kernel_source_exports_exactly_the_bound_functions():
+    """The C functions the source exports (not static), in source order,
+    are the kernels `Kernel` binds, in its order: no export without a
+    wrapper, and no binding of a function the source no longer exports."""
+    exported = re.findall(r"^(?!static)[a-z][\w ]*\bterraces_(\w+)\(", _ckernel.SOURCE, re.M)
+    assert tuple(exported) == _ckernel.Kernel._fields == ("dfs", "climb", "closure", "certify")
+
+
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
 def test_the_kernel_source_compiles_clean_under_warnings():
     """The C source compiles with every -Wall -Wextra warning an error."""
