@@ -1,8 +1,8 @@
 """The compiled kernels: `enumerate._dfs`, the climb loop of
-`hillclimb.climb`, the orbit closure and `latin.certify` in C, built on
-first use.
+`hillclimb.climb`, the orbit closure, and the build, Latin check and
+certificate of `latin`'s squares in C, built on first use.
 
-`SOURCE` exports four C functions, each with a Python twin in
+`SOURCE` exports six C functions, each with a Python twin in
 `tests/oracles.py` that the tests hold it to.  `terraces_dfs` translates
 the Python kernel `oracles.dfs` node for node: the same bucket ledger,
 layer-2 marks, T_k rows, forced narcissistic tail, ascending candidate
@@ -18,21 +18,26 @@ breadth-first closure, as `oracles.closure` does: its step, the static
 and takes the canonical form of each; it takes the start's canonical form
 itself, keeps the forms in one growing array that is also the queue,
 drops repeats with an open-addressing hash set over it, and calls back
-for each new form only.  `terraces_certify` works out a Latin square's
+for each new form only.  `terraces_square` builds a Latin square, one
+row-major int array of n^2 cells, from the left-division table and an
+arrangement (`oracles.square_cells`); `terraces_latin` checks that every
+row, then every column, is a permutation of 0..n-1, range-checking each
+entry before it indexes anything (`oracles.latin_error`); and
+`terraces_certify` runs that check, then works out the square's
 certificate from its cells alone, with the same first failures as
-`oracles.certify`.  `load` compiles the source with the system C compiler
-into a per-user cache directory, loads it with `ctypes` and returns the
-four functions as a `Kernel`.  The compiler is needed at first use: where
-no compiler, cache directory or loader works, `load` raises one `OSError`
-that names the compiler, the directories tried and the last lines of the
-compiler's own message.
+`oracles.certify`.  `load` compiles the source with the system C
+compiler into a per-user cache directory, loads it with `ctypes` and
+returns the six functions as a `Kernel`.  The compiler is needed at first
+use: where no compiler, cache directory or loader works, `load` raises one
+`OSError` that names the compiler, the directories tried and the last
+lines of the compiler's own message.
 
 Only this module knows the flat int layout of the tables the C source
 reads, and, in `_KINDS`, how the search encodes each kind it takes by
-name.  The search, climb and closure wrappers take a `Group`, whose
-tables `_flat` builds once and keeps on it.  The certificate wrapper reads
-a square's rows alone, so it stays a check that does not depend on a
-group.
+name.  The search, climb, closure and square wrappers take a `Group`,
+whose tables `_flat` builds once and keeps on it.  The Latin check and the
+certificate read a square's cell array alone, with no copy, so they stay
+checks that do not depend on a group.
 
 The climb's moves are one move table per piece count (two or three) and
 reversal flag, built once at import (`_MOVES`): for each (piece order,
@@ -614,6 +619,54 @@ out:
     return code;
 }
 
+/* -1 when the n x n cells (row-major) are a Latin square: every row, then
+   every column, a permutation of 0..n-1; else the first line that is not,
+   row r as r and column c as n + c.  Each entry is range-checked before
+   it indexes stamp, n ints of scratch, so any ints are safe to check. */
+static int latin(int n, const int *cells, int *stamp)
+{
+    int t, r, c, v;
+    for (v = 0; v < n; v++)
+        stamp[v] = -1;
+    for (t = 0; t < 2; t++)
+        for (r = 0; r < n; r++)
+            for (c = 0; c < n; c++) {
+                v = cells[t ? c * n + r : r * n + c];
+                if (v < 0 || v >= n || stamp[v] == t * n + r)
+                    return t * n + r;
+                stamp[v] = t * n + r;
+            }
+    return -1;
+}
+
+/* The square of the arrangement seq: cells[i * n + j] = seq[i]^-1 seq[j],
+   read from ldiv.  Returns 0, or -1 when an entry of seq is not in 0..n-1
+   (cells then unwritten). */
+int terraces_square(int n, const int *ldiv, const int *seq, int *cells)
+{
+    int i, j;
+    for (i = 0; i < n; i++)
+        if (seq[i] < 0 || seq[i] >= n)
+            return -1;
+    for (i = 0; i < n; i++) {
+        const int *row = ldiv + (size_t)seq[i] * n;
+        for (j = 0; j < n; j++)
+            *cells++ = row[seq[j]];
+    }
+    return 0;
+}
+
+/* `latin` on the n x n cells; -2 when memory ran out. */
+int terraces_latin(int n, const int *cells)
+{
+    int *stamp = malloc((size_t)n * sizeof(int)), line; /* exact, for ASan */
+    if (!stamp && n)
+        return -2;
+    line = latin(n, cells, stamp);
+    free(stamp);
+    return line;
+}
+
 /* The first ordered pair repeated at offset m along the lines of the n x n
    square cells, whose line r has cell c at cells[r * rs + c * cs]: 1 with
    at = (r0, c0, r, c), its first two positions in line order, else 0.
@@ -657,17 +710,23 @@ static int unbalanced(int n, const int *cells, int rs, int cs, int *count,
     return 0;
 }
 
-/* The certificate of the n x n Latin square cells (row-major, entries in
-   0..n-1), from the cells alone: out gets 10 ints for the rows, then 10
-   for the columns: complete at offset 1, the first repeat's positions
-   (r0, c0, r, c), quasi-complete, the first unbalanced pair and its count
-   (x, y, count), and the largest k with no repeat at offsets 1..k.
-   Returns 0, or -2 when memory ran out. */
+/* The certificate of the n x n square cells (row-major), from the cells
+   alone: out gets 10 ints for the rows, then 10 for the columns: complete
+   at offset 1, the first repeat's positions (r0, c0, r, c),
+   quasi-complete, the first unbalanced pair and its count (x, y, count),
+   and the largest k with no repeat at offsets 1..k.  `latin` runs first,
+   so that no entry outside 0..n-1 indexes anything.  Returns 0; 1 when
+   cells are not a Latin square (out then unwritten); -2 when memory ran
+   out. */
 int terraces_certify(int n, const int *cells, int *out)
 {
     int *seen = malloc(((size_t)n * n + 1) * sizeof(int)), spare[4], t, k;
     if (!seen)
         return -2;
+    if (latin(n, cells, seen) >= 0) {
+        free(seen);
+        return 1;
+    }
     for (t = 0; t < 2; t++) {
         int *o = out + 10 * t, rs = t ? 1 : n, cs = t ? n : 1;
         o[0] = !repeat(n, cells, rs, cs, 1, seen, o + 1);
@@ -819,7 +878,17 @@ class Kernel(NamedTuple):
     dfs: Callable
     climb: Callable
     closure: Callable
+    square: Callable
+    latin: Callable
     certify: Callable
+
+
+def _check_size(n: int, cells) -> None:
+    """Refuse cells the Latin square kernels cannot read as n x n ints."""
+    if not isinstance(cells, array.array) or cells.typecode != "i":
+        raise TypeError("cells must be an int array")
+    if n < 0 or len(cells) != n * n:
+        raise ValueError(f"{len(cells)} cells for a square of order {n}")
 
 
 def _cache_dirs() -> list[str]:
@@ -842,18 +911,18 @@ def _bind(path: str) -> Kernel:
     names = ("PyErr_CheckSignals", "PyObject_CallFunction", "PyObject_IsTrue", "PyLong_AsLong",
              "Py_DecRef")
     api = (ptr * 6)(*(ctypes.cast(getattr(ctypes.pythonapi, name), ptr) for name in names), id(None))
-    fn = lib.terraces_dfs
-    fn.argtypes = [c_int] * 4 + [ptr] * 5 + [c_int, ptr, c_int, ptr, ptr, obj, ptr, ptr]
-    fn.restype = ctypes.c_longlong
-    climb_fn = lib.terraces_climb
-    climb_fn.argtypes = [c_int, c_int, ptr, ptr, ptr, c_int, c_int, ptr, ptr, ptr, obj, obj, ptr, ptr]
-    climb_fn.restype = c_int
-    closure_fn = lib.terraces_closure
-    closure_fn.argtypes = [c_int] + [ptr] * 4 + [c_int, ptr, c_int, ptr, obj, ptr]
-    closure_fn.restype = c_int
-    cert_fn = lib.terraces_certify
-    cert_fn.argtypes = [c_int, ptr, ptr]
-    cert_fn.restype = c_int
+
+    def bind(name, restype, *argtypes):
+        f = getattr(lib, f"terraces_{name}")
+        f.restype, f.argtypes = restype, argtypes
+        return f
+
+    fn = bind("dfs", ctypes.c_longlong, *[c_int] * 4, *[ptr] * 5, c_int, ptr, c_int, ptr, ptr, obj, ptr, ptr)
+    climb_fn = bind("climb", c_int, c_int, c_int, *[ptr] * 3, c_int, c_int, *[ptr] * 3, obj, obj, ptr, ptr)
+    closure_fn = bind("closure", c_int, c_int, *[ptr] * 4, c_int, ptr, c_int, ptr, obj, ptr)
+    square_fn = bind("square", c_int, c_int, ptr, ptr, ptr)
+    latin_fn = bind("latin", c_int, c_int, ptr)
+    cert_fn = bind("certify", c_int, c_int, ptr, ptr)
 
     def addr(a: array.array) -> int:
         return a.buffer_info()[0]
@@ -934,21 +1003,45 @@ def _bind(path: str) -> Kernel:
             raise MemoryError("closure out of memory")
         return count
 
+    def square(group, seq):
+        """The cells of the square of the arrangement seq of group, one
+        row-major int array of n^2: cell (i, j) is seq[i]^-1 seq[j]."""
+        n = group.order
+        if len(seq) != n:
+            raise ValueError(f"an arrangement of {len(seq)} entries for a group of order {n}")
+        (ldiv,) = _flat(group, "ldiv")
+        seq, cells = array.array("i", seq), array.array("i", [0]) * (n * n)
+        if square_fn(n, addr(ldiv), addr(seq), addr(cells)) < 0:
+            raise ValueError(f"an arrangement with an entry outside 0..{n - 1}")
+        return cells
+
+    def latin(n, cells):
+        """ValueError naming the first row or column of the n x n cells, an
+        int array, that is not a permutation of 0..n-1, if one is not."""
+        _check_size(n, cells)
+        line = latin_fn(n, addr(cells))
+        if line == -2:
+            raise MemoryError("Latin check out of memory")
+        if line >= 0:
+            kind, i = ("row", line) if line < n else ("column", line - n)
+            raise ValueError(f"{kind} {i} is not a permutation of 0..{n - 1}")
+
     def certify(n, cells):
-        """The certificate fields of the n x n square whose rows are `cells`,
-        with entries in 0..n-1 (as `LatinSquare` checks), as two arrays of
-        10, rows then columns: complete, the first repeat's positions (r0,
-        c0, r, c), quasi-complete, the first pair x < y not adjacent twice
-        and its count (x, y, count), and the largest Roman k."""
-        flat = _rows(cells)
-        if len(flat) != n * n:
-            raise ValueError(f"{len(flat)} cells for a square of order {n}")
+        """The certificate fields of the n x n Latin square cells, an int
+        array, row-major, as two arrays of 10, rows then columns: complete,
+        the first repeat's positions (r0, c0, r, c), quasi-complete, the
+        first pair x < y not adjacent twice and its count (x, y, count), and
+        the largest Roman k; ValueError when cells are not Latin."""
+        _check_size(n, cells)
         out = array.array("i", [0]) * 20
-        if cert_fn(n, addr(flat), addr(out)) < 0:
+        code = cert_fn(n, addr(cells), addr(out))
+        if code == -2:
             raise MemoryError("certify out of memory")
+        if code:
+            raise ValueError(f"cells are not a Latin square of order {n}")
         return out[:10], out[10:]
 
-    return Kernel(dfs, climb, closure, certify)
+    return Kernel(dfs, climb, closure, square, latin, certify)
 
 
 def _build(directory: str) -> Kernel:

@@ -297,15 +297,17 @@ def cmd_verify(args, cfg: RunConfig):
 
 
 def cmd_square(args, cfg: RunConfig):
+    # roman:<k> takes k >= 1 in decimal digits, as verify's t<k> does.
+    k = args.check[len("roman:"):] if (args.check or "").startswith("roman:") else ""
+    if args.check not in (None, "complete", "quasi") and not (k.isdecimal() and int(k) >= 1):
+        raise ValueError(f"unknown check {args.check!r}; use complete, quasi or roman:<k> with k >= 1")
     arr = _load_terrace(args)
     sq = square_from(arr)
     cert = certify(sq)
-    if args.check in (None, "complete", "quasi"):
-        passed = {None: None, "complete": cert.complete, "quasi": cert.quasi_complete}[args.check]
-    elif args.check.startswith("roman:"):
-        passed = cert.roman_k_max >= int(args.check.split(":", 1)[1])
+    if k:
+        passed = cert.roman_k_max >= int(k)
     else:
-        raise ValueError(f"unknown check {args.check!r}; use complete, quasi or roman:<k>")
+        passed = {None: None, "complete": cert.complete, "quasi": cert.quasi_complete}[args.check]
     if args.out == "csv":
         rendered = {".square.csv": square_to_csv(sq)}
     else:

@@ -187,14 +187,19 @@ def _default_cap(kind: str) -> int:
 # parent's memory, so a task carries only (index, mode, prefix).
 
 _SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
-# Groups of smaller order count in one process.  With the compiled kernel
-# on 2 cores (best of 3), every count of every kind below order 12 took at
-# most 0.08 s in one process (count_table of Z11 9 ms) and longer on a
-# two-worker pool, whose fork costs 20-70 ms.  At order 12 the pool at best
-# breaks even: count_table of Z12 131 ms in one process against 134 ms on
-# the pool, unpruned terraces of Q12 462 against 430 ms and of Z12 476
-# against 524 ms.  From order 13 count_table runs 1.4-1.6x faster on the
-# pool (Z13 396 against 248 ms, D14 296 against 215 ms).
+# Groups of smaller order count in one process.  Where the pool pays off
+# depends on the host.  With the compiled kernel on 2 cores (best of 3),
+# every count of every kind below order 12 took at most 0.08 s in one
+# process (count_table of Z11 9 ms) and longer on a two-worker pool, whose
+# fork costs 20-70 ms.  At order 12 the pool at best broke even:
+# count_table of Z12 131 ms in one process against 134 ms on the pool,
+# unpruned terraces of Q12 462 against 430 ms and of Z12 476 against
+# 524 ms.  From order 13 count_table ran 1.4-1.6x faster on the pool (Z13
+# 396 against 248 ms, D14 296 against 215 ms).  On a 2-vCPU host whose two
+# CPUs do not run one process each at full speed it is slower: Z13 took
+# 323-387 ms in one process against 360-458 ms on the pool, and D14 252-255
+# against 281-300 ms; half of Z13's terrace prefixes took 161-178 ms alone
+# and 335-354 ms with the two halves run as concurrent processes.
 _FORK_MIN_ORDER = 13
 _POOL_TASK: Callable | None = None  # the task function, set in each pool worker
 

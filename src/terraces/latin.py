@@ -3,14 +3,18 @@
 The square built from an arrangement a has (i, j) entry a_i^-1 * a_j; group
 cancellation makes it Latin for any arrangement.  A directed terrace gives a
 complete square, a terrace a quasi-complete one, and a directed T_k-terrace
-a k-complete one.  `certify` counts occurrences exactly, in C from the
-cells alone (its Python oracle is in `tests/oracles.py`), and reports a
-re-verifiable witness for the first failure it sees.
+a k-complete one.  A square keeps its cells as one row-major int array of
+n^2: `square_from` builds it, every `LatinSquare` checks it, and `certify`
+counts occurrences in it exactly, each in one compiled call (their Python
+oracles are in `tests/oracles.py`); `certify` reports a re-verifiable
+witness for the first failure it sees.  Rows of tuples, `LatinSquare.rows`,
+are made only for output and witnesses.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import asdict, dataclass
 
 from . import _ckernel
@@ -28,22 +32,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatinSquare:
+    """cells, any ints read row-major and kept as an int array; ValueError
+    unless they are an order x order Latin square on 0..order-1."""
+
     order: int
-    cells: tuple[tuple[int, ...], ...]
+    cells: array
     group_spec: str = ""
     source: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.cells, array) and self.cells.typecode == "i"):
+            object.__setattr__(self, "cells", array("i", self.cells))
+        _ckernel.load().latin(self.order, self.cells)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         n, cells = self.order, self.cells
-        if len(cells) != n or any(len(row) != n for row in cells):
-            raise ValueError(f"cells are not {n} rows of {n}")
-        full = set(range(n))
-        for r, row in enumerate(cells):
-            if set(row) != full:
-                raise ValueError(f"row {r} is not a permutation of 0..{n - 1}")
-        for c, column in enumerate(zip(*cells)):
-            if set(column) != full:
-                raise ValueError(f"column {c} is not a permutation of 0..{n - 1}")
+        return tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n))
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,7 @@ def square_from(a: Arrangement) -> LatinSquare:
     """cells[i][j] = a_i^-1 * a_j; row 0 of a basic arrangement's square is
     the arrangement itself and the diagonal is constantly the identity."""
     g = a.group
-    ldiv = g.ldiv
-    cells = tuple(tuple(ldiv[x][y] for y in a.seq) for x in a.seq)
-    return LatinSquare(g.order, cells, g.spec, a.seq)
+    return LatinSquare(g.order, _ckernel.load().square(g, a.seq), g.spec, a.seq)
 
 
 def certify(sq: LatinSquare) -> SquareCertificate:
@@ -79,11 +82,11 @@ def certify(sq: LatinSquare) -> SquareCertificate:
     row_ok, r0, c0, r, c, quasi_ok, x, y, count, roman = rows
     row_wit = quasi_wit = None
     if not row_ok:
-        row_wit = {"pair": [cells[r][c], cells[r][c + 1]], "offset": 1,
+        row_wit = {"pair": [cells[r * n + c], cells[r * n + c + 1]], "offset": 1,
                    "positions": [[r0, c0], [r, c]]}
     if not quasi_ok:
         quasi_wit = {"pair": [x, y], "offset": 1, "count": count,
-                     "positions": [[i, j] for i, row in enumerate(cells) for j in range(n - 1)
+                     "positions": [[i, j] for i, row in enumerate(sq.rows) for j in range(n - 1)
                                    if (row[j], row[j + 1]) in ((x, y), (y, x))]}
     return SquareCertificate(
         row_complete=bool(row_ok),
@@ -104,17 +107,17 @@ def certify(sq: LatinSquare) -> SquareCertificate:
 
 
 def square_to_csv(sq: LatinSquare) -> str:
-    return "".join(",".join(str(x) for x in row) + "\n" for row in sq.cells)
+    return "".join(",".join(str(x) for x in row) + "\n" for row in sq.rows)
 
 
 def square_to_json(sq: LatinSquare, words: tuple[str, ...] | None = None) -> str:
     payload: dict = {
         "order": sq.order,
         "group": sq.group_spec,
-        "cells": [list(row) for row in sq.cells],
+        "cells": [list(row) for row in sq.rows],
     }
     if sq.source is not None:
         payload["source_elements"] = list(sq.source)
     if words is not None:
-        payload["words"] = [[words[x] for x in row] for row in sq.cells]
+        payload["words"] = [[words[x] for x in row] for row in sq.rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -51,6 +51,14 @@ KNOWN_COUNTS = {
 
 CORE_TIER = [s for s in KNOWN_COUNTS if s not in ("Z13", "Z14", "D14", "Z15")]
 EXTENDED_TIER = ["Z13", "D14", "Z14", "Z15"]
+# The first line of a child process a Ctrl-C test interrupts.  A shell
+# starts a background job with SIGINT ignored, the child inherits that,
+# and Python then installs no KeyboardInterrupt handler, so the signal
+# would be lost; this installs the handler an interactive run has.
+SIGINT_RAISES = "import signal; signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+# One group of each isomorphism class of order at most 10.
+CATALOGUE_1_TO_10 = ["Z1", "Z2", "Z3", "Z4", "E4", "Z5", "Z6", "D6", "Z7", "Z8", "Z4xZ2", "E8",
+                     "D8", "Q8", "Z9", "Z3xZ3", "Z10", "D10"]
 
 
 @lru_cache(maxsize=None)

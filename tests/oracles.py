@@ -21,15 +21,18 @@ same order:
 - `certify` is `latin.certify`, a Latin square's certificate with the
   same witnesses, from the same scans of the cells (with `_offset_repeat`,
   `check_row_complete`, `check_row_quasi_complete`, `roman_k_max` and
-  `transpose`).
+  `transpose`);
+- `latin_error` is the compiled Latin check `LatinSquare` runs, as a set
+  test of each row and column, and `square_cells` the compiled build of
+  `latin.square_from`, read from the rows of `ldiv`.
 
 The climb (with `_materialize`, which cuts and reassembles an
 arrangement) and `orbit._moves` read the move tables `_ckernel._MOVES` as
 tuples, where the C source reads each packed into one int array
 (`_ckernel._PACKED`).  `conftest.kernels` swaps the first three in for
 the compiled routines, through the same names, so that a test runs one
-body on both and compares; the certify tests call both and compare their
-certificates.
+body on both and compares; the Latin square tests call both and compare
+their cells, errors and certificates.
 """
 
 from __future__ import annotations
@@ -496,16 +499,40 @@ def counted_is_terrace(a: Arrangement) -> bool:
     return True
 
 
+def latin_error(n: int, cells) -> str | None:
+    """The set-based check `LatinSquare` ran in Python before the compiled
+    one: None when the flat cells are n rows of n whose every row, then
+    every column, holds the symbols 0..n-1, else the error that says what
+    is not."""
+    if len(cells) != n * n:
+        return f"{len(cells)} cells for a square of order {n}"
+    rows = [cells[r * n:(r + 1) * n] for r in range(n)]
+    full = set(range(n))
+    for r, row in enumerate(rows):
+        if set(row) != full:
+            return f"row {r} is not a permutation of 0..{n - 1}"
+    for c, column in enumerate(zip(*rows)):
+        if set(column) != full:
+            return f"column {c} is not a permutation of 0..{n - 1}"
+    return None
+
+
+def square_cells(a: Arrangement) -> list[int]:
+    """The cells of a's square, row-major, read from the rows of `ldiv`."""
+    ldiv = a.group.ldiv
+    return [ldiv[x][y] for x in a.seq for y in a.seq]
+
+
 def transpose(sq: LatinSquare) -> LatinSquare:
-    cells = tuple(tuple(sq.cells[c][r] for c in range(sq.order)) for r in range(sq.order))
-    return LatinSquare(sq.order, cells, sq.group_spec, None)
+    rows = sq.rows
+    return LatinSquare(sq.order, [row[c] for c in range(sq.order) for row in rows], sq.group_spec, None)
 
 
 def _offset_repeat(sq: LatinSquare, m: int) -> dict | None:
     """First ordered pair occurring twice at horizontal offset m, or None."""
     n = sq.order
     first: dict[int, tuple[int, int]] = {}
-    for r, row in enumerate(sq.cells):
+    for r, row in enumerate(sq.rows):
         for c in range(n - m):
             key = row[c] * n + row[c + m]
             if key in first:
@@ -533,7 +560,7 @@ def check_row_quasi_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
     """Each unordered pair adjacent within rows exactly twice (either order)."""
     n = sq.order
     counts = [0] * (n * n)
-    for row in sq.cells:
+    for row in sq.rows:
         for x, y in zip(row, row[1:]):
             counts[(x * n + y) if x < y else (y * n + x)] += 1
     for x in range(n):
@@ -544,7 +571,7 @@ def check_row_quasi_complete(sq: LatinSquare) -> tuple[bool, dict | None]:
                     "pair": [x, y],
                     "offset": 1,
                     "count": counts[key],
-                    "positions": [[r, c] for r, row in enumerate(sq.cells)
+                    "positions": [[r, c] for r, row in enumerate(sq.rows)
                                   for c in range(n - 1) if {row[c], row[c + 1]} == {x, y}],
                 }
     return True, None

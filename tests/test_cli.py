@@ -262,6 +262,22 @@ def test_square_roman_check(tmp_path, capsys):
     assert squares, "square file should be written"
 
 
+@pytest.mark.parametrize("check", ["roman:0", "roman:-2", "roman:\u00b2"])
+def test_square_roman_k_below_1_is_an_unknown_check(tmp_path, capsys, check):
+    """roman:<k> takes k >= 1 in decimal digits: roman:0 and roman:-2, which
+    every square would pass, and roman:², which int() refuses, exit 2 as an
+    unknown check, while roman:1 still checks the square."""
+    path = tmp_path / "z4.json"
+    path.write_text('{"group": "Z4", "elements": [0, 1, 2, 3]}')
+    argv = ["square", "--terrace", str(path), "--outdir", str(tmp_path), "--check"]
+    code = main([*argv, check])
+    captured = capsys.readouterr()
+    assert code == 2 and "unknown check" in captured.err and not captured.out
+    assert not list(tmp_path.glob("square-*"))
+    code, payload = run_json(capsys, *argv, "roman:1")
+    assert code == 1 and payload["result"]["check_passed"] is False
+
+
 def test_square_csv_output_and_failing_check(tmp_path, capsys):
     path = tmp_path / "straight.json"
     P.save_arrangement(P.Arrangement(P.walecki(6).group, (0, 1, 2, 3, 4, 5)), path)

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import KNOWN_COUNTS, basic_arrangements, get_group, kernels, naive_basic_count
+from conftest import (KNOWN_COUNTS, SIGINT_RAISES, basic_arrangements, get_group, kernels,
+                      naive_basic_count)
 from terraces import _ckernel as C
 from terraces import cli
 from terraces import enumerate as E
@@ -694,7 +695,8 @@ def test_ctrl_c_stops_a_compiled_walk_within_a_second(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("from terraces import _ckernel, groups, enumerate as E\n"
+    code = (SIGINT_RAISES +
+            "from terraces import _ckernel, groups, enumerate as E\n"
             "_ckernel.load(); g = groups.parse_group_spec('Z14'); groups.automorphisms(g)\n"
             "print('ready', flush=True); E.count_table(g)\n")
     proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
@@ -711,7 +713,9 @@ def test_ctrl_c_stops_a_compiled_walk_within_a_second(tmp_path):
         proc.kill()
         proc.wait()
     err = proc.stderr.read()
-    assert "KeyboardInterrupt" in err and "Exception ignored" not in err, err
+    said = f"return code {proc.returncode}, stderr:\n{err}"
+    assert "KeyboardInterrupt" in err, said
+    assert "Exception ignored" not in err, said
     assert waited < 1.0, waited
 
 

@@ -10,7 +10,7 @@ from itertools import accumulate, combinations, product
 import pytest
 
 import oracles
-from conftest import get_group, kernels, neighbors, random_arrangement, teleport
+from conftest import SIGINT_RAISES, get_group, kernels, neighbors, random_arrangement, teleport
 from terraces import _ckernel
 from terraces import groups as G
 from terraces import hillclimb as H
@@ -515,7 +515,8 @@ def test_ctrl_c_stops_a_compiled_climb_within_a_second(tmp_path):
     # E64 has no terrace, so this climb spends its budget, about 20 s, in
     # one compiled call; the signal lands in the loop's own poll or in a
     # callback for a teleport index.
-    code = ("from terraces import _ckernel, groups, hillclimb as H\n"
+    code = (SIGINT_RAISES +
+            "from terraces import _ckernel, groups, hillclimb as H\n"
             "_ckernel.load(); g = groups.parse_group_spec('E64')\n"
             "print('ready', flush=True)\n"
             "H.climb(g, H.ClimbParams(mode='terrace', max_steps=200_000))\n")
@@ -533,7 +534,9 @@ def test_ctrl_c_stops_a_compiled_climb_within_a_second(tmp_path):
         proc.kill()
         proc.wait()
     err = proc.stderr.read()
-    assert "KeyboardInterrupt" in err and "Exception ignored" not in err, err
+    said = f"return code {proc.returncode}, stderr:\n{err}"
+    assert "KeyboardInterrupt" in err, said
+    assert "Exception ignored" not in err, said
     assert waited < 1.0, waited
 
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+from array import array
 
 import pytest
 
 import oracles
-from conftest import basic_arrangements, get_group, random_arrangement
+from conftest import CATALOGUE_1_TO_10, basic_arrangements, get_group, random_arrangement
+from terraces import _ckernel
 from terraces import hillclimb as H
 from terraces import latin as L
 from terraces import props as P
@@ -15,9 +18,9 @@ from terraces.enumerate import EnumMode, enumerate_basic
 def test_square_from_basics():
     a = P.Arrangement(get_group("Z4"), (0, 1, 3, 2))
     sq = L.square_from(a)
-    assert all(sq.cells[i][i] == 0 for i in range(4))
-    assert sq.cells[0] == (0, 1, 3, 2)  # row 0 of a basic arrangement
-    assert sq.cells[1][3] == 1
+    assert all(sq.rows[i][i] == 0 for i in range(4))
+    assert sq.rows[0] == (0, 1, 3, 2)  # row 0 of a basic arrangement
+    assert sq.rows[1][3] == 1
 
 
 def test_square_from_is_always_latin(rng):
@@ -28,16 +31,16 @@ def test_square_from_is_always_latin(rng):
 
 def test_latin_square_validation_rejects_bad_cells():
     with pytest.raises(ValueError):
-        L.LatinSquare(2, ((0, 1), (0, 1)))
+        L.LatinSquare(2, (0, 1, 0, 1))
     with pytest.raises(ValueError):
-        L.LatinSquare(2, ((0, 0), (1, 1)))
+        L.LatinSquare(2, (0, 0, 1, 1))
 
 
-@pytest.mark.parametrize("cells", [((0, 1), (1, 0), (0, 1)), ((0, 1, 1), (1, 0))])
+@pytest.mark.parametrize("cells", [(0, 1, 1, 0, 0, 1), (0, 1, 1, 1, 0)])
 def test_latin_square_validation_rejects_cells_not_n_by_n(cells):
-    """Three rows for order 2, and a row of three, are refused although
-    every row and column holds the symbols 0 and 1."""
-    with pytest.raises(ValueError, match="2 rows of 2"):
+    """Three rows of order 2, and one cell too many, are refused although
+    they hold only the symbols 0 and 1."""
+    with pytest.raises(ValueError, match="cells for a square of order 2"):
         L.LatinSquare(2, cells)
 
 
@@ -54,8 +57,8 @@ def test_row_complete_examples():
     (r1, c1), (r2, c2) = wit["positions"]
     x, y = wit["pair"]
     m = wit["offset"]
-    assert sq.cells[r1][c1] == x and sq.cells[r1][c1 + m] == y
-    assert sq.cells[r2][c2] == x and sq.cells[r2][c2 + m] == y
+    assert sq.rows[r1][c1] == x and sq.rows[r1][c1 + m] == y
+    assert sq.rows[r2][c2] == x and sq.rows[r2][c2 + m] == y
 
 
 def test_order_one_square_is_trivially_everything():
@@ -178,12 +181,101 @@ def test_certify_reads_columns_apart_from_rows():
     """Permuting the rows of a complete square keeps every row and breaks
     the columns; the certificate sees both."""
     sq = L.square_from(P.walecki(8))
-    permuted = L.LatinSquare(8, (sq.cells[1], sq.cells[0], *sq.cells[2:]))
+    rows = sq.rows
+    permuted = L.LatinSquare(8, [x for row in (rows[1], rows[0], *rows[2:]) for x in row])
     cert = L.certify(permuted)
     assert cert.row_complete and not cert.complete
     assert cert.row_quasi_complete and not cert.quasi_complete
     assert cert.k_complete_max == 0 < cert.roman_k_max
     assert cert.to_dict() == oracles.certify(permuted).to_dict()
+
+
+# Order 10 has 9! basic arrangements per group, about 5 s each: slow tier.
+@pytest.mark.parametrize("spec", [pytest.param(s, marks=pytest.mark.slow) if s in ("Z10", "D10") else s
+                                  for s in CATALOGUE_1_TO_10])
+def test_compiled_square_cells_equal_the_oracle_for_every_basic_arrangement(spec):
+    """The compiled build of `square_from` writes, for every basic
+    arrangement, the cells the rows of ldiv give."""
+    g, square = get_group(spec), _ckernel.load().square
+    for a in basic_arrangements(g):
+        assert square(g, a.seq).tolist() == oracles.square_cells(a), a.seq
+
+
+def test_compiled_square_cells_equal_the_oracle_for_random_arrangements(rng):
+    """So does `square_from` for random arrangements of orders 1-64."""
+    specs = ([f"Z{n}" for n in range(1, 65)] + [f"D{n}" for n in range(6, 65, 2)]
+             + [f"Q{n}" for n in range(8, 65, 4)])
+    for spec in specs:
+        for _ in range(3):
+            a = random_arrangement(get_group(spec), rng)
+            assert L.square_from(a).cells.tolist() == oracles.square_cells(a), (spec, a.seq)
+
+
+def _latin_squares(rng):
+    """Latin squares of orders 0-24: group squares, their transposes, and
+    their images under random row, column and symbol permutations."""
+    yield L.LatinSquare(0, [])
+    for n in range(1, 25):
+        sq = L.square_from(random_arrangement(get_group(f"Z{n}"), rng))
+        yield sq
+        yield oracles.transpose(sq)
+        rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+        yield L.LatinSquare(n, [syms[sq.rows[r][c]] for r in rows for c in cols])
+
+
+def test_compiled_latin_check_agrees_with_the_oracle_on_latin_squares(rng):
+    for sq in _latin_squares(rng):
+        assert oracles.latin_error(sq.order, sq.cells) is None, sq.cells
+        _ckernel.load().latin(sq.order, sq.cells)
+
+
+def _plant(kind, sq, rng):
+    """A copy of sq's cells, flat, with one fault of the named kind."""
+    n, cells = sq.order, list(sq.cells)
+    r, c, d = rng.randrange(n), rng.randrange(n), rng.randrange(n - 1)
+    d += d >= c  # another column than c
+    if kind == "row repeat":
+        cells[r * n + c] = cells[r * n + d]
+    elif kind == "column repeat":  # rows stay permutations
+        cells[r * n + c], cells[r * n + d] = cells[r * n + d], cells[r * n + c]
+    elif kind == "entry n":
+        cells[r * n + c] = n
+    elif kind == "entry -1":
+        cells[r * n + c] = -1
+    elif kind == "short":
+        del cells[r * n + c]
+    else:
+        cells.append(cells[r * n + c])
+    return cells
+
+
+@pytest.mark.parametrize("kind", ["row repeat", "column repeat", "entry n", "entry -1", "short", "long"])
+def test_compiled_latin_check_agrees_with_the_oracle_on_planted_faults(kind, rng):
+    """Each planted fault makes the square, and the compiled certificate,
+    refuse the cells with the error the oracle names; entries outside
+    0..n-1 index nothing (the sanitizers would report a read out of
+    bounds)."""
+    kernel = _ckernel.load()
+    for sq in _latin_squares(rng):
+        if sq.order < 2:
+            continue
+        for _ in range(5):
+            cells = _plant(kind, sq, rng)
+            error = oracles.latin_error(sq.order, cells)
+            assert error is not None
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                L.LatinSquare(sq.order, cells)
+            with pytest.raises(ValueError):
+                kernel.certify(sq.order, array("i", cells))
+
+
+def test_compiled_certify_refuses_cells_changed_after_the_check():
+    """The compiled certificate checks the cells itself, so cells changed
+    after the square was checked are refused, not read."""
+    sq = L.square_from(P.walecki(8))
+    sq.cells[9] = 8
+    with pytest.raises(ValueError, match="not a Latin square"):
+        L.certify(sq)
 
 
 def test_csv_format_is_byte_exact():

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from conftest import get_group, kernels, naive_is_terrace, neighbors
+from conftest import CATALOGUE_1_TO_10, get_group, kernels, naive_is_terrace, neighbors
 from terraces import _ckernel
 from terraces import groups as G
 from terraces import hillclimb as H
@@ -15,9 +15,8 @@ from terraces.enumerate import EnumMode, enumerate_basic
 from terraces.orbit import _closure, explore_chain, orbit_of, two_piece_moves
 
 ALLOWED_ORBIT_SIZES = {1, 2, 3, 4, 6}  # divisors of 4 or 6
-# Z1 has no cut, and the one cut of Z2 leaves two single elements.
-CATALOGUE_1_TO_10 = ["Z1", "Z2", "Z3", "Z4", "E4", "Z5", "Z6", "D6", "Z7", "Z8", "Z4xZ2", "E8",
-                     "D8", "Q8", "Z9", "Z3xZ3", "Z10", "D10"]
+# CATALOGUE_1_TO_10 holds Z1, which has no cut, and Z2, whose one cut
+# leaves two single elements.
 
 
 def essential_terraces(spec):

@@ -75,7 +75,8 @@ def test_the_kernel_source_exports_exactly_the_bound_functions():
     are the kernels `Kernel` binds, in its order: no export without a
     wrapper, and no binding of a function the source no longer exports."""
     exported = re.findall(r"^(?!static)[a-z][\w ]*\bterraces_(\w+)\(", _ckernel.SOURCE, re.M)
-    assert tuple(exported) == _ckernel.Kernel._fields == ("dfs", "climb", "closure", "certify")
+    assert tuple(exported) == _ckernel.Kernel._fields == ("dfs", "climb", "closure", "square", "latin",
+                                                         "certify")
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
