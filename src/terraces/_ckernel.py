@@ -6,8 +6,10 @@ certificate of `latin`'s squares in C, built on first use.
 `tests/oracles.py` that the tests hold it to.  `terraces_dfs` translates
 the Python kernel `oracles.dfs` node for node: the same bucket ledger,
 layer-2 marks, T_k rows, forced narcissistic tail, ascending candidate
-order, orderly test and node budget (see the comments in the source);
-its T_k rows run m = 2 .. k, where the oracle keeps b^(2) in its layer 2.
+order, orderly test and node budget (see the comments in the source).
+Each node walks a sorted free list of the unused elements, as the
+oracle's `free` is; its T_k rows run m = 2 .. k, where the oracle keeps
+b^(2) in its layer 2.
 `terraces_climb` translates the Python climb loop `oracles.climb` step
 for step: its scan is `oracles.scan` move for move, and its moves,
 teleports and class counts are those of `oracles._Climber`; the seeded
@@ -109,6 +111,7 @@ typedef struct {
     int n, l2, k, end, mirror, naut;
     const int *ldiv, *mul, *bucket, *ctab, *auts;
     int *rem, *seq, *used, *m2, *marks, *cval, *act;
+    int *nxt, *prv; /* the unused ids, ascending, in a ring headed by e = 0 */
     long long *budget;
     void *leaf;
     const py_api *py;
@@ -152,7 +155,8 @@ static inline int layer2(const K *s, int depth, int y)
     return s->mul[s->ldiv[s->seq[depth - 1] * n + y] * n + s->cval[depth - 1]];
 }
 
-/* Place a_{depth+1} = y (on = 1) or take it back (on = 0). */
+/* Place a_{depth+1} = y (on = 1) or take it back (on = 0), in LIFO order:
+   y leaves the free list keeping its own links, which bring it back. */
 static inline void place(K *s, int depth, int y, int c2, int on)
 {
     const int n = s->n;
@@ -164,7 +168,12 @@ static inline void place(K *s, int depth, int y, int c2, int on)
     }
     for (m = 2; m <= s->k && m <= depth; m++) /* T_k row m: b^(m) */
         s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]] = on;
-    s->used[y] = on;
+    s->used[y] = on; /* for mirror() */
+    if (on) {
+        s->nxt[s->prv[y]] = s->nxt[y];
+        s->prv[s->nxt[y]] = s->prv[y];
+    } else
+        s->nxt[s->prv[y]] = s->prv[s->nxt[y]] = y;
 }
 
 static long long rec(K *s, int depth, const int *active, int nact)
@@ -185,9 +194,9 @@ static long long rec(K *s, int depth, const int *active, int nact)
         return 0;
     }
     brow = s->bucket + s->seq[depth - 1] * n;
-    for (y = 1; y < n; y++) {
+    for (y = s->nxt[0]; y; y = s->nxt[y]) {
         int c2, nn = 0, skip = 0;
-        if (s->used[y] || !s->rem[brow[y]])
+        if (!s->rem[brow[y]])
             continue;
         c2 = layer2(s, depth, y);
         if (c2 >= 0 && s->m2[c2])
@@ -254,9 +263,15 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
     s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
     s.cval = calloc(n + 1, sizeof(int));
     s.act = malloc((size_t)(n + 2) * w * sizeof(int));
-    if (!s.used || !s.m2 || !s.marks || !s.cval || !s.act) {
+    s.nxt = malloc((size_t)n * sizeof(int));
+    s.prv = malloc((size_t)n * sizeof(int));
+    if (!s.used || !s.m2 || !s.marks || !s.cval || !s.act || !s.nxt || !s.prv) {
         total = -2;
         goto out;
+    }
+    for (i = 0; i < n; i++) {
+        s.nxt[i] = (i + 1) % n;
+        s.prv[(i + 1) % n] = i;
     }
     s.used[0] = 1;
     seq[0] = 0;
@@ -291,6 +306,8 @@ out:
     free(s.marks);
     free(s.cval);
     free(s.act);
+    free(s.nxt);
+    free(s.prv);
     return total;
 }
 

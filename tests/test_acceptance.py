@@ -40,11 +40,10 @@ def test_criterion1_enumeration_core_tier():
           f"({elapsed:.1f}s)")
 
 
-# -- criterion 2: enumeration extended tier, orders 13..15 (slow) -------------
+# -- criterion 2: enumeration extended tier, orders 13..15 (Z15 slow) ---------
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("spec", ["Z13", "D14", "Z14", "Z15"])
+@pytest.mark.parametrize("spec", ["Z13", "D14", "Z14", pytest.param("Z15", marks=pytest.mark.slow)])
 def test_criterion2_enumeration_extended_tier(spec):
     expected = KNOWN_COUNTS[spec]
     g = get_group(spec)

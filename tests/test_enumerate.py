@@ -477,6 +477,29 @@ def test_g21_t2_first_witness_nodes_are_pinned():
     assert found == [(0, 1, 3, 2, 7, 11, 17, 16, 19, 4, 14, 18, 13, 9, 20, 8, 10, 5, 6, 15, 12)]
 
 
+# (nodes, leaves) of the essential terrace walk, then the directed one.
+WALK_SIZES = {
+    "Z12": ((1_322_401, 40_722), (135_992, 964)),
+    "D12": ((143_379, 1_380), (56_520, 256)),
+    "Q12": ((440_281, 13_470), (44_818, 372)),
+    "A4": ((151_522, 3_516), (22_922, 96)),
+    "Z13": ((4_183_389, 138_066), (263_162, 0)),
+    "D14": ((2_516_224, 25_608), (604_249, 2_700)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(WALK_SIZES))
+def test_compiled_walk_sizes_are_pinned(spec):
+    """The essential count walks of the compiled kernel visit pinned numbers
+    of nodes and leaves, past the orders the agreement tests reach too: a
+    change to the candidate order, a cut or the budget accounting moves
+    them."""
+    g = get_group(spec)
+    sizes = tuple(_walk(g, EnumMode(kind, essentially_different=True), True)
+                  for kind in ("terrace", "directed"))
+    assert sizes == WALK_SIZES[spec]
+
+
 def test_streamed_witnesses_pass_their_verifiers():
     cases = [
         ("Z9", EnumMode("narcissistic", count_only=False), P.is_narcissistic),
