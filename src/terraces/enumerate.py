@@ -227,12 +227,17 @@ def _run_pool_task(task):
 
 
 @contextmanager
-def _forked_map(workers: int, fn: Callable, tasks) -> Iterator[Iterator]:
-    """fn over tasks on a pool of `workers` forked processes, yielded as an
-    iterator of the results in task order.  fn reaches each worker through
-    the fork, not pickled, so it may close over a group and its tables;
-    only the tasks and the results are pickled.  Leaving the block stops
-    the workers still running."""
+def _forked_map(threads: int, fn: Callable, tasks: list) -> Iterator[Iterator]:
+    """fn over tasks, yielded as an iterator of the results in task order:
+    on a pool of min(threads, usable cpus, tasks) forked processes, or a
+    plain map when that is 1.  fn reaches each worker through the fork,
+    not pickled, so it may close over a group and its tables; only the
+    tasks and the results are pickled.  Leaving the block stops the
+    workers still running."""
+    workers = min(threads, usable_cpus(), len(tasks))
+    if workers <= 1:
+        yield map(fn, tasks)
+        return
     _ckernel.load()  # in the parent, so that the workers inherit it built
     with multiprocessing.get_context("fork").Pool(workers, _set_pool_task, (fn,)) as pool:
         yield pool.imap(_run_pool_task, tasks)
@@ -241,25 +246,18 @@ def _forked_map(workers: int, fn: Callable, tasks) -> Iterator[Iterator]:
 def _count(group: Group, modes, prune: bool, threads: int) -> list[int]:
     """Leaf counts of the count-only `modes`, which are all essential
     (prune set) or all not: one `_dfs` walk each, or, with threads > 1 and
-    order at least _FORK_MIN_ORDER, tasks split by live prefix over one
-    pool of at most min(threads, usable cpus, tasks) forked processes."""
-    workers = min(threads, usable_cpus()) if group.order >= _FORK_MIN_ORDER else 1
-    if workers > 1:
-        tasks = [
-            (i, mode, p)
-            for i, mode in enumerate(modes)
-            for p in _live_prefixes(group, mode, prune)
-        ]
-        workers = min(workers, len(tasks))
-    if workers <= 1:
+    order at least _FORK_MIN_ORDER, tasks split by live prefix over
+    `_forked_map`."""
+    if threads <= 1 or group.order < _FORK_MIN_ORDER:
         return [_dfs(group, mode, prune) for mode in modes]
+    tasks = [(i, mode, p) for i, mode in enumerate(modes) for p in _live_prefixes(group, mode, prune)]
     totals = [0] * len(modes)
 
     def count(task):
         i, mode, prefix = task
         return i, _dfs(group, mode, prune, prefix=prefix)
 
-    with _forked_map(workers, count, tasks) as results:
+    with _forked_map(threads, count, tasks) as results:
         for i, leaves in results:
             totals[i] += leaves
     return totals

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from . import _ckernel
-from .enumerate import _forked_map, usable_cpus
+from .enumerate import _forked_map
 from .groups import Group
 from .props import Arrangement, altitude_directed, altitude_undirected, is_directed_terrace, is_terrace
 
@@ -136,8 +135,8 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
     """Run one climb per seed; return the first found result in seed order,
     or the last seed's result when no seed finds one.
 
-    With more than one worker (min(threads, usable cpus, seeds)) the seeds
-    run in that many forked processes and are read back in seed order; the
+    With more than one worker (see `enumerate._forked_map`) the seeds run
+    in that many forked processes and are read back in seed order; the
     first found result is returned as soon as every earlier seed is done,
     and the seeds still running are stopped.  The result is the one the
     serial loop returns.
@@ -152,10 +151,9 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
         r = climb(group, replace(params, seed=seed))
         return replace(r, arrangement=None), r.arrangement and r.arrangement.seq
 
-    workers = min(threads, usable_cpus(), len(seeds))
-    if workers > 1:  # built here, the tables reach every worker through the fork
-        _ckernel._climb_tables(group, params.mode == "terrace")
-    with _forked_map(workers, run, seeds) if workers > 1 else nullcontext(map(run, seeds)) as results:
+    # Built here, the tables reach every pool worker through the fork.
+    _ckernel._climb_tables(group, params.mode == "terrace")
+    with _forked_map(threads, run, seeds) as results:
         for r, seq in results:
             if seq is not None:
                 r.arrangement = Arrangement(group, seq)

@@ -18,12 +18,13 @@ counts of essentially different terraces.
 A closure is one call of C (`_ckernel.terraces_closure`, via `_walk`): it
 steps each form in discovery order, drops repeats in a hash set and calls
 back for new forms only, which `_closure` checks as `Arrangement`s and
-offers to the predicate.  Its step lists the moves of `_moves`, which
-`two_piece_moves` runs in Python, and takes the canonical form of each.
-The tests hold the closure to its Python twin in `tests/oracles.py`, which
-steps with `_moves`, form for form.  `explore_chain(walecki(14), 5000)`
-takes about 0.02 s compiled (0.04 s with `is_extendable` as the predicate)
-and 0.5 s in Python (Python 3.11, one process).
+offers to the predicate.  Its step lists the moves of the 2-piece table
+that keep a terrace and takes the canonical form of each.  The tests hold
+the closure to its Python twin in `tests/oracles.py`, which steps with
+the same moves in Python (`oracles._moves`), form for form.
+`explore_chain(walecki(14), 5000)` takes about 0.02 s compiled (0.04 s
+with `is_extendable` as the predicate) and 0.5 s in Python (Python 3.11,
+one process).
 """
 
 from __future__ import annotations
@@ -31,42 +32,16 @@ from __future__ import annotations
 from typing import Callable
 
 from . import _ckernel
-from .groups import Group, _class_data
+from .groups import Group
 from .props import Arrangement, is_terrace
 
-__all__ = ["two_piece_moves", "orbit_of", "explore_chain"]
-
-
-def two_piece_moves(a: Arrangement, allow_piece_reversal: bool) -> list[Arrangement]:
-    """The whole reversal, then the terrace one-cut reassemblies (pieces
-    swapped, and reversed when the flag allows), re-based and deduplicated."""
-    if not is_terrace(a):
-        raise ValueError("two_piece_moves is defined on terraces")
-    return [Arrangement(a.group, s) for s in _moves(a.group, a.seq, allow_piece_reversal)]
+__all__ = ["orbit_of", "explore_chain"]
 
 
 def orbit_of(a: Arrangement) -> dict[tuple[int, ...], Arrangement]:
     """Closure under no-piece-reversal moves, collapsed to canonical forms:
     {canonical form: its arrangement}, in discovery order."""
     return _closure(a, allow_piece_reversal=False)[0]
-
-
-def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[tuple[int, ...]]:
-    """The based terraces one move away from the terrace seq, first
-    occurrences in order: the whole reversal, then, cut by cut, each move
-    of the 2-piece table whose new junction's quotient is in the class of
-    the junction it breaks."""
-    ldiv, cls = g.ldiv, _class_data(g)[2]
-    row = ldiv[seq[-1]]
-    out = {tuple(row[x] for x in reversed(seq)): None}
-    for c in range(1, len(seq)):
-        ends, pieces = (seq[0], seq[c], seq[c - 1], seq[-1]), (seq[:c], seq[c:])
-        for order, mask, ((i, j),), ((k, l),) in _ckernel._MOVES[2, allow_piece_reversal][1]:
-            if cls[ldiv[ends[i]][ends[j]]] == cls[ldiv[ends[k]][ends[l]]]:
-                cand = [x for p in order for x in (pieces[p][::-1] if mask >> p & 1 else pieces[p])]
-                row = ldiv[cand[0]]
-                out[tuple(row[x] for x in cand)] = None
-    return list(out)
 
 
 def _walk(g: Group, allow_piece_reversal: bool, seq: tuple[int, ...],

@@ -12,9 +12,9 @@ same order:
   scan, move for move (with `_gain`, and `_classes`, the class of each
   quotient and the cap of each class);
 - `closure` is `orbit._walk`, the whole orbit closure: it steps with
-  `orbit._moves` and takes each neighbour's least image under Aut(G)
-  itself, so it visits the same forms in the same order, each new one
-  once;
+  `_moves`, the based terraces one move away, and takes each neighbour's
+  least image under Aut(G) itself, so it visits the same forms in the
+  same order, each new one once;
 - `counted_is_terrace` is `props.is_terrace` as it was written before
   it counted b into a list: a `Counter` of `diff_list`, and the
   involutions checked apart;
@@ -27,7 +27,7 @@ same order:
   `latin.square_from`, read from the rows of `ldiv`.
 
 The climb (with `_materialize`, which cuts and reassembles an
-arrangement) and `orbit._moves` read the move tables `_ckernel._MOVES` as
+arrangement) and `_moves` read the move tables `_ckernel._MOVES` as
 tuples, where the C source reads each packed into one int array
 (`_ckernel._PACKED`).  `conftest.kernels` swaps the first three in for
 the compiled routines, through the same names, so that a test runs one
@@ -48,7 +48,6 @@ from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_d
 from terraces.groups import Group, _class_data, automorphisms, involutions
 from terraces.hillclimb import ClimbParams, ClimbResult
 from terraces.latin import LatinSquare, SquareCertificate
-from terraces.orbit import _moves
 from terraces.props import (Arrangement, altitude_directed, altitude_undirected, diff_list,
                             is_directed_terrace, is_terrace)
 
@@ -455,11 +454,29 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
         teleports += 1
 
 
+def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[tuple[int, ...]]:
+    """The based terraces one move away from the terrace seq, first
+    occurrences in order: the whole reversal, then, cut by cut, each move
+    of the 2-piece table whose new junction's quotient is in the class of
+    the junction it breaks."""
+    ldiv, cls = g.ldiv, _class_data(g)[2]
+    row = ldiv[seq[-1]]
+    out = {tuple(row[x] for x in reversed(seq)): None}
+    for c in range(1, len(seq)):
+        ends, pieces = (seq[0], seq[c], seq[c - 1], seq[-1]), (seq[:c], seq[c:])
+        for order, mask, ((i, j),), ((k, l),) in _MOVES[2, allow_piece_reversal][1]:
+            if cls[ldiv[ends[i]][ends[j]]] == cls[ldiv[ends[k]][ends[l]]]:
+                cand = [x for p in order for x in (pieces[p][::-1] if mask >> p & 1 else pieces[p])]
+                row = ldiv[cand[0]]
+                out[tuple(row[x] for x in cand)] = None
+    return list(out)
+
+
 def closure(g: Group, allow_piece_reversal: bool, seq: tuple[int, ...],
             visit: Callable[[tuple[int, ...]], bool], limit: int | None = None) -> int:
     """`orbit._walk`: visit(form) for the least image under Aut(g) of the
     re-based seq, then breadth first for the least image of each neighbour
-    `orbit._moves` lists that is new, until visit answers true, limit forms
+    `_moves` lists that is new, until visit answers true, limit forms
     have been visited, or none is left; returns the number visited."""
     auts = automorphisms(g)
 

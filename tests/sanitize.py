@@ -9,8 +9,10 @@ The Python process must preload the sanitizer runtimes, and the run needs
     ASAN_OPTIONS=detect_leaks=0 PYTHONMALLOC=malloc HOME="$(mktemp -d)" \\
     PYTHONPATH=src:tests python -m pytest -p sanitize -s -q tests/test_orbit.py
 
-The flags name a shared object of their own, and a fresh HOME keeps it
-out of the user's kernel cache.
+The kernels are compiled from `src/terraces/_kernel.c`, so a report
+names its lines there.  The flags name a shared object of their own, and
+a fresh HOME keeps it out of the user's kernel cache.  `tests/gcov_gate.py`
+is the same kind of plugin for line coverage.
 """
 
 from terraces import _ckernel

@@ -6,12 +6,14 @@ import re
 import subprocess
 from array import array
 from itertools import accumulate, combinations, product
+from pathlib import Path
 
 import pytest
 
 import oracles
 from conftest import SIGINT_RAISES, get_group, kernels, neighbors, random_arrangement, teleport
 from terraces import _ckernel
+from terraces import enumerate as E
 from terraces import groups as G
 from terraces import hillclimb as H
 from terraces import props as P
@@ -288,9 +290,12 @@ def test_move_table_junctions_match_materialize(npieces, allow_reversal, rng):
             assert sorted(ldiv[out[i - 1]][out[i]] for i in at) == want
 
 
+KERNEL_C = Path(_ckernel.__file__).with_name(_ckernel._SOURCE)
+
+
 def _c_offset(name, p):
     """The C source's offset macro `name` at p pieces, evaluated."""
-    param, body = re.search(rf"#define {name}\((\w+)\) (.+)", _ckernel.SOURCE).groups()
+    param, body = re.search(rf"#define {name}\((\w+)\) (.+)", KERNEL_C.read_text()).groups()
     return eval(body.replace(param, str(p)))
 
 
@@ -299,7 +304,7 @@ def test_packed_move_tables_unpack_to_the_move_tables(npieces, allow_reversal):
     """Read with the C source's offsets, each packed table gives back its
     move table exactly: its end pairs, then per move the junctions, the
     broken pairs, zeros up to ORDER(p), the piece order and the mask."""
-    assert "#define ROWS(table) ((table) + 2 + 2 * (table)[0])" in _ckernel.SOURCE
+    assert "#define ROWS(table) ((table) + 2 + 2 * (table)[0])" in KERNEL_C.read_text()
     row, order = _c_offset("ROW", npieces), _c_offset("ORDER", npieces)
     t = list(_ckernel._PACKED[npieces, allow_reversal])
     npairs, nmoves, rows = t[0], t[1], t[2 + 2 * t[0]:]
@@ -613,7 +618,7 @@ def test_climb_seeds_first_found_wins():
     assert par_result == seq_result and par_result.arrangement.group is g
 
 
-@pytest.mark.skipif(H.usable_cpus() < 2, reason="climb_seeds forks no pool on one CPU")
+@pytest.mark.skipif(E.usable_cpus() < 2, reason="climb_seeds forks no pool on one CPU")
 def test_climb_seeds_builds_the_tables_before_it_forks():
     """A fresh group climbed only in pool workers has a climb's tables in
     the parent, built there once, before the fork, rather than in each

@@ -7,12 +7,13 @@ from collections import deque
 import pytest
 
 from conftest import CATALOGUE_1_TO_10, get_group, kernels, naive_is_terrace, neighbors
+from oracles import _moves
 from terraces import _ckernel
 from terraces import groups as G
 from terraces import hillclimb as H
 from terraces import props as P
 from terraces.enumerate import EnumMode, enumerate_basic
-from terraces.orbit import _closure, explore_chain, orbit_of, two_piece_moves
+from terraces.orbit import _closure, explore_chain, orbit_of
 
 ALLOWED_ORBIT_SIZES = {1, 2, 3, 4, 6}  # divisors of 4 or 6
 # CATALOGUE_1_TO_10 holds Z1, which has no cut, and Z2, whose one cut
@@ -25,9 +26,17 @@ def essential_terraces(spec):
 
 
 def test_moves_require_a_terrace():
-    g = get_group("Z6")
-    with pytest.raises(ValueError):
-        two_piece_moves(P.Arrangement(g, (0, 1, 2, 3, 4, 5)), False)
+    """The closures step only from terraces: a start that is not one is
+    refused, compiled or not."""
+    a = P.Arrangement(get_group("Z6"), (0, 1, 2, 3, 4, 5))
+    for walk in (orbit_of, lambda a: explore_chain(a, 10, lambda r: False)):
+        with pytest.raises(ValueError, match="terraces"):
+            walk(a)
+
+
+def moves(w, flag):
+    """`oracles._moves` of the arrangement w, as arrangements."""
+    return [P.Arrangement(w.group, s) for s in _moves(w.group, w.seq, flag)]
 
 
 def oracle_moves(w, flag):
@@ -60,21 +69,21 @@ def test_moves_and_orbits_match_oracle(spec, monkeypatch):
     equal the naive oracle's, in order."""
     for w in essential_terraces(spec):
         for flag in (False, True):
-            assert [m.seq for m in two_piece_moves(w, flag)] == oracle_moves(w, flag), flag
+            assert _moves(w.group, w.seq, flag) == oracle_moves(w, flag), flag
         want = oracle_orbit_keys(w)
         for python in (False, True):
             with kernels(monkeypatch, python):
                 assert list(orbit_of(w)) == want, python
 
 
-def test_compiled_closure_steps_first_to_the_forms_of_two_piece_moves():
+def test_compiled_closure_steps_first_to_the_forms_of_the_oracle_moves():
     """The compiled closure's first step, from each essential terrace w,
-    visits the canonical forms of two_piece_moves(w), w's own left out, in
+    visits the canonical forms of oracles._moves(w), w's own left out, in
     their first-occurrence order: the C step against the Python moves."""
     for spec in CATALOGUE_1_TO_10:
         for w in essential_terraces(spec):
             for flag in (False, True):
-                step = dict.fromkeys(P.canonical_form(m).seq for m in two_piece_moves(w, flag))
+                step = dict.fromkeys(P.canonical_form(m).seq for m in moves(w, flag))
                 step.pop(w.seq, None)
                 forms = list(_closure(w, flag, None, 1 + len(step))[0])
                 assert forms == [w.seq, *step], (spec, w.seq, flag)
@@ -111,22 +120,22 @@ def test_compiled_chains_match_the_python_chains(spec, monkeypatch):
 def test_reverse_always_produced():
     for spec in ["Z5", "Z7", "D6"]:
         for w in essential_terraces(spec):
-            out = {m.seq for m in two_piece_moves(w, False)}
+            out = set(_moves(w.group, w.seq, False))
             assert P.to_basic(P.reverse(w)).seq in out
 
 
 def test_outputs_are_based_terraces():
     for w in essential_terraces("Z6"):
         for flag in (False, True):
-            for m in two_piece_moves(w, flag):
+            for m in moves(w, flag):
                 assert m.seq[0] == 0
                 assert P.is_terrace(m)
 
 
 def test_move_set_monotone_in_reversal_flag():
     for w in essential_terraces("Z7"):
-        no_rev = {m.seq for m in two_piece_moves(w, False)}
-        with_rev = {m.seq for m in two_piece_moves(w, True)}
+        no_rev = set(_moves(w.group, w.seq, False))
+        with_rev = set(_moves(w.group, w.seq, True))
         assert no_rev <= with_rev
 
 
