@@ -33,10 +33,10 @@ static long pycall(const py_api *py, void *f, const char *format, int a,
 }
 
 typedef struct {
-    int n, l2, k, end, mirror, naut;
+    int n, l2, k, end, mirror, naut, nw;
     const int *ldiv, *mul, *bucket, *ctab, *auts;
-    int *rem, *seq, *used, *m2, *marks, *cval, *act;
-    int *nxt, *prv; /* the unused ids, ascending, in a ring headed by e = 0 */
+    int *rem, *seq, *m2, *marks, *cval, *act;
+    unsigned long long *unused; /* bit y % 64 of word y / 64: y is unused */
     long long *budget;
     void *leaf;
     const py_api *py;
@@ -45,25 +45,27 @@ typedef struct {
                  spent; 3: a signal handler raised */
 } K;
 
+#define BIT(y) (1ull << ((y) & 63))
+
 /* b_j = b_{n-j} forces a_{end+1} .. a_{n-1}; each must be unused. */
 static int mirror(K *s)
 {
     const int n = s->n, end = s->end;
-    int *seq = s->seq, *used = s->used;
+    int *seq = s->seq;
+    unsigned long long *unused = s->unused;
     int j, x = seq[end], ok = 1;
-    used[x] = 1;
+    unused[x >> 6] ^= BIT(x);
     for (j = end + 1; j < n; j++) {
         x = s->mul[x * n + s->ldiv[seq[n - j - 1] * n + seq[n - j]]];
-        if (used[x]) {
+        if (!(unused[x >> 6] & BIT(x))) {
             ok = 0;
             break;
         }
-        used[x] = 1;
+        unused[x >> 6] ^= BIT(x);
         seq[j] = x;
     }
-    while (--j > end)
-        used[seq[j]] = 0;
-    used[seq[end]] = 0;
+    while (--j >= end)
+        unused[seq[j] >> 6] ^= BIT(seq[j]);
     return ok;
 }
 
@@ -80,8 +82,7 @@ static inline int layer2(const K *s, int depth, int y)
     return s->mul[s->ldiv[s->seq[depth - 1] * n + y] * n + s->cval[depth - 1]];
 }
 
-/* Place a_{depth+1} = y (on = 1) or take it back (on = 0), in LIFO order:
-   y leaves the free list keeping its own links, which bring it back. */
+/* Place a_{depth+1} = y (on = 1) or take it back (on = 0). */
 static inline void place(K *s, int depth, int y, int c2, int on)
 {
     const int n = s->n;
@@ -93,20 +94,23 @@ static inline void place(K *s, int depth, int y, int c2, int on)
     }
     for (m = 2; m <= s->k && m <= depth; m++) /* T_k row m: b^(m) */
         s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]] = on;
-    s->used[y] = on; /* for mirror() */
-    if (on) {
-        s->nxt[s->prv[y]] = s->nxt[y];
-        s->prv[s->nxt[y]] = s->prv[y];
-    } else
-        s->nxt[s->prv[y]] = s->prv[s->nxt[y]] = y;
+    s->unused[y >> 6] ^= BIT(y);
 }
 
+/* The candidates y are the unused ids, 64 to a word, in ascending order.
+   For each word, a first pass tests every unused y against the ledgers
+   (bucket room, layer 2, the T_k rows) without a branch on the answer,
+   and keeps the survivors in a word; a second pass takes the survivors in
+   order to the orderly test, the leaf and the recursion.  The survivor
+   word stays exact while its candidates' subtrees are walked: a child
+   takes back every ledger change and unused bit it makes before it
+   returns, so the ledgers are those the first pass read. */
 static long long rec(K *s, int depth, const int *active, int nact)
 {
-    const int n = s->n, *brow;
+    const int n = s->n, kd = s->k < depth ? s->k : depth, *brow;
     int *next = s->act + (size_t)(depth + 1) * s->naut;
     long long total = 0;
-    int y, i, m;
+    int w, i, m;
     if (s->budget) {
         if (*s->budget <= 0) {
             s->halt = 2;
@@ -119,45 +123,46 @@ static long long rec(K *s, int depth, const int *active, int nact)
         return 0;
     }
     brow = s->bucket + s->seq[depth - 1] * n;
-    for (y = s->nxt[0]; y; y = s->nxt[y]) {
-        int c2, nn = 0, skip = 0;
-        if (!s->rem[brow[y]])
-            continue;
-        c2 = layer2(s, depth, y);
-        if (c2 >= 0 && s->m2[c2])
-            continue;
-        for (m = 2; m <= s->k && m <= depth; m++)
-            if (s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]]) {
-                skip = 1;
-                break;
-            }
-        /* Orderly test: cut y if an active automorphism maps it lower;
-           those that fix it stay active below. */
-        for (i = 0; i < nact && !skip; i++) {
-            int t = s->auts[(size_t)active[i] * n + y];
-            if (t < y)
-                skip = 1;
-            else if (t == y)
-                next[nn++] = active[i];
+    for (w = 0; w < s->nw; w++) {
+        unsigned long long f, keep = 0;
+        for (f = s->unused[w]; f; f &= f - 1) {
+            int y = 64 * w + __builtin_ctzll(f), c2 = layer2(s, depth, y);
+            int bad = !s->rem[brow[y]] | (c2 >= 0 && s->m2[c2]);
+            for (m = 2; m <= kd; m++)
+                bad |= s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]];
+            keep |= (unsigned long long)!bad << (y & 63);
         }
-        if (skip)
-            continue;
-        s->seq[depth] = y;
-        if (depth == s->end) {
-            if (!s->mirror || mirror(s)) {
-                total++;
-                if (s->leaf != s->py->none && pycall(s->py, s->leaf, 0, 0, 0, 0)) {
-                    s->halt = 1;
-                    return total;
+        for (; keep; keep &= keep - 1) {
+            int y = 64 * w + __builtin_ctzll(keep), c2, nn = 0, skip = 0;
+            /* Orderly test: cut y if an active automorphism maps it lower;
+               those that fix it stay active below. */
+            for (i = 0; i < nact && !skip; i++) {
+                int t = s->auts[(size_t)active[i] * n + y];
+                if (t < y)
+                    skip = 1;
+                else if (t == y)
+                    next[nn++] = active[i];
+            }
+            if (skip)
+                continue;
+            s->seq[depth] = y;
+            if (depth == s->end) {
+                if (!s->mirror || mirror(s)) {
+                    total++;
+                    if (s->leaf != s->py->none && pycall(s->py, s->leaf, 0, 0, 0, 0)) {
+                        s->halt = 1;
+                        return total;
+                    }
                 }
+                continue;
             }
-            continue;
+            c2 = layer2(s, depth, y);
+            place(s, depth, y, c2, 1);
+            total += rec(s, depth + 1, next, nn);
+            if (s->halt)
+                return total;
+            place(s, depth, y, c2, 0);
         }
-        place(s, depth, y, c2, 1);
-        total += rec(s, depth + 1, next, nn);
-        if (s->halt)
-            return total;
-        place(s, depth, y, c2, 0);
     }
     return total;
 }
@@ -178,27 +183,22 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
     long long total;
     int d, i, nact = naut, w = naut > 0 ? naut : 1;
     int *act0;
-    s.n = n, s.l2 = l2, s.k = k, s.end = end;
+    s.n = n, s.l2 = l2, s.k = k, s.end = end, s.nw = (n + 63) / 64;
     s.mirror = l2 == 2 && end == (n - 1) / 2, s.naut = naut;
     s.ldiv = ldiv, s.mul = mul, s.bucket = bucket, s.ctab = ctab;
     s.auts = auts, s.rem = rem, s.seq = seq, s.budget = budget;
     s.leaf = leaf, s.py = py, s.nodes = 0, s.halt = 0;
-    s.used = calloc(n + 1, sizeof(int));
     s.m2 = calloc(n + 1, sizeof(int));
     s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
     s.cval = calloc(n + 1, sizeof(int));
     s.act = malloc((size_t)(n + 2) * w * sizeof(int));
-    s.nxt = malloc((size_t)n * sizeof(int));
-    s.prv = malloc((size_t)n * sizeof(int));
-    if (!s.used || !s.m2 || !s.marks || !s.cval || !s.act || !s.nxt || !s.prv) {
+    s.unused = calloc(s.nw, sizeof(unsigned long long));
+    if (!s.m2 || !s.marks || !s.cval || !s.act || !s.unused) {
         total = -2;
         goto out;
     }
-    for (i = 0; i < n; i++) {
-        s.nxt[i] = (i + 1) % n;
-        s.prv[(i + 1) % n] = i;
-    }
-    s.used[0] = 1;
+    for (i = 1; i < n; i++)
+        s.unused[i >> 6] |= BIT(i);
     seq[0] = 0;
     if (l2 == 2)
         s.m2[0] = 1; /* c_0 = e is taken */
@@ -226,13 +226,11 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
     if (s.halt >= 2)
         total = 1 - s.halt;
 out:
-    free(s.used);
     free(s.m2);
     free(s.marks);
     free(s.cval);
     free(s.act);
-    free(s.nxt);
-    free(s.prv);
+    free(s.unused);
     return total;
 }
 
@@ -455,7 +453,7 @@ static void least(int n, const int *ldiv, int naut, const int *auts,
     }
 }
 
-/* `orbit._moves` and the canonical form of each neighbour, for the terrace
+/* `oracles._moves` (tests/) and the canonical form of each neighbour, for the terrace
    seq: out gets, n ints each and repeats included, the canonical forms of
    the whole reversal, then, cut by cut, of each move of the packed 2-piece
    table whose new junction's quotient is in the class of the junction it

@@ -190,10 +190,9 @@ _SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
 # Groups of smaller order count in one process.  Where the pool pays off
 # depends on the host.  With the compiled kernel on a 2-vCPU host, four
 # sets of 7 count_table runs each gave these medians, one process against
-# a two-worker pool: at order 12 the pool broke even (Z12 53-64 against
-# 50-65 ms); from order 13 it mostly won (D14 124-151 against 87-92 ms,
-# Z13 147-183 against 103-216 ms, whose best runs were 141-180 against
-# 94-117 ms).
+# a two-worker pool: at order 12 the pool lost (Z12 40-44 against 45-75
+# ms); from order 13 it won (Z13 117-144 against 78-91 ms, D14 80-97
+# against 64-70 ms).
 _FORK_MIN_ORDER = 13
 _POOL_TASK: Callable | None = None  # the task function, set in each pool worker
 

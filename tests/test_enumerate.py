@@ -327,6 +327,56 @@ def test_compiled_kernel_matches_the_python_kernel(monkeypatch, spec):
         assert got[0] == got[1], (spec, label)
 
 
+@pytest.mark.parametrize("spec", ["Z65", "D66"])
+def test_compiled_kernel_matches_the_python_kernel_past_order_64(monkeypatch, spec):
+    """Past order 64 the compiled kernel keeps the unused elements in two
+    words.  Walked unpruned (Aut(G) is not listed past order 32), both
+    kernels reach the same live prefixes (a2, a3) of every kind with the
+    same nodes; cut at depth 48 (31 for the narcissistic kind) with a
+    budget of 5,000 nodes, they reach the same prefixes before it runs
+    out; and a first-witness search capped at 5,000 nodes runs out on
+    both."""
+    g = get_group(spec)
+    got = []
+    for python in (False, True):
+        with kernels(monkeypatch, python):
+            runs = []
+            for label, (mode, _pred) in KIND_CASES.items():
+                if mode.kind in ODD_KINDS and g.order % 2 == 0:
+                    continue
+                top: list = []
+                deep: list = []
+                budget = [5_000]
+                with pytest.raises(BudgetExceeded):
+                    E._dfs(g, mode, False, sink=deep, budget=budget,
+                           stop_at=min(48, E._end_depth(g.order, mode.kind) - 1))
+                with pytest.raises(BudgetExceeded):
+                    search_first(g, mode, cap=70, max_nodes=5_000)
+                runs.append((label, _walk(g, mode, False, sink=top, stop_at=2), top, deep, budget))
+            got.append(runs)
+    assert got[0] == got[1]
+
+
+def test_compiled_kernel_matches_the_python_kernel_below_a_deep_z65_prefix(monkeypatch):
+    """Both kernels walk the same nodes to the same leaves below a deep
+    prefix of a narcissistic terrace of Z65: the image of Walecki's under
+    x -> 42x, which moves 17 to 64, the one id in the second word of
+    unused elements, so that the mirrored tail holds it."""
+    g = get_group("Z65")
+    seq = tuple(42 * x % 65 for x in P.walecki(65).seq)
+    got = []
+    for python in (False, True):
+        with kernels(monkeypatch, python):
+            runs = []
+            for kind, depth in (("terrace", 54), ("half_and_half", 54), ("narcissistic", 25)):
+                sink: list = []
+                runs.append(_walk(g, EnumMode(kind), False, sink=sink, prefix=seq[1 : depth + 1]))
+                runs.append([w.seq for w in sink])
+                assert seq in runs[-1], kind
+            got.append(runs)
+    assert got[0] == got[1]
+
+
 # First narcissistic witnesses of the non-abelian groups, and the sha256 of
 # the first 20 streamed G21_1 witnesses (json.dumps of their id lists),
 # recorded before the repeated-c_d cut was added.
@@ -477,13 +527,15 @@ def test_g21_t2_first_witness_nodes_are_pinned():
     assert found == [(0, 1, 3, 2, 7, 11, 17, 16, 19, 4, 14, 18, 13, 9, 20, 8, 10, 5, 6, 15, 12)]
 
 
-# (nodes, leaves) of the essential terrace walk, then the directed one.
+# (nodes, leaves) of the essential terrace walk, then the directed one,
+# then for Z13 the half-and-half one: the kind that mixes a class bucket
+# with a layer-2 test.
 WALK_SIZES = {
     "Z12": ((1_322_401, 40_722), (135_992, 964)),
     "D12": ((143_379, 1_380), (56_520, 256)),
     "Q12": ((440_281, 13_470), (44_818, 372)),
     "A4": ((151_522, 3_516), (22_922, 96)),
-    "Z13": ((4_183_389, 138_066), (263_162, 0)),
+    "Z13": ((4_183_389, 138_066), (263_162, 0), (347_050, 15_664)),
     "D14": ((2_516_224, 25_608), (604_249, 2_700)),
 }
 
@@ -495,8 +547,8 @@ def test_compiled_walk_sizes_are_pinned(spec):
     change to the candidate order, a cut or the budget accounting moves
     them."""
     g = get_group(spec)
-    sizes = tuple(_walk(g, EnumMode(kind, essentially_different=True), True)
-                  for kind in ("terrace", "directed"))
+    kinds = ("terrace", "directed", "half_and_half")[: len(WALK_SIZES[spec])]
+    sizes = tuple(_walk(g, EnumMode(kind, essentially_different=True), True) for kind in kinds)
     assert sizes == WALK_SIZES[spec]
 
 
