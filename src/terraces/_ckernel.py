@@ -245,10 +245,12 @@ def _bind(path: str) -> Kernel:
     def dfs(group, kind, k, end, prune, prefix, budget, leaf):
         """Leaves of `kind` (see `_KINDS`) with T_k depth k below a_1 = e
         and `prefix`, cut at depth end, or -1 when the node budget ran out.
-        prune turns on orderly pruning by Aut(group).  budget is None or a
-        one-cell list, left at the nodes not spent.  leaf, when given, is
-        called with the current sequence at each leaf, and a true answer
-        stops the walk."""
+        The walk checks each prefix entry as the one candidate at its
+        depth, so a dead or non-canonical prefix has no leaves, and it
+        spends one node per entry.  prune turns on orderly pruning by
+        Aut(group).  budget is None or a one-cell list, left at the nodes
+        not spent.  leaf, when given, is called with the current sequence
+        at each leaf, and a true answer stops the walk."""
         n = group.order
         entry = _KINDS[kind]
         # A bucket holds one entry, or a class's cap for an unmirrored class
@@ -258,7 +260,7 @@ def _bind(path: str) -> Kernel:
         # The kernel reads and writes plain arrays by address; a ctypes
         # array type per call would leave a reference cycle behind.
         rem = array.array("i", rem)  # a copy, which the kernel updates
-        placed = array.array("i", prefix)
+        path = array.array("i", prefix)
         seq = array.array("i", [0]) * n
         cell = None
         if budget is not None:
@@ -267,7 +269,7 @@ def _bind(path: str) -> Kernel:
         tables = (ldiv, mul, ldiv if entry.directed else ctab, rem, ctab)
         # The first row of auts is the identity, which prunes nothing: skip it.
         leaves = fn(n, entry.layer2, k, end, *map(addr, tables), len(auts) // n - 1,
-                    addr(auts) + n * auts.itemsize, len(prefix), addr(placed), cell and addr(cell),
+                    addr(auts) + n * auts.itemsize, len(prefix), addr(path), cell and addr(cell),
                     leaf and (lambda: leaf(seq)), api, addr(seq))
         if cell is not None:
             budget[0] -= start - cell[0]
@@ -361,8 +363,9 @@ def _bind(path: str) -> Kernel:
 
 def _build(directory: str) -> Kernel:
     """Load the kernels from `directory`, compiling them there first if the
-    shared object for this source and these flags is missing; a build
-    removes the user's shared objects of other sources from `directory`."""
+    shared object for this source and these flags is missing.  Objects of
+    other sources stay, so that checkouts of different sources sharing one
+    cache each build theirs once."""
     from importlib import resources
 
     source = resources.files(__package__) / _SOURCE
@@ -399,24 +402,10 @@ def _build(directory: str) -> Kernel:
                         os.rmdir(d)
                     except OSError:  # not made, or another build uses it
                         pass
-        _remove_stale(directory, name)
     for p in (directory, path):
         if os.stat(p).st_uid != os.getuid():
             raise OSError(f"{p} belongs to another user")
     return _bind(path)
-
-
-def _remove_stale(directory: str, keep: str) -> None:
-    """Remove the user's shared objects other than `keep` from `directory`.
-    Unlinking a file another process has mapped leaves its mapping intact,
-    and that process's next build writes its own file again."""
-    for entry in os.scandir(directory):
-        if entry.name != keep and entry.name.startswith(_PREFIX) and entry.name.endswith(".so"):
-            try:
-                if entry.stat(follow_symlinks=False).st_uid == os.getuid():
-                    os.remove(entry.path)
-            except OSError:  # gone already, or not ours to remove
-                pass
 
 
 def load() -> Kernel:

@@ -33,8 +33,8 @@ static long pycall(const py_api *py, void *f, const char *format, int a,
 }
 
 typedef struct {
-    int n, l2, k, end, mirror, naut, nw;
-    const int *ldiv, *mul, *bucket, *ctab, *auts;
+    int n, l2, k, end, mirror, naut, nw, nprefix;
+    const int *ldiv, *mul, *bucket, *ctab, *auts, *prefix;
     int *rem, *seq, *m2, *marks, *cval, *act;
     unsigned long long *unused; /* bit y % 64 of word y / 64: y is unused */
     long long *budget;
@@ -97,8 +97,10 @@ static inline void place(K *s, int depth, int y, int c2, int on)
     s->unused[y >> 6] ^= BIT(y);
 }
 
-/* The candidates y are the unused ids, 64 to a word, in ascending order.
-   For each word, a first pass tests every unused y against the ledgers
+/* The candidates y are the unused ids, 64 to a word, in ascending order;
+   at a depth up to nprefix, the prefix entry is the one candidate, so a
+   resumed walk checks and places its prefix as it does every other entry.
+   For each word, a first pass tests every candidate against the ledgers
    (bucket room, layer 2, the T_k rows) without a branch on the answer,
    and keeps the survivors in a word; a second pass takes the survivors in
    order to the orderly test, the leaf and the recursion.  The survivor
@@ -124,8 +126,10 @@ static long long rec(K *s, int depth, const int *active, int nact)
     }
     brow = s->bucket + s->seq[depth - 1] * n;
     for (w = 0; w < s->nw; w++) {
-        unsigned long long f, keep = 0;
-        for (f = s->unused[w]; f; f &= f - 1) {
+        unsigned long long f = s->unused[w], keep = 0;
+        if (depth <= s->nprefix)
+            f &= s->prefix[depth - 1] >> 6 == w ? BIT(s->prefix[depth - 1]) : 0;
+        for (; f; f &= f - 1) {
             int y = 64 * w + __builtin_ctzll(f), c2 = layer2(s, depth, y);
             int bad = !s->rem[brow[y]] | (c2 >= 0 && s->m2[c2]);
             for (m = 2; m <= kd; m++)
@@ -167,9 +171,10 @@ static long long rec(K *s, int depth, const int *active, int nact)
     return total;
 }
 
-/* Leaves below a_1 = e and the placed prefix, cut at depth end (at order
-   1, end 0: the one leaf (e), which spends no node); -1 when the node
-   budget ran out, -2 when memory did, -3 when a signal handler raised.
+/* Leaves below a_1 = e and the prefix (a_2, ..., a_{nprefix+1}), none if
+   rec finds it dead or non-canonical, cut at depth end (at order 1, end
+   0: the one leaf (e), which spends no node); -1 when the node budget ran
+   out, -2 when memory did, -3 when a signal handler raised.
    leaf, a Python callable or None, is called at each leaf, and a true
    answer stops the search.  rem, the bucket capacities, is updated in
    place; *budget, when given, is left at the nodes not spent. */
@@ -181,12 +186,12 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
 {
     K s;
     long long total;
-    int d, i, nact = naut, w = naut > 0 ? naut : 1;
-    int *act0;
+    int i, w = naut > 0 ? naut : 1;
     s.n = n, s.l2 = l2, s.k = k, s.end = end, s.nw = (n + 63) / 64;
     s.mirror = l2 == 2 && end == (n - 1) / 2, s.naut = naut;
     s.ldiv = ldiv, s.mul = mul, s.bucket = bucket, s.ctab = ctab;
     s.auts = auts, s.rem = rem, s.seq = seq, s.budget = budget;
+    s.nprefix = nprefix, s.prefix = prefix;
     s.leaf = leaf, s.py = py, s.nodes = 0, s.halt = 0;
     s.m2 = calloc(n + 1, sizeof(int));
     s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
@@ -202,27 +207,14 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
     seq[0] = 0;
     if (l2 == 2)
         s.m2[0] = 1; /* c_0 = e is taken */
-    /* A live prefix is canonical: the automorphisms fixing every entry
-       stay active below it, and no other prunes anything there. */
-    act0 = s.act + (size_t)(nprefix + 1) * naut;
     for (i = 0; i < naut; i++)
-        act0[i] = i;
-    for (d = 1; d <= nprefix; d++) {
-        int y = prefix[d - 1], kept = 0;
-        int c2 = layer2(&s, d, y);
-        s.seq[d] = y;
-        place(&s, d, y, c2, 1);
-        for (i = 0; i < nact; i++)
-            if (auts[(size_t)act0[i] * n + y] == y)
-                act0[kept++] = act0[i];
-        nact = kept;
-    }
+        s.act[i] = i; /* at the root every automorphism is active */
     if (end == 0) { /* order 1: the arrangement (e) is the one leaf */
         total = 1;
         if (leaf != py->none)
             pycall(py, leaf, 0, 0, 0, 0);
     } else
-        total = rec(&s, nprefix + 1, act0, nact);
+        total = rec(&s, 1, s.act, naut);
     if (s.halt >= 2)
         total = 1 - s.halt;
 out:

@@ -42,9 +42,10 @@ first-witness search from 874,839 nodes to 180,415.
 Counts with threads > 1 split by live prefix, for groups of order 13 and
 up (smaller trees take less time than forking a pool).  The parent runs
 `_dfs` down to depth 2 and keeps every prefix (a2, a3) that survives its
-checks, orderly ones included; each is one task.  A worker places the
-prefix in a fresh ledger and resumes `_dfs` below it, with the
-automorphisms that fix every prefix entry still active.  `count_table`
+checks, orderly ones included; each is one task.  A worker resumes `_dfs`
+below the prefix: the walk starts at the root and takes each prefix
+entry as the one candidate at its depth, through the same checks and
+ledger updates as every other entry.  `count_table`
 streams the tasks of both kinds through one forked pool, whose workers
 read the group, its tables and its automorphisms from the parent's memory.
 """
@@ -145,9 +146,11 @@ def _dfs(
     budget is a one-cell node allowance; every call of the inner recursion
     spends one node.
 
-    prefix resumes the search below a live prefix (a_2, ..., a_{d+1}), as
-    `_live_prefixes` returns it: its entries are placed before the search
-    starts.  stop_at (below `_end_depth`) cuts the search at that depth and
+    prefix resumes the search below a prefix (a_2, ..., a_{d+1}), as
+    `_live_prefixes` returns it: at each depth up to d its entry is the one
+    candidate, checked and placed like any other, so a resumed walk spends
+    one node per entry and a dead or non-canonical prefix has no leaves.
+    stop_at (at most `_end_depth`) cuts the search at that depth and
     appends each surviving prefix (a_2, ..., a_{stop_at+1}) to sink.
 
     The walk runs in the compiled kernel (`_ckernel`), which takes the
@@ -199,11 +202,10 @@ _POOL_TASK: Callable | None = None  # the task function, set in each pool worker
 
 def _live_prefixes(group: Group, mode: EnumMode, prune: bool) -> list[tuple[int, ...]]:
     """The prefixes (a2, a3) that pass every check of `_dfs`, in DFS order;
-    [()], the whole tree, when the tree is too shallow to split."""
-    if _end_depth(group.order, mode.kind) <= _SPLIT_DEPTH:
-        return [()]
+    a tree that ends above _SPLIT_DEPTH is cut at its end, which a resumed
+    walk checks as a leaf."""
     out: list[tuple[int, ...]] = []
-    _dfs(group, mode, prune, sink=out, stop_at=_SPLIT_DEPTH)
+    _dfs(group, mode, prune, sink=out, stop_at=min(_SPLIT_DEPTH, _end_depth(group.order, mode.kind)))
     return out
 
 

@@ -143,18 +143,19 @@ def dfs(
         return True
 
     if stop_at is None:
-        forced_tail = mirror if kind == "narcissistic" else None
-
         def leaf():
             sink.append(Arrangement(group, tuple(seq)))
             if limit is not None and len(sink) >= limit:
                 raise _Stop
 
     else:
-        end, forced_tail = stop_at, None
+        end = stop_at
 
         def leaf():
             sink.append(tuple(seq[1 : end + 1]))
+
+    # As in the C source, a walk cut at the middle entry checks the tail too.
+    forced_tail = mirror if kind == "narcissistic" and end == half else None
 
     def rec(depth, active):
         if budget is not None:
@@ -169,6 +170,8 @@ def dfs(
         at_end = depth == end
         total = 0
         for i, y in enumerate(free):
+            if depth <= len(prefix) and y != prefix[depth - 1]:
+                continue  # a resumed walk's prefix entry is the one candidate
             c = brow[y]
             if not rem[c]:
                 continue
@@ -223,30 +226,14 @@ def dfs(
                     mk[row[y]] = 0
         return total
 
-    # Place the prefix with the ledger updates rec makes.  A live prefix is
-    # canonical: no automorphism maps it lower, and one that maps an entry
-    # higher maps every completion higher, so it prunes nothing below.  The
-    # active automorphisms are exactly those fixing every entry.  The first
-    # automorphism is the identity, which prunes nothing.
+    # The first automorphism is the identity, which prunes nothing.
     active = automorphisms(group)[1:] if prune else None
-    for depth, y in enumerate(prefix, 1):
-        seq[depth] = y
-        rem[bucket[seq[depth - 1]][y]] -= 1
-        if slot2[depth] is not None:
-            m2[slot2[depth][seq[depth - back2]][y]] = 1
-        if deep_at[depth] is not None:
-            for row, mk in deep_rows(depth):
-                mk[row[y]] = 1
-        free.remove(y)
-        if active is not None:
-            active = [phi for phi in active if phi[y] == y] or None
-
     try:
         if end == 0:  # order 1: the arrangement (e) is the one leaf, spending no node
             if sink is not None:
                 leaf()
             return 1
-        return rec(len(prefix) + 1, active)
+        return rec(1, active)
     except _Stop:
         return len(sink)
     finally:

@@ -250,9 +250,10 @@ def _trace(g, mode, prune, limit) -> tuple:
 def test_prefix_resume_adds_up_to_the_unsplit_count(monkeypatch, spec):
     """Resuming _dfs below every live (a2, a3) prefix, in one process,
     walks the rest of the unsplit tree: the nodes above the cut plus the
-    nodes and leaves below each prefix are those of one unsplit walk.  The
-    T3 case cuts one level deeper, where the replay also places b^(3) marks.
-    Both kernels are held to this."""
+    nodes and leaves below each prefix are those of one unsplit walk, less
+    the one node per prefix entry that each resumed walk spends on its path
+    down from the root.  The T3 case cuts one level deeper, where that path
+    also places b^(3) marks.  Both kernels are held to this."""
     g = get_group(spec)
     cases = [
         (EnumMode("terrace", essentially_different=True), 2),
@@ -270,7 +271,8 @@ def test_prefix_resume_adds_up_to_the_unsplit_count(monkeypatch, spec):
             assert prefixes and all(len(p) == depth for p in prefixes)
             assert prefixes == sorted(set(prefixes))
             below = [_walk(g, mode, prune, prefix=p) for p in prefixes]
-            split = (top + sum(nodes for nodes, _ in below), sum(leaves for _, leaves in below))
+            nodes = sum(nodes - len(p) for p, (nodes, _) in zip(prefixes, below))
+            split = (top + nodes, sum(leaves for _, leaves in below))
             assert split == _walk(g, mode, prune), (spec, mode, python)
 
 
@@ -278,9 +280,10 @@ def test_prefix_resume_adds_up_to_the_unsplit_count(monkeypatch, spec):
 def test_narcissistic_prefix_resume_replays_the_c_ledger(monkeypatch, essential, depth):
     """In a non-abelian group the narcissistic cut on repeated c_d fires.
     Resuming below every live (a2, a3) prefix of G21_1 must replay c_1, c_2
-    and their marks: the prefixes reached at `depth`, and the nodes spent,
-    add up to those of one unsplit walk cut at the same depth, and both
-    kernels reach the same prefixes with the same nodes."""
+    and their marks: the prefixes reached at `depth`, and the nodes spent
+    less one per prefix entry (the prefix path), add up to those of one
+    unsplit walk cut at the same depth, and both kernels reach the same
+    prefixes with the same nodes."""
     g = get_group("G21_1")
     mode = EnumMode("narcissistic", essentially_different=essential)
     seen = []
@@ -293,13 +296,46 @@ def test_narcissistic_prefix_resume_replays_the_c_ledger(monkeypatch, essential,
             for p in prefixes:
                 below: list = []
                 nodes, _ = _walk(g, mode, essential, sink=below, prefix=p, stop_at=depth)
-                top += nodes
+                top += nodes - len(p)
                 reached += below
             unsplit: list = []
             nodes, _ = _walk(g, mode, essential, sink=unsplit, stop_at=depth)
             assert (top, reached) == (nodes, unsplit)
             seen.append((nodes, unsplit))
     assert seen[0] == seen[1]
+
+
+def test_prefix_resume_below_a_dead_or_non_canonical_prefix_finds_no_leaves(monkeypatch):
+    """A resumed walk checks its prefix as it checks every other entry.  In
+    Z10, (1, 2) is dead for a directed terrace (b_1 = b_2 = 1), and (9, 1)
+    is live for a terrace but not canonical: x -> -x maps it to (1, 9).
+    Below either, both kernels find no leaf, with the same nodes."""
+    g = get_group("Z10")
+    runs = [(EnumMode("directed"), False, (1, 2)),
+            (EnumMode("terrace", essentially_different=True), True, (9, 1))]
+    got = []
+    for python in (False, True):
+        with kernels(monkeypatch, python):
+            got.append([_walk(g, mode, prune, prefix=p) for mode, prune, p in runs])
+    assert got[0] == got[1] and all(leaves == 0 for _, leaves in got[0]), got
+
+
+def test_compiled_kernel_matches_the_python_kernel_on_shallow_live_prefixes(monkeypatch):
+    """A tree that ends above _SPLIT_DEPTH is split at its end, where the
+    live prefixes are the heads of its leaves, on both kernels: a
+    narcissistic walk cut at its middle entry checks the forced tail."""
+    cases = [("Z1", "terrace"), ("Z2", "directed"), ("Z3", "terrace"), ("Z3", "narcissistic"),
+             ("Z5", "narcissistic")]
+    heads = []
+    for spec, kind in cases:
+        g = get_group(spec)
+        end = E._end_depth(g.order, kind)
+        leaves = enumerate_basic(g, EnumMode(kind, count_only=False)).witnesses
+        heads.append([w.seq[1 : end + 1] for w in leaves])
+    for python in (False, True):
+        with kernels(monkeypatch, python):
+            got = [E._live_prefixes(get_group(spec), EnumMode(kind), False) for spec, kind in cases]
+            assert got == heads, python
 
 
 AGREEMENT_GROUPS = [f"Z{n}" for n in range(1, 13)] + [
@@ -740,23 +776,6 @@ def test_build_leaves_only_the_shared_object(monkeypatch, tmp_path):
     monkeypatch.setattr(C, "_KERNEL", None)
     C.load()
     assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".so"]
-    assert count_table(get_group("Z10")) == KNOWN_COUNTS["Z10"]
-
-
-def test_build_removes_the_users_stale_shared_objects(monkeypatch, tmp_path):
-    """A build for a changed source removes the kernel objects that earlier
-    sources left in the cache directory, and nothing else there."""
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    stale, kept = ["dfs-0123456789abcdef.so", "dfs-fedcba9876543210.so"], ["dfs-notes.txt", "notes.so"]
-    for name in stale + kept:
-        (cache / name).write_text("")
-    monkeypatch.setattr(C, "_cache_dirs", lambda: [str(cache)])
-    monkeypatch.setattr(C, "_KERNEL", None)
-    C.load()
-    built = [p.name for p in cache.iterdir() if p.name not in kept]
-    assert len(built) == 1 and built[0] not in stale and built[0].endswith(".so"), built
-    assert all((cache / name).exists() for name in kept)
     assert count_table(get_group("Z10")) == KNOWN_COUNTS["Z10"]
 
 
