@@ -20,9 +20,9 @@ own message.
 Only this module knows the flat int layout of the tables the C source
 reads, and, in `_KINDS`, how the search encodes each kind it takes by
 name.  The search, climb, closure and square wrappers take a `Group`,
-whose tables `_flat` builds once and keeps on it.  The Latin check and the
-certificate read a square's cell array alone, with no copy, so they stay
-checks that do not depend on a group.
+whose tables `_flat` builds once and keeps in the group's instance dict.
+The Latin check and the certificate read a square's cell array alone,
+with no copy, so they stay checks that do not depend on a group.
 
 The climb's moves are one move table per piece count (two or three) and
 reversal flag, built once at import (`_MOVES`): for each (piece order,
@@ -34,14 +34,16 @@ their mode flag.  An exact prefilter skips every cut tuple and every move
 that forms no junction in a class with room, since such a move cannot
 raise the altitude; only the rest reach the gain test.
 
-The shared object is loaded as a `ctypes.PyDLL`, so a call keeps the GIL
-and raises the Python error pending when it returns.  The search checks
-for signals every 2^20 nodes, the climb before every scan and the closure
-before every step, and each stops when a handler raised, so Ctrl-C
-interrupts a long walk, climb or closure at once.  An exception raised in
-a Python callback (the search's leaf, the climb's draw and step, the
-closure's visit), a KeyboardInterrupt included, stops the kernel too, and
-the wrapper raises it when the call returns.
+The kernels call the interpreter's C API, whose symbols are resolved when
+`ctypes.PyDLL` loads the shared object, as for any extension module; an
+object that cannot be loaded ends in `load`'s one `OSError` too.  A call
+keeps the GIL and raises the Python error pending when it returns.  The
+search checks for signals every 2^20 nodes, the climb before every scan
+and the closure before every step, and each stops when a handler raised,
+so Ctrl-C interrupts a long walk, climb or closure at once.  An exception
+raised in a Python callback (the search's leaf, the climb's draw and
+step, the closure's visit), a KeyboardInterrupt included, stops the
+kernel too, and the wrapper raises it when the call returns.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import zlib
 from itertools import chain, permutations
 from typing import Callable, NamedTuple
 
-from .groups import Group, _class_data, automorphisms
+from .groups import Group, automorphisms
 
 _SOURCE = "_kernel.c"  # the C source, package data beside this module
 _CC = "gcc"
@@ -73,8 +75,8 @@ _KERNEL: Kernel | None = None  # the loaded kernels, once built
 _TABLES: dict[str, Callable[[Group], array.array]] = {
     "ldiv": lambda g: _rows(g.ldiv),
     "mul": lambda g: _rows(g.mul),
-    "cls": lambda g: array.array("i", [len(_class_data(g)[1])] + _class_data(g)[2][1:]),
-    "caps": lambda g: array.array("i", _class_data(g)[1] + [0]),
+    "cls": lambda g: array.array("i", [len(g.class_data[1]), *g.class_data[2][1:]]),
+    "caps": lambda g: array.array("i", [*g.class_data[1], 0]),
     "ctab": lambda g: array.array("i", [*map(_flat(g, "cls")[0].__getitem__, _flat(g, "ldiv")[0])]),
     "ids": lambda g: array.array("i", [*range(g.order)]),
     "ones": lambda g: array.array("i", [1]) * g.order,
@@ -178,9 +180,7 @@ def _climb_tables(group: Group, terrace: bool) -> list[array.array]:
 def _flat(group: Group, *names: str) -> list[array.array]:
     """group's tables `names` (see `_TABLES`), each built the first time a
     kernel needs it and kept on the group."""
-    tables = group._flat
-    if tables is None:
-        tables = group._flat = {}
+    tables = vars(group).setdefault("_flat", {})
     for name in names:
         if name not in tables:
             tables[name] = _TABLES[name](group)
@@ -221,20 +221,15 @@ def _bind(path: str) -> Kernel:
 
     c_int, ptr, obj = ctypes.c_int, ctypes.c_void_p, ctypes.py_object
     lib = ctypes.PyDLL(path)
-    # py_api in the C source.  id(None) is None's address (CPython, the only
-    # Python with ctypes.pythonapi), and None lives as long as the process.
-    names = ("PyErr_CheckSignals", "PyObject_CallFunction", "PyObject_IsTrue", "PyLong_AsLong",
-             "Py_DecRef")
-    api = (ptr * 6)(*(ctypes.cast(getattr(ctypes.pythonapi, name), ptr) for name in names), id(None))
 
     def bind(name, restype, *argtypes):
         f = getattr(lib, f"terraces_{name}")
         f.restype, f.argtypes = restype, argtypes
         return f
 
-    fn = bind("dfs", ctypes.c_longlong, *[c_int] * 4, *[ptr] * 5, c_int, ptr, c_int, ptr, ptr, obj, ptr, ptr)
-    climb_fn = bind("climb", c_int, c_int, c_int, *[ptr] * 3, c_int, c_int, *[ptr] * 3, obj, obj, ptr, ptr)
-    closure_fn = bind("closure", c_int, c_int, *[ptr] * 4, c_int, ptr, c_int, ptr, obj, ptr)
+    fn = bind("dfs", ctypes.c_longlong, *[c_int] * 4, *[ptr] * 5, c_int, ptr, c_int, ptr, ptr, obj, ptr)
+    climb_fn = bind("climb", c_int, c_int, c_int, *[ptr] * 3, c_int, c_int, *[ptr] * 3, obj, obj, ptr)
+    closure_fn = bind("closure", c_int, c_int, *[ptr] * 4, c_int, ptr, c_int, ptr, obj)
     square_fn = bind("square", c_int, c_int, ptr, ptr, ptr)
     latin_fn = bind("latin", c_int, c_int, ptr)
     cert_fn = bind("certify", c_int, c_int, ptr, ptr)
@@ -270,7 +265,7 @@ def _bind(path: str) -> Kernel:
         # The first row of auts is the identity, which prunes nothing: skip it.
         leaves = fn(n, entry.layer2, k, end, *map(addr, tables), len(auts) // n - 1,
                     addr(auts) + n * auts.itemsize, len(prefix), addr(path), cell and addr(cell),
-                    leaf and (lambda: leaf(seq)), api, addr(seq))
+                    leaf and (lambda: leaf(seq)), addr(seq))
         if cell is not None:
             budget[0] -= start - cell[0]
         if leaves == -2:
@@ -294,7 +289,7 @@ def _bind(path: str) -> Kernel:
         out = array.array("i", [0]) * 3  # steps, teleports, altitude
         code = climb_fn(n, len(cap), addr(ldiv), addr(cls), addr(cap), max_cuts,
                         min(max_steps, (1 << 31) - 1), addr(_PACKED[2, terrace]),
-                        addr(_PACKED[3, terrace]), addr(seq), draw, step, addr(out), api)
+                        addr(_PACKED[3, terrace]), addr(seq), draw, step, addr(out))
         if code == -2:
             raise MemoryError("climb out of memory")
         if code == -3:  # with no Python error pending, which ctypes would have raised
@@ -315,7 +310,7 @@ def _bind(path: str) -> Kernel:
         start, cur = array.array("i", seq), array.array("i", [0]) * n
         bound = (1 << 31) - 1 if limit is None else min(limit, (1 << 31) - 1)
         count = closure_fn(n, addr(table), addr(start), addr(ldiv), addr(cls), len(auts) // n,
-                           addr(auts), bound, addr(cur), lambda: visit(tuple(cur)), api)
+                           addr(auts), bound, addr(cur), lambda: visit(tuple(cur)))
         if count == -2:
             raise MemoryError("closure out of memory")
         return count

@@ -2,32 +2,30 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Python's C API, which the kernels call holding the GIL:
-   PyErr_CheckSignals (-1 when a signal handler raised),
-   PyObject_CallFunction, PyObject_IsTrue, PyLong_AsLong, Py_DecRef, and
-   None, which stands for no callback.  An error raised in any of them is
-   left pending, and ctypes raises it when the kernel returns. */
-typedef struct {
-    int (*check)(void);
-    void *(*call)(void *f, const char *format, ...);
-    int (*truth)(void *x);
-    long (*value)(void *x);
-    void (*release)(void *x);
-    void *none;
-} py_api;
+/* The parts of Python's C API the kernels call, holding the GIL; the
+   interpreter provides them when ctypes.PyDLL loads this object, as for
+   any extension module.  PyErr_CheckSignals is -1 when a signal handler
+   raised; None (_Py_NoneStruct) stands for no callback.  An error raised
+   in any of them is left pending, and ctypes raises it on return. */
+typedef struct _object PyObject;
+extern PyObject _Py_NoneStruct;
+int PyErr_CheckSignals(void);
+PyObject *PyObject_CallFunction(PyObject *f, const char *format, ...);
+int PyObject_IsTrue(PyObject *x);
+long PyLong_AsLong(PyObject *x);
+void Py_DecRef(PyObject *x);
 #define CHECK_EVERY ((1u << 20) - 1) /* a mask: check every 2^20 nodes */
 
 /* The Python callable f called with no arguments, or given the format
    "ii" with (a, b): the int value of its answer when value is set, else
    its truth; -1 when the call or the reading raised. */
-static long pycall(const py_api *py, void *f, const char *format, int a,
-                   int b, int value)
+static long pycall(PyObject *f, const char *format, int a, int b, int value)
 {
-    void *r = py->call(f, format, a, b);
+    PyObject *r = PyObject_CallFunction(f, format, a, b);
     long v = -1;
     if (r) {
-        v = value ? py->value(r) : py->truth(r);
-        py->release(r);
+        v = value ? PyLong_AsLong(r) : PyObject_IsTrue(r);
+        Py_DecRef(r);
     }
     return v;
 }
@@ -38,8 +36,7 @@ typedef struct {
     int *rem, *seq, *m2, *marks, *cval, *act;
     unsigned long long *unused; /* bit y % 64 of word y / 64: y is unused */
     long long *budget;
-    void *leaf;
-    const py_api *py;
+    PyObject *leaf;
     unsigned nodes;
     int halt; /* 1: the leaf callback said stop or raised; 2: node budget
                  spent; 3: a signal handler raised */
@@ -120,7 +117,7 @@ static long long rec(K *s, int depth, const int *active, int nact)
         }
         --*s->budget;
     }
-    if ((++s->nodes & CHECK_EVERY) == 0 && s->py->check() < 0) {
+    if ((++s->nodes & CHECK_EVERY) == 0 && PyErr_CheckSignals() < 0) {
         s->halt = 3;
         return 0;
     }
@@ -153,7 +150,7 @@ static long long rec(K *s, int depth, const int *active, int nact)
             if (depth == s->end) {
                 if (!s->mirror || mirror(s)) {
                     total++;
-                    if (s->leaf != s->py->none && pycall(s->py, s->leaf, 0, 0, 0, 0)) {
+                    if (s->leaf != &_Py_NoneStruct && pycall(s->leaf, 0, 0, 0, 0)) {
                         s->halt = 1;
                         return total;
                     }
@@ -182,7 +179,7 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
                        const int *mul, const int *bucket, int *rem,
                        const int *ctab, int naut, const int *auts,
                        int nprefix, const int *prefix, long long *budget,
-                       void *leaf, const py_api *py, int *seq)
+                       PyObject *leaf, int *seq)
 {
     K s;
     long long total;
@@ -192,7 +189,7 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
     s.ldiv = ldiv, s.mul = mul, s.bucket = bucket, s.ctab = ctab;
     s.auts = auts, s.rem = rem, s.seq = seq, s.budget = budget;
     s.nprefix = nprefix, s.prefix = prefix;
-    s.leaf = leaf, s.py = py, s.nodes = 0, s.halt = 0;
+    s.leaf = leaf, s.nodes = 0, s.halt = 0;
     s.m2 = calloc(n + 1, sizeof(int));
     s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
     s.cval = calloc(n + 1, sizeof(int));
@@ -211,8 +208,8 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
         s.act[i] = i; /* at the root every automorphism is active */
     if (end == 0) { /* order 1: the arrangement (e) is the one leaf */
         total = 1;
-        if (leaf != py->none)
-            pycall(py, leaf, 0, 0, 0, 0);
+        if (leaf != &_Py_NoneStruct)
+            pycall(leaf, 0, 0, 0, 0);
     } else
         total = rec(&s, 1, s.act, naut);
     if (s.halt >= 2)
@@ -364,7 +361,7 @@ static int teleport(int n, int *seq, const int *ldiv, const int *cls,
 int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
                    const int *cap, int max_cuts, int max_steps,
                    const int *table2, const int *table3, int *seq,
-                   void *draw, void *step, int *out, const py_api *py)
+                   PyObject *draw, PyObject *step, int *out)
 {
     int *ccnt = calloc((size_t)ncls + n, sizeof(int)), *next = ccnt + ncls;
     unsigned char *room = malloc(n);
@@ -390,7 +387,7 @@ int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
             code = 1;
             break;
         }
-        if (py->check() < 0) {
+        if (PyErr_CheckSignals() < 0) {
             code = -3;
             break;
         }
@@ -404,14 +401,14 @@ int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
             alt += d;
             out[0]++;
         } else {
-            if ((r = pycall(py, draw, 0, 0, 0, 1)) < 0 || r >= n) {
+            if ((r = pycall(draw, 0, 0, 0, 1)) < 0 || r >= n) {
                 code = -3;
                 break;
             }
             alt += teleport(n, seq, ldiv, cls, cap, ccnt, (int)r);
             out[1]++;
         }
-        if (step != py->none && pycall(py, step, "ii", d > 0, alt, 0) < 0) {
+        if (step != &_Py_NoneStruct && pycall(step, "ii", d > 0, alt, 0) < 0) {
             code = -3;
             break;
         }
@@ -501,8 +498,7 @@ static size_t find(const int *slot, size_t size, const int *forms,
    handler raised. */
 int terraces_closure(int n, const int *table, const int *start,
                      const int *ldiv, const int *cls, int naut,
-                     const int *auts, int limit, int *cur, void *visit,
-                     const py_api *py)
+                     const int *auts, int limit, int *cur, PyObject *visit)
 {
     const size_t w = n * sizeof(int), most = 1 + (size_t)(n - 1) * table[1];
     int *nb = malloc((most + 2) * w), *cand;
@@ -532,12 +528,12 @@ int terraces_closure(int n, const int *table, const int *start,
             slot[h] = count;
             memcpy(forms + (size_t)count++ * n, nb + (size_t)i * n, w);
             memcpy(cur, nb + (size_t)i * n, w);
-            if ((r = pycall(py, visit, 0, 0, 0, 0)) != 0 || count >= limit) {
+            if ((r = pycall(visit, 0, 0, 0, 0)) != 0 || count >= limit) {
                 code = r < 0 ? -3 : count;
                 goto out;
             }
         }
-        if (head == count || py->check() < 0) {
+        if (head == count || PyErr_CheckSignals() < 0) {
             code = head < count ? -3 : count;
             break;
         }

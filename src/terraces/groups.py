@@ -56,21 +56,11 @@ class Group:
         element_words: display string per element id.
         spec: the originating group-spec string (parseable for grammar-built
             groups, descriptive otherwise).
-    """
 
-    __slots__ = (
-        "order",
-        "mul",
-        "inv",
-        "identity",
-        "element_words",
-        "spec",
-        "_ldiv",
-        "_orders",
-        "_classes",
-        "_auts",
-        "_flat",
-    )
+    The derived tables `ldiv`, `orders`, `class_data` and `auts` are built
+    on first read and cached on the group; `_ckernel` keeps the compiled
+    kernels' flat tables beside them, under `_flat`.
+    """
 
     def __init__(self, mul: Sequence[Sequence[int]], element_words: Sequence[str], spec: str):
         n = len(mul)
@@ -96,24 +86,55 @@ class Group:
             raise ValueError("element_words length does not match order")
         self.element_words = tuple(str(w) for w in element_words)
         self.spec = spec
-        self._ldiv: tuple[tuple[int, ...], ...] | None = None
-        self._orders: tuple[int, ...] | None = None
-        self._classes: tuple | None = None
-        self._auts: list[tuple[int, ...]] | None = None
-        self._flat: dict | None = None  # the compiled kernels' tables, kept by `_ckernel`
 
     def __repr__(self) -> str:
         return f"Group({self.spec!r}, order={self.order})"
 
-    @property
+    @functools.cached_property
     def ldiv(self) -> tuple[tuple[int, ...], ...]:
-        """Left-division table: ldiv[x][y] = x^-1 * y (cached)."""
-        tab = self._ldiv
-        if tab is None:
-            mul, inv = self.mul, self.inv
-            tab = tuple(mul[inv[x]] for x in range(self.order))
-            self._ldiv = tab
-        return tab
+        """Left-division table: ldiv[x][y] = x^-1 * y."""
+        mul, inv = self.mul, self.inv
+        return tuple(mul[inv[x]] for x in range(self.order))
+
+    @functools.cached_property
+    def orders(self) -> tuple[int, ...]:
+        """orders[x]: the least t >= 1 with x^t = e."""
+        mul = self.mul
+        out = []
+        for x in range(self.order):
+            t, y = 1, x
+            while y != 0:
+                y = mul[y][x]
+                t += 1
+            out.append(t)
+        return tuple(out)
+
+    @functools.cached_property
+    def class_data(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+        """(classes, caps, index): the inverse-pair classes, {x} for an
+        involution and {x, x^-1} otherwise, ordered by least member; caps[i],
+        1 for an involution class and 2 for an inverse pair, the class's
+        occurrence bound in a 2-sequencing; and index[v], the class of v
+        (-1 for the identity)."""
+        inv = self.inv
+        classes = tuple((x,) if inv[x] == x else (x, inv[x]) for x in range(1, self.order) if x <= inv[x])
+        index = [-1] * self.order
+        for i, c in enumerate(classes):
+            for x in c:
+                index[x] = i
+        return classes, tuple(map(len, classes)), tuple(index)
+
+    @functools.cached_property
+    def auts(self) -> tuple[tuple[int, ...], ...]:
+        """Every automorphism, sorted; see `automorphisms`."""
+        if self.order > DEFAULT_AUT_CAP:
+            raise ValueError(f"automorphism search capped at order {DEFAULT_AUT_CAP}, "
+                             f"group has {self.order}")
+        gens = _greedy_generators(self)
+        ords = self.orders
+        candidates = [[y for y in range(self.order) if ords[y] == ords[g]] for g in gens]
+        extended = (_extend(self, gens, imgs) for imgs in itertools.product(*candidates))
+        return tuple(sorted(phi for phi in extended if phi is not None))
 
     def word_index(self, word: str) -> int:
         """Resolve a display word (whitespace-insensitive) to an element id."""
@@ -126,62 +147,19 @@ class Group:
 
 def element_order(group: Group, x: int) -> int:
     """Least t >= 1 with x^t = e."""
-    return _orders(group)[x]
-
-
-def _orders(group: Group) -> tuple[int, ...]:
-    if group._orders is None:
-        mul = group.mul
-        out = []
-        for x in range(group.order):
-            t, y = 1, x
-            while y != 0:
-                y = mul[y][x]
-                t += 1
-            out.append(t)
-        group._orders = tuple(out)
-    return group._orders
+    return group.orders[x]
 
 
 def involutions(group: Group) -> list[int]:
     """Sorted ids of all x != e with x^2 = e."""
-    ords = _orders(group)
+    ords = group.orders
     return [x for x in range(1, group.order) if ords[x] == 2]
 
 
 def inverse_pair_classes(group: Group) -> list[tuple[int, ...]]:
     """Partition of non-identity ids into {x} (involutions) and {x, x^-1},
     ordered by least member."""
-    return list(_class_data(group)[0])
-
-
-def _class_data(group: Group):
-    """(classes, caps, class_index) where class_index[v] locates v's class.
-
-    caps[i] is 1 for an involution class and 2 for an inverse pair; these are
-    the per-class occurrence bounds in a 2-sequencing.
-    """
-    if group._classes is None:
-        inv = group.inv
-        classes: list[tuple[int, ...]] = []
-        caps: list[int] = []
-        index = [-1] * group.order
-        for x in range(1, group.order):
-            if index[x] >= 0:
-                continue
-            xi = inv[x]
-            ci = len(classes)
-            if xi == x:
-                classes.append((x,))
-                caps.append(1)
-                index[x] = ci
-            else:
-                classes.append((x, xi))
-                caps.append(2)
-                index[x] = ci
-                index[xi] = ci
-        group._classes = (classes, caps, index)
-    return group._classes
+    return list(group.class_data[0])
 
 
 def is_abelian(group: Group) -> bool:
@@ -396,7 +374,8 @@ def _moebius_perms(p: int) -> tuple[tuple[int, ...], ...]:
 
 def automorphisms(group: Group) -> list[tuple[int, ...]]:
     """The full automorphism group as permutations of element ids, sorted
-    lexicographically; groups above DEFAULT_AUT_CAP are refused.
+    lexicographically, in a new list of the cached `Group.auts`; groups
+    above DEFAULT_AUT_CAP are refused.
 
     For each choice of order-matching images h_i of the greedy generators
     g_i, phi is extended breadth first along x -> x*g_i by
@@ -404,16 +383,7 @@ def automorphisms(group: Group) -> list[tuple[int, ...]]:
     and every such edge agrees; then phi(x*y) = phi(x)*phi(y) follows for
     every x and every product y of generators, so phi is an automorphism.
     """
-    if group.order > DEFAULT_AUT_CAP:
-        raise ValueError(f"automorphism search capped at order {DEFAULT_AUT_CAP}, "
-                         f"group has {group.order}")
-    if group._auts is None:
-        gens = _greedy_generators(group)
-        ords = _orders(group)
-        candidates = [[y for y in range(group.order) if ords[y] == ords[g]] for g in gens]
-        extended = (_extend(group, gens, imgs) for imgs in itertools.product(*candidates))
-        group._auts = sorted(phi for phi in extended if phi is not None)
-    return list(group._auts)
+    return list(group.auts)
 
 
 def _extend(group: Group, gens: list[int], imgs: tuple[int, ...]) -> tuple[int, ...] | None:

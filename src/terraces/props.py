@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .groups import Group, _class_data, automorphisms, build_cyclic, inverse_pair_classes, involutions, parse_group_spec
+from .groups import Group, automorphisms, build_cyclic, inverse_pair_classes, involutions, parse_group_spec
 
 __all__ = [
     "Arrangement",
@@ -74,16 +74,12 @@ def diff_list(a: Arrangement, m: int = 1) -> tuple[int, ...]:
 
 def altitude_directed(a: Arrangement) -> int:
     """Number of distinct entries of b; n-1 exactly on directed terraces."""
-    if a.group.order == 1:
-        return 0
     return len(set(diff_list(a)))
 
 
 def altitude_undirected(a: Arrangement) -> int:
     """Involution classes count once, inverse-pair classes up to twice;
     n-1 exactly on terraces."""
-    if a.group.order == 1:
-        return 0
     counts = Counter(diff_list(a))
     total = 0
     for cls in inverse_pair_classes(a.group):
@@ -97,10 +93,7 @@ def is_basic(a: Arrangement) -> bool:
 
 
 def is_directed_terrace(a: Arrangement) -> bool:
-    n = a.group.order
-    if n == 1:
-        return True
-    return len(set(diff_list(a))) == n - 1
+    return len(set(diff_list(a))) == a.group.order - 1
 
 
 def is_terrace(a: Arrangement) -> bool:
@@ -203,13 +196,11 @@ def is_half_and_half(a: Arrangement) -> bool:
     g = a.group
     if g.order % 2 == 0:
         raise ValueError("half-and-half terraces require odd group order")
-    if g.order == 1:
-        return True
     if not is_terrace(a):
         return False
     # odd order: (n-1)/2 inverse pairs and (n-1)/2 first-half entries
     half = g.order // 2
-    index = _class_data(g)[2]
+    index = g.class_data[2]
     return len({index[v] for v in diff_list(a)[:half]}) == half
 
 
@@ -218,8 +209,6 @@ def is_narcissistic(a: Arrangement) -> bool:
     g = a.group
     if g.order % 2 == 0:
         raise ValueError("narcissistic terraces require odd group order")
-    if g.order == 1:
-        return True
     if not is_terrace(a):
         return False
     b = diff_list(a)

@@ -45,7 +45,7 @@ from typing import Callable
 
 from terraces._ckernel import _MOVES
 from terraces.enumerate import _DIRECTED_KINDS, BudgetExceeded, EnumMode, _end_depth
-from terraces.groups import Group, _class_data, automorphisms, involutions
+from terraces.groups import Group, automorphisms, involutions
 from terraces.hillclimb import ClimbParams, ClimbResult
 from terraces.latin import LatinSquare, SquareCertificate
 from terraces.props import (Arrangement, altitude_directed, altitude_undirected, diff_list,
@@ -71,7 +71,7 @@ def dfs(
     n = group.order
     kind = mode.kind
     ldiv = group.ldiv
-    _classes, caps, cindex = _class_data(group)
+    _classes, caps, cindex = group.class_data
     half = (n - 1) // 2
     # Layer 1: b_depth lands in a bucket with a capacity.  Directed kinds
     # bucket by the quotient itself (capacity 1); the others by its
@@ -274,7 +274,7 @@ def _materialize(seq, cuts, order, mask):
 def _classes(group: Group, mode: str) -> tuple[array, array]:
     """The class of each quotient and the cap of each class."""
     if mode == "terrace":
-        _cl, caps, cindex = _class_data(group)
+        _cl, caps, cindex = group.class_data
         return array("i", cindex), array("i", caps)
     return array("i", range(group.order)), array("i", [1]) * group.order
 
@@ -446,7 +446,7 @@ def _moves(g: Group, seq: tuple[int, ...], allow_piece_reversal: bool) -> list[t
     occurrences in order: the whole reversal, then, cut by cut, each move
     of the 2-piece table whose new junction's quotient is in the class of
     the junction it breaks."""
-    ldiv, cls = g.ldiv, _class_data(g)[2]
+    ldiv, cls = g.ldiv, g.class_data[2]
     row = ldiv[seq[-1]]
     out = {tuple(row[x] for x in reversed(seq)): None}
     for c in range(1, len(seq)):

@@ -187,6 +187,26 @@ def test_automorphism_cap():
         G.automorphisms(G.build_cyclic(G.DEFAULT_AUT_CAP + 1))
 
 
+def test_a_groups_derived_tables_are_built_once(monkeypatch):
+    """A group builds each derived table on first read and keeps it; the
+    automorphism search runs once, each call returns a list of its own,
+    and a group above the cap is refused before anything is built."""
+    calls = []
+    extend = G._extend
+    monkeypatch.setattr(G, "_extend", lambda *args: calls.append(1) or extend(*args))
+    g = G.parse_group_spec("D10")
+    assert g.ldiv is g.ldiv and g.orders is g.orders and g.class_data is g.class_data
+    first = G.automorphisms(g)
+    kept, built = list(first), len(calls)
+    assert len(kept) == 20 and built > 0
+    first.clear()
+    assert G.automorphisms(g) == kept and len(calls) == built
+    big = G.build_cyclic(G.DEFAULT_AUT_CAP + 1)
+    with pytest.raises(ValueError, match=f"capped at order {G.DEFAULT_AUT_CAP}"):
+        G.automorphisms(big)
+    assert not {"orders", "auts"} & set(vars(big)) and len(calls) == built
+
+
 @pytest.mark.parametrize("spec", [f"Z{n}" for n in range(1, 9)]
                          + ["E4", "E8", "D6", "D8", "Q8", "Z4xZ2"])
 def test_automorphisms_are_complete(spec):

@@ -142,7 +142,7 @@ def test_flat_class_tables_stay_in_bounds(spec):
     g = G.parse_group_spec(spec)
     cls, caps, ctab = _ckernel._flat(g, "cls", "caps", "ctab")
     assert all(0 <= c < len(caps) for c in (*cls, *ctab))
-    assert caps[cls[0]] == 0 and list(caps[:-1]) == G._class_data(g)[1]
+    assert caps[cls[0]] == 0 and tuple(caps[:-1]) == g.class_data[1]
 
 
 def test_teleport_examples():

@@ -14,7 +14,6 @@ from conftest import get_group
 from oracles import _materialize
 from terraces import props as P
 from terraces._ckernel import _MOVES
-from terraces.groups import _class_data
 from terraces.hillclimb import ClimbParams, climb
 
 # Every catalogue group of order 2..12 that has terraces (E4 and E8 have none).
@@ -33,7 +32,7 @@ def test_one_cut_move_keeps_terrace_iff_junction_classes_match(spec, seed, data)
     c = data.draw(st.integers(1, g.order - 1), label="cut")
     order, mask, ((i, j),), ((k, l),) = data.draw(st.sampled_from(MOVES), label="move")
     ends = (seq[0], seq[c], seq[c - 1], seq[-1])
-    cls, ldiv = _class_data(g)[2], g.ldiv
+    cls, ldiv = g.class_data[2], g.ldiv
     same_class = cls[ldiv[ends[i]][ends[j]]] == cls[ldiv[ends[k]][ends[l]]]
     moved = P.Arrangement(g, tuple(_materialize(seq, (c,), order, mask)))
     assert P.is_terrace(moved) == same_class

@@ -329,6 +329,13 @@ def test_order_one_and_two_degenerate_cases():
     one = P.Arrangement(get_group("Z1"), (0,))
     assert P.is_terrace(one) and P.is_directed_terrace(one)
     assert P.altitude_directed(one) == 0
+    # Z1 takes each verifier's general path, except max_directed_tk's 1.
+    assert P.classify(one) == {
+        "order": 1, "basic": True, "altitude_directed": 0, "altitude_undirected": 0,
+        "directed_terrace": True, "terrace": True, "max_k_directed_tk": 1,
+        "symmetric_sequencing": None, "extendable": False, "extendable_index": None,
+        "half_and_half": True, "narcissistic": True,
+    }
     two = P.Arrangement(get_group("Z2"), (0, 1))
     assert P.is_terrace(two) and P.is_directed_terrace(two)
     assert P.is_symmetric_sequencing(two)
