@@ -44,6 +44,15 @@ so Ctrl-C interrupts a long walk, climb or closure at once.  An exception
 raised in a Python callback (the search's leaf, the climb's draw and
 step, the closure's visit), a KeyboardInterrupt included, stops the
 kernel too, and the wrapper raises it when the call returns.
+
+The search and the climb also take a stop cell, a one-int array that
+another thread may set.  Given one, the call releases the GIL for its
+walk or climb and takes it back only around a callback, polls the cell
+where it would check for signals, and raises `Stopped` when it finds it
+set; so calls on several threads run in parallel, and the thread that
+set the cell stops them all.  Either kernel writes no memory it did not
+allocate in its hot loop: threads writing Python arrays that share a
+cache line would slow each other down.
 """
 
 from __future__ import annotations
@@ -62,6 +71,10 @@ _CC = "gcc"
 _FLAGS = ("-O2", "-shared", "-fPIC")
 _PREFIX = "dfs-"  # shared objects are named _PREFIX + source digest + ".so"
 _KERNEL: Kernel | None = None  # the loaded kernels, once built
+
+
+class Stopped(Exception):
+    """A search or climb given a stop cell found it set, and stopped."""
 
 
 # A group's tables in the row-major int layout the C source reads, each
@@ -227,17 +240,18 @@ def _bind(path: str) -> Kernel:
         f.restype, f.argtypes = restype, argtypes
         return f
 
-    fn = bind("dfs", ctypes.c_longlong, *[c_int] * 4, *[ptr] * 5, c_int, ptr, c_int, ptr, ptr, obj, ptr)
-    climb_fn = bind("climb", c_int, c_int, c_int, *[ptr] * 3, c_int, c_int, *[ptr] * 3, obj, obj, ptr)
+    fn = bind("dfs", ctypes.c_longlong, *[c_int] * 4, *[ptr] * 3, c_int, *[ptr] * 2, c_int, ptr, c_int, ptr,
+              ptr, obj, ptr, ptr)
+    climb_fn = bind("climb", c_int, c_int, c_int, *[ptr] * 3, c_int, c_int, *[ptr] * 3, obj, obj, ptr, ptr)
     closure_fn = bind("closure", c_int, c_int, *[ptr] * 4, c_int, ptr, c_int, ptr, obj)
     square_fn = bind("square", c_int, c_int, ptr, ptr, ptr)
     latin_fn = bind("latin", c_int, c_int, ptr)
     cert_fn = bind("certify", c_int, c_int, ptr, ptr)
 
-    def addr(a: array.array) -> int:
-        return a.buffer_info()[0]
+    def addr(a: array.array | None) -> int | None:
+        return None if a is None else a.buffer_info()[0]
 
-    def dfs(group, kind, k, end, prune, prefix, budget, leaf):
+    def dfs(group, kind, k, end, prune, prefix, budget, leaf, stop=None):
         """Leaves of `kind` (see `_KINDS`) with T_k depth k below a_1 = e
         and `prefix`, cut at depth end, or -1 when the node budget ran out.
         The walk checks each prefix entry as the one candidate at its
@@ -251,28 +265,28 @@ def _bind(path: str) -> Kernel:
         # A bucket holds one entry, or a class's cap for an unmirrored class
         # kind.  The identity's bucket is never read: its y is a_d, used.
         ledger = "ones" if entry.directed or entry.mirrored else "caps"
-        ldiv, mul, ctab, rem, auts = _flat(group, "ldiv", "mul", "ctab", ledger, "auts" if prune else "ids")
+        ldiv, mul, ctab, caps, auts = _flat(group, "ldiv", "mul", "ctab", ledger, "auts" if prune else "ids")
         # The kernel reads and writes plain arrays by address; a ctypes
         # array type per call would leave a reference cycle behind.
-        rem = array.array("i", rem)  # a copy, which the kernel updates
         path = array.array("i", prefix)
         seq = array.array("i", [0]) * n
         cell = None
         if budget is not None:
             start = max(-1, min(budget[0], 1 << 62))
             cell = array.array("q", [start])
-        tables = (ldiv, mul, ldiv if entry.directed else ctab, rem, ctab)
         # The first row of auts is the identity, which prunes nothing: skip it.
-        leaves = fn(n, entry.layer2, k, end, *map(addr, tables), len(auts) // n - 1,
-                    addr(auts) + n * auts.itemsize, len(prefix), addr(path), cell and addr(cell),
-                    leaf and (lambda: leaf(seq)), addr(seq))
+        leaves = fn(n, entry.layer2, k, end, addr(ldiv), addr(mul), addr(ldiv if entry.directed else ctab),
+                    len(caps), addr(caps), addr(ctab), len(auts) // n - 1, addr(auts) + n * auts.itemsize,
+                    len(prefix), addr(path), addr(cell), leaf and (lambda: leaf(seq)), addr(seq), addr(stop))
         if cell is not None:
             budget[0] -= start - cell[0]
         if leaves == -2:
             raise MemoryError("search kernel out of memory")
+        if leaves == -3:  # with no Python error pending, which ctypes would have raised
+            raise Stopped("search stopped")
         return leaves
 
-    def climb(group, terrace, max_cuts, max_steps, seq, draw, step=None):
+    def climb(group, terrace, max_cuts, max_steps, seq, draw, step=None, stop=None):
         """Run the climb loop of `oracles.climb` on seq, an int array of the
         arrangement, in place, until it finds or spends its budget, which
         stops at 2^31 - 1 steps; returns (found, steps, teleports,
@@ -281,7 +295,8 @@ def _bind(path: str) -> Kernel:
         terrace is set.  draw() gives each teleport index, which must lie in
         0..n-1, and step(moved, altitude), when given, hears of each move
         (moved 1) and teleport (moved 0); an exception either raises stops
-        the loop and is raised here."""
+        the loop and is raised here.  stop, when given, is a stop cell (see
+        the module docstring)."""
         n = group.order
         if len(seq) != n:
             raise ValueError(f"an arrangement of {len(seq)} entries for a group of order {n}")
@@ -289,9 +304,11 @@ def _bind(path: str) -> Kernel:
         out = array.array("i", [0]) * 3  # steps, teleports, altitude
         code = climb_fn(n, len(cap), addr(ldiv), addr(cls), addr(cap), max_cuts,
                         min(max_steps, (1 << 31) - 1), addr(_PACKED[2, terrace]),
-                        addr(_PACKED[3, terrace]), addr(seq), draw, step, addr(out))
+                        addr(_PACKED[3, terrace]), addr(seq), draw, step, addr(out), addr(stop))
         if code == -2:
             raise MemoryError("climb out of memory")
+        if code == -3 and stop is not None and stop[0]:
+            raise Stopped("climb stopped")
         if code == -3:  # with no Python error pending, which ctypes would have raised
             raise ValueError(f"a teleport index outside 0..{n - 1}")
         return code == 0, *out

@@ -6,40 +6,64 @@
    interpreter provides them when ctypes.PyDLL loads this object, as for
    any extension module.  PyErr_CheckSignals is -1 when a signal handler
    raised; None (_Py_NoneStruct) stands for no callback.  An error raised
-   in any of them is left pending, and ctypes raises it on return. */
+   in any of them is left pending, and ctypes raises it on return.  A
+   search or climb given a stop cell releases the GIL for its whole walk
+   (PyEval_SaveThread) and takes it back only around a callback. */
 typedef struct _object PyObject;
+typedef struct _ts PyThreadState;
 extern PyObject _Py_NoneStruct;
 int PyErr_CheckSignals(void);
 PyObject *PyObject_CallFunction(PyObject *f, const char *format, ...);
 int PyObject_IsTrue(PyObject *x);
 long PyLong_AsLong(PyObject *x);
 void Py_DecRef(PyObject *x);
+PyThreadState *PyEval_SaveThread(void);
+void PyEval_RestoreThread(PyThreadState *ts);
 #define CHECK_EVERY ((1u << 20) - 1) /* a mask: check every 2^20 nodes */
 
 /* The Python callable f called with no arguments, or given the format
    "ii" with (a, b): the int value of its answer when value is set, else
-   its truth; -1 when the call or the reading raised. */
-static long pycall(PyObject *f, const char *format, int a, int b, int value)
+   its truth; -1 when the call or the reading raised.  ts is 0 when the
+   caller holds the GIL, else where it keeps the thread state it released:
+   the GIL is taken back for the call and released again after it. */
+static long pycall(PyThreadState **ts, PyObject *f, const char *format, int a,
+                   int b, int value)
 {
-    PyObject *r = PyObject_CallFunction(f, format, a, b);
+    PyObject *r;
     long v = -1;
+    if (ts)
+        PyEval_RestoreThread(*ts);
+    r = PyObject_CallFunction(f, format, a, b);
     if (r) {
         v = value ? PyLong_AsLong(r) : PyObject_IsTrue(r);
         Py_DecRef(r);
     }
+    if (ts)
+        *ts = PyEval_SaveThread();
     return v;
+}
+
+/* Whether a search or climb should stop: the caller's stop cell, a
+   one-int cell another thread sets, is set; or, with no cell, a signal
+   handler raised. */
+static int stopped(const int *stop)
+{
+    return stop ? __atomic_load_n(stop, __ATOMIC_RELAXED) != 0
+                : PyErr_CheckSignals() < 0;
 }
 
 typedef struct {
     int n, l2, k, end, mirror, naut, nw, nprefix;
     const int *ldiv, *mul, *bucket, *ctab, *auts, *prefix;
-    int *rem, *seq, *m2, *marks, *cval, *act;
+    const int *stop;
+    int *rem, *seq, *cur, *m2, *marks, *cval, *act;
     unsigned long long *unused; /* bit y % 64 of word y / 64: y is unused */
     long long *budget;
     PyObject *leaf;
+    PyThreadState *ts; /* the thread state, while the GIL is released */
     unsigned nodes;
     int halt; /* 1: the leaf callback said stop or raised; 2: node budget
-                 spent; 3: a signal handler raised */
+                 spent; 3: stopped (see `stopped`) */
 } K;
 
 #define BIT(y) (1ull << ((y) & 63))
@@ -117,7 +141,7 @@ static long long rec(K *s, int depth, const int *active, int nact)
         }
         --*s->budget;
     }
-    if ((++s->nodes & CHECK_EVERY) == 0 && PyErr_CheckSignals() < 0) {
+    if ((++s->nodes & CHECK_EVERY) == 0 && stopped(s->stop)) {
         s->halt = 3;
         return 0;
     }
@@ -150,9 +174,12 @@ static long long rec(K *s, int depth, const int *active, int nact)
             if (depth == s->end) {
                 if (!s->mirror || mirror(s)) {
                     total++;
-                    if (s->leaf != &_Py_NoneStruct && pycall(s->leaf, 0, 0, 0, 0)) {
-                        s->halt = 1;
-                        return total;
+                    if (s->leaf != &_Py_NoneStruct) {
+                        memcpy(s->cur, s->seq, (size_t)n * sizeof(int));
+                        if (pycall(s->stop ? &s->ts : 0, s->leaf, 0, 0, 0, 0)) {
+                            s->halt = 1;
+                            return total;
+                        }
                     }
                 }
                 continue;
@@ -171,50 +198,71 @@ static long long rec(K *s, int depth, const int *active, int nact)
 /* Leaves below a_1 = e and the prefix (a_2, ..., a_{nprefix+1}), none if
    rec finds it dead or non-canonical, cut at depth end (at order 1, end
    0: the one leaf (e), which spends no node); -1 when the node budget ran
-   out, -2 when memory did, -3 when a signal handler raised.
-   leaf, a Python callable or None, is called at each leaf, and a true
-   answer stops the search.  rem, the bucket capacities, is updated in
-   place; *budget, when given, is left at the nodes not spent. */
+   out, -2 when memory did, -3 when stopped (see `stopped`).
+   The walk updates its own copy of caps, the nrem bucket capacities, and
+   of the sequence.  leaf, a Python callable or None, is called at each
+   leaf with the sequence copied to cur, and a true answer stops the
+   search.  *budget, when given, is left at the nodes not spent.  Given a
+   stop cell, the walk runs without the GIL, which a leaf takes back, and
+   polls the cell instead of the signal handlers.  The walk writes no
+   memory it did not allocate but cur, at a leaf, and *budget, at its
+   end, so that walks on several threads share no cache line. */
 long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
-                       const int *mul, const int *bucket, int *rem,
-                       const int *ctab, int naut, const int *auts,
-                       int nprefix, const int *prefix, long long *budget,
-                       PyObject *leaf, int *seq)
+                       const int *mul, const int *bucket, int nrem,
+                       const int *caps, const int *ctab, int naut,
+                       const int *auts, int nprefix, const int *prefix,
+                       long long *budget, PyObject *leaf, int *cur,
+                       const int *stop)
 {
     K s;
-    long long total;
+    long long total, left = budget ? *budget : 0;
     int i, w = naut > 0 ? naut : 1;
     s.n = n, s.l2 = l2, s.k = k, s.end = end, s.nw = (n + 63) / 64;
     s.mirror = l2 == 2 && end == (n - 1) / 2, s.naut = naut;
     s.ldiv = ldiv, s.mul = mul, s.bucket = bucket, s.ctab = ctab;
-    s.auts = auts, s.rem = rem, s.seq = seq, s.budget = budget;
-    s.nprefix = nprefix, s.prefix = prefix;
-    s.leaf = leaf, s.nodes = 0, s.halt = 0;
+    s.auts = auts, s.cur = cur, s.budget = budget ? &left : 0;
+    s.nprefix = nprefix, s.prefix = prefix, s.stop = stop;
+    s.leaf = leaf, s.ts = 0, s.nodes = 0, s.halt = 0;
+    s.rem = malloc((size_t)nrem * sizeof(int));
+    s.seq = calloc(n, sizeof(int));
     s.m2 = calloc(n + 1, sizeof(int));
     s.marks = calloc((size_t)(k + 1) * n, sizeof(int));
     s.cval = calloc(n + 1, sizeof(int));
     s.act = malloc((size_t)(n + 2) * w * sizeof(int));
     s.unused = calloc(s.nw, sizeof(unsigned long long));
-    if (!s.m2 || !s.marks || !s.cval || !s.act || !s.unused) {
+    if (!s.rem || !s.seq || !s.m2 || !s.marks || !s.cval || !s.act ||
+        !s.unused) {
         total = -2;
         goto out;
     }
+    memcpy(s.rem, caps, (size_t)nrem * sizeof(int));
     for (i = 1; i < n; i++)
         s.unused[i >> 6] |= BIT(i);
-    seq[0] = 0;
     if (l2 == 2)
         s.m2[0] = 1; /* c_0 = e is taken */
     for (i = 0; i < naut; i++)
         s.act[i] = i; /* at the root every automorphism is active */
+    if (stop)
+        s.ts = PyEval_SaveThread();
     if (end == 0) { /* order 1: the arrangement (e) is the one leaf */
         total = 1;
-        if (leaf != &_Py_NoneStruct)
-            pycall(leaf, 0, 0, 0, 0);
+        if (leaf != &_Py_NoneStruct) {
+            cur[0] = 0;
+            pycall(stop ? &s.ts : 0, leaf, 0, 0, 0, 0);
+        }
     } else
         total = rec(&s, 1, s.act, naut);
-    if (s.halt >= 2)
-        total = 1 - s.halt;
+    if (stop)
+        PyEval_RestoreThread(s.ts);
+    if (s.halt == 2)
+        total = -1;
+    else if (s.halt == 3)
+        total = -3;
+    if (budget)
+        *budget = left;
 out:
+    free(s.rem);
+    free(s.seq);
     free(s.m2);
     free(s.marks);
     free(s.cval);
@@ -353,67 +401,82 @@ static int teleport(int n, int *seq, const int *ldiv, const int *cls,
    budget is spent; else scan for one cut, then (max_cuts 2) for two, and
    take the first move that gains, or teleport the entry at draw() to the
    end; step, unless None, is called as step(moved, altitude) after each
-   move (moved 1) and teleport (moved 0).  table2 and table3 are the
-   packed move tables for 2 and 3 pieces.  out gets (steps, teleports,
-   altitude).  Returns 0 at altitude n - 1; 1 when the budget is spent; -2
-   when memory ran out; -3 when draw answered no index in 0..n-1, or draw,
-   step or a signal handler raised. */
+   move (moved 1) and teleport (moved 0), with seq up to date.  table2 and
+   table3 are the packed move tables for 2 and 3 pieces.  out gets (steps,
+   teleports, altitude).  Returns 0 at altitude n - 1; 1 when the budget
+   is spent; -2 when memory ran out; -3 when draw answered no index in
+   0..n-1, or draw or step raised, or before a scan the climb is stopped
+   (see `stopped`).  The loop works on its own copy of seq, written back
+   before each step call and at the end, and keeps its counts until the
+   end, so that, as in `terraces_dfs`, climbs on several threads share no
+   cache line.  Given a stop cell, it runs without the GIL, which draw and
+   step take back. */
 int terraces_climb(int n, int ncls, const int *ldiv, const int *cls,
                    const int *cap, int max_cuts, int max_steps,
                    const int *table2, const int *table3, int *seq,
-                   PyObject *draw, PyObject *step, int *out)
+                   PyObject *draw, PyObject *step, int *out, const int *stop)
 {
-    int *ccnt = calloc((size_t)ncls + n, sizeof(int)), *next = ccnt + ncls;
+    int *ccnt = calloc((size_t)ncls + 2 * (size_t)n, sizeof(int));
+    int *next = ccnt + ncls, *cur = next + n;
     unsigned char *room = malloc(n);
     const int *hit = 0;
-    int alt = 0, code, c, d, i, p, b[4];
+    int alt = 0, steps = 0, teleports = 0, code, c, d, i, p, b[4];
+    PyThreadState *ts = 0;
     long r;
-    out[0] = out[1] = 0;
     if (!ccnt || !room) {
         code = -2;
         goto done;
     }
+    memcpy(cur, seq, (size_t)n * sizeof(int));
     for (i = 0; i + 1 < n; i++) {
-        c = cls[ldiv[seq[i] * n + seq[i + 1]]];
+        c = cls[ldiv[cur[i] * n + cur[i + 1]]];
         alt += ccnt[c] < cap[c];
         ccnt[c]++;
     }
+    if (stop)
+        ts = PyEval_SaveThread();
     for (;;) {
         if (alt == n - 1) {
             code = 0;
             break;
         }
-        if (out[0] >= max_steps || out[1] >= max_steps) {
+        if (steps >= max_steps || teleports >= max_steps) {
             code = 1;
             break;
         }
-        if (PyErr_CheckSignals() < 0) {
+        if (stopped(stop)) {
             code = -3;
             break;
         }
         for (d = 0, p = 2; p <= max_cuts + 1; p++)
-            if ((d = scan(n, p, p == 2 ? table2 : table3, seq, ldiv, cls, cap,
+            if ((d = scan(n, p, p == 2 ? table2 : table3, cur, ldiv, cls, cap,
                           ccnt, room, b, &hit)) > 0)
                 break;
         if (d > 0) {
-            reassemble(next, seq, b, p, hit);
-            memcpy(seq, next, (size_t)n * sizeof(int));
+            reassemble(next, cur, b, p, hit);
+            memcpy(cur, next, (size_t)n * sizeof(int));
             alt += d;
-            out[0]++;
+            steps++;
         } else {
-            if ((r = pycall(draw, 0, 0, 0, 1)) < 0 || r >= n) {
+            if ((r = pycall(stop ? &ts : 0, draw, 0, 0, 0, 1)) < 0 || r >= n) {
                 code = -3;
                 break;
             }
-            alt += teleport(n, seq, ldiv, cls, cap, ccnt, (int)r);
-            out[1]++;
+            alt += teleport(n, cur, ldiv, cls, cap, ccnt, (int)r);
+            teleports++;
         }
-        if (step != &_Py_NoneStruct && pycall(step, "ii", d > 0, alt, 0) < 0) {
-            code = -3;
-            break;
+        if (step != &_Py_NoneStruct) {
+            memcpy(seq, cur, (size_t)n * sizeof(int));
+            if (pycall(stop ? &ts : 0, step, "ii", d > 0, alt, 0) < 0) {
+                code = -3;
+                break;
+            }
         }
     }
-    out[2] = alt;
+    if (stop)
+        PyEval_RestoreThread(ts);
+    memcpy(seq, cur, (size_t)n * sizeof(int));
+    out[0] = steps, out[1] = teleports, out[2] = alt;
 done:
     free(ccnt);
     free(room);
@@ -528,7 +591,7 @@ int terraces_closure(int n, const int *table, const int *start,
             slot[h] = count;
             memcpy(forms + (size_t)count++ * n, nb + (size_t)i * n, w);
             memcpy(cur, nb + (size_t)i * n, w);
-            if ((r = pycall(visit, 0, 0, 0, 0)) != 0 || count >= limit) {
+            if ((r = pycall(0, visit, 0, 0, 0, 0)) != 0 || count >= limit) {
                 code = r < 0 ? -3 : count;
                 goto out;
             }

@@ -93,7 +93,7 @@ def _effective(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if out.threads < 1:
         raise ValueError(f"threads must be at least 1, got {out.threads}")
     if "threads" not in args or getattr(args, "witnesses", None) is not None:
-        out.threads = 1  # this command runs in one process
+        out.threads = 1  # this command runs on one thread
     return out
 
 
@@ -232,7 +232,7 @@ def _cli_mode(args) -> EnumMode:
 
 def cmd_enumerate(args, cfg: RunConfig):
     if args.witnesses is not None and (args.threads or 1) > 1:
-        raise ValueError("--witnesses collects in one process; --threads goes only with counts")
+        raise ValueError("--witnesses collects on one thread; --threads goes only with counts")
     g = parse_group_spec(args.group)
     mode = _cli_mode(args)
     res = enumerate_basic(g, mode, cap=args.cap, threads=cfg.threads,
@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cuts", type=int, choices=[1, 2], default=2)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--threads", type=int, help="worker processes for a --seeds list")
+    p.add_argument("--threads", type=int, help="worker threads for a --seeds list")
     p.set_defaults(func=cmd_climb)
 
     p = add_parser("enumerate", help="count/stream basic terraces by backtracking")
@@ -380,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witnesses", type=int,
                    help="collect and print up to N witnesses")
     p.add_argument("--cap", type=int, help="override the group-order cap")
-    p.add_argument("--threads", type=int, help="worker processes for a count")
+    p.add_argument("--threads", type=int, help="worker threads for a count")
     p.set_defaults(func=cmd_enumerate)
 
     p = add_parser("search", help="first witness in DFS order, or a nonexistence certificate")

@@ -39,21 +39,23 @@ order, and the mirror step still checks the tail against the head.  In an
 abelian group c_d = a_{d+1}, so it never fires there; in G27_4 it cuts the
 first-witness search from 874,839 nodes to 180,415.
 
-Counts with threads > 1 split by live prefix, for groups of order 13 and
-up (smaller trees take less time than forking a pool).  The parent runs
-`_dfs` down to depth 2 and keeps every prefix (a2, a3) that survives its
-checks, orderly ones included; each is one task.  A worker resumes `_dfs`
-below the prefix: the walk starts at the root and takes each prefix
-entry as the one candidate at its depth, through the same checks and
-ledger updates as every other entry.  `count_table`
-streams the tasks of both kinds through one forked pool, whose workers
-read the group, its tables and its automorphisms from the parent's memory.
+Counts with threads > 1 split by live prefix, for groups of order 12 and
+up (smaller trees take less time than starting the threads).  The caller
+runs `_dfs` down to depth 2 and keeps every prefix (a2, a3) that survives
+its checks, orderly ones included; each is one task.  A task resumes
+`_dfs` below the prefix: the walk starts at the root and takes each
+prefix entry as the one candidate at its depth, through the same checks
+and ledger updates as every other entry.  `count_table` streams the tasks
+of both kinds through one threaded map, whose threads share the group,
+its tables and its automorphisms, and run their walks in the compiled
+kernel without the GIL.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -136,6 +138,7 @@ def _dfs(
     budget: list[int] | None = None,
     prefix: tuple[int, ...] = (),
     stop_at: int | None = None,
+    stop: array | None = None,
 ) -> int:
     """Number of leaves (complete arrangements of mode.kind) below a_1 = e.
 
@@ -152,6 +155,8 @@ def _dfs(
     one node per entry and a dead or non-canonical prefix has no leaves.
     stop_at (at most `_end_depth`) cuts the search at that depth and
     appends each surviving prefix (a_2, ..., a_{stop_at+1}) to sink.
+    stop, a stop cell (see `_ckernel`), runs the walk without the GIL and
+    raises `_ckernel.Stopped` once the cell is set.
 
     The walk runs in the compiled kernel (`_ckernel`), which takes the
     group and the kind and reports each leaf through one callback.  At
@@ -166,7 +171,7 @@ def _dfs(
         def leaf(seq):
             sink.append(Arrangement(group, tuple(seq)))
             return limit is not None and len(sink) >= limit
-    leaves = _ckernel.load().dfs(group, mode.kind, mode.k, end, prune, prefix, budget, leaf)
+    leaves = _ckernel.load().dfs(group, mode.kind, mode.k, end, prune, prefix, budget, leaf, stop)
     if leaves < 0:
         raise BudgetExceeded("search node budget exhausted")
     return leaves
@@ -185,19 +190,19 @@ def _default_cap(kind: str) -> int:
     return DEFAULT_DIRECTED_CAP if kind in _DIRECTED_KINDS else DEFAULT_TERRACE_CAP
 
 
-# Parallel counts (see the module docstring), on a forked pool whose
-# workers read the group, its tables and its automorphisms from the
-# parent's memory, so a task carries only (index, mode, prefix).
+# Parallel counts (see the module docstring), on threads of this process
+# that share the group, its tables and its automorphisms; each runs its
+# walks in the compiled kernel without the GIL.
 
 _SPLIT_DEPTH = 2  # tasks are the live prefixes (a2, a3)
-# Groups of smaller order count in one process.  Where the pool pays off
-# depends on the host.  With the compiled kernel on a 2-vCPU host, four
-# sets of 7 count_table runs each gave these medians, one process against
-# a two-worker pool: at order 12 the pool lost (Z12 40-44 against 45-75
-# ms); from order 13 it won (Z13 117-144 against 78-91 ms, D14 80-97
-# against 64-70 ms).
-_FORK_MIN_ORDER = 13
-_POOL_TASK: Callable | None = None  # the task function, set in each pool worker
+# Groups of smaller order count in one walk per kind.  Where a split pays
+# off depends on the host.  With the compiled kernel on a 2-vCPU host, 11
+# count_table runs each gave these medians, one thread against two: below
+# order 12 the split lost (Z10 1.4 against 2.4 ms, Z11 4.0 against 4.9
+# ms); at order 12 it broke even or won (Z12 41.7 against 42.1 ms, Q12
+# 14.4 against 10.5 ms, A4 7.0 against 4.5 ms); from order 13 it won
+# (Z13 140 against 77 ms, D14 92 against 51 ms).
+_SPLIT_MIN_ORDER = 12
 
 
 def _live_prefixes(group: Group, mode: EnumMode, prune: bool) -> list[tuple[int, ...]]:
@@ -218,47 +223,81 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _set_pool_task(fn: Callable) -> None:
-    global _POOL_TASK
-    _POOL_TASK = fn
-
-
-def _run_pool_task(task):
-    return _POOL_TASK(task)
-
-
 @contextmanager
-def _forked_map(threads: int, fn: Callable, tasks: list) -> Iterator[Iterator]:
-    """fn over tasks, yielded as an iterator of the results in task order:
-    on a pool of min(threads, usable cpus, tasks) forked processes, or a
-    plain map when that is 1.  fn reaches each worker through the fork,
-    not pickled, so it may close over a group and its tables; only the
-    tasks and the results are pickled.  Leaving the block stops the
-    workers still running."""
+def _threaded_map(threads: int, fn: Callable, tasks: list) -> Iterator[Iterator]:
+    """fn(task, stop) over tasks, yielded as an iterator of the results in
+    task order, an exception fn raised being raised in its place: on
+    min(threads, usable cpus, tasks) threads, which take the tasks in
+    order, or in the calling thread, with stop None, when that is 1.
+    Threaded, stop is one stop cell (see `_ckernel`) for every task, so fn
+    runs its kernels without the GIL; the caller builds the tables they
+    read before the block, so that no thread builds one.  Leaving the
+    block, on a Ctrl-C in the wait for a result too, sets the cell and
+    joins every thread, so no task runs on after it."""
     workers = min(threads, usable_cpus(), len(tasks))
     if workers <= 1:
-        yield map(fn, tasks)
+        yield (fn(task, None) for task in tasks)
         return
-    _ckernel.load()  # in the parent, so that the workers inherit it built
-    with multiprocessing.get_context("fork").Pool(workers, _set_pool_task, (fn,)) as pool:
-        yield pool.imap(_run_pool_task, tasks)
+    _ckernel.load()  # here: two threads building it would write one temporary file
+    stop = array("i", [0])
+    ready = threading.Condition()
+    results: dict[int, tuple[bool, object]] = {}
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with ready:
+                i = taken
+                if stop[0] or i == len(tasks):
+                    return
+                taken += 1
+            try:
+                result = True, fn(tasks[i], stop)
+            except Exception as e:  # raised in the caller's thread when it reads task i
+                result = False, e
+            with ready:
+                results[i] = result
+                ready.notify()
+
+    def ordered():
+        for i in range(len(tasks)):
+            with ready:
+                ready.wait_for(lambda: i in results)
+                ok, value = results.pop(i)
+            if not ok:
+                raise value
+            yield value
+
+    started = []
+    try:
+        for _ in range(workers):
+            t = threading.Thread(target=work)
+            t.start()
+            started.append(t)
+        yield ordered()
+    finally:
+        stop[0] = 1
+        for t in started:
+            t.join()
 
 
 def _count(group: Group, modes, prune: bool, threads: int) -> list[int]:
     """Leaf counts of the count-only `modes`, which are all essential
     (prune set) or all not: one `_dfs` walk each, or, with threads > 1 and
-    order at least _FORK_MIN_ORDER, tasks split by live prefix over
-    `_forked_map`."""
-    if threads <= 1 or group.order < _FORK_MIN_ORDER:
+    order at least _SPLIT_MIN_ORDER, tasks split by live prefix over
+    `_threaded_map`."""
+    if threads <= 1 or group.order < _SPLIT_MIN_ORDER:
         return [_dfs(group, mode, prune) for mode in modes]
+    # Built here, with every table the walks read, before any thread starts.
     tasks = [(i, mode, p) for i, mode in enumerate(modes) for p in _live_prefixes(group, mode, prune)]
     totals = [0] * len(modes)
 
-    def count(task):
+    def count(task, stop):
         i, mode, prefix = task
-        return i, _dfs(group, mode, prune, prefix=prefix)
+        return i, _dfs(group, mode, prune, prefix=prefix, stop=stop)
 
-    with _forked_map(threads, count, tasks) as results:
+    with _threaded_map(threads, count, tasks) as results:
         for i, leaves in results:
             totals[i] += leaves
     return totals
@@ -276,8 +315,8 @@ def enumerate_basic(
     With essentially_different set, only canonical forms are visited and
     the essential count is the number of them; the free Aut-action makes
     the raw count exactly essential * |Aut(G)|.  A count with threads > 1
-    of a group of order 13 or more is split by live prefix over one forked
-    pool; witness collection runs in one process.
+    of a group of order 12 or more is split by live prefix over that many
+    threads; witness collection runs on one thread.
     """
     if max_witnesses is not None and max_witnesses < 1:
         raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")

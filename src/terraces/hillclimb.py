@@ -19,9 +19,9 @@ A teleport (move one random element to the end) escapes local maxima and
 costs at most two altitude points.  Trajectories are fully determined by
 the seed: the Mersenne Twister drives one shuffle for the start and one
 randrange per teleport, which the compiled loop calls back to Python for.
-`climb_seeds` runs seeds on a forked pool and returns the first found
-result in seed order as soon as the seeds before it are done; a worker
-sends back the found sequence, not the group.
+`climb_seeds` runs seeds on threads, each climb in C without the GIL,
+and returns the first found result in seed order as soon as the seeds
+before it are done; the seeds still running then stop at their next scan.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from array import array
 from dataclasses import dataclass, replace
 
 from . import _ckernel
-from .enumerate import _forked_map
+from .enumerate import _threaded_map
 from .groups import Group
 from .props import Arrangement, altitude_directed, altitude_undirected, is_directed_terrace, is_terrace
 
@@ -91,7 +91,7 @@ class ClimbResult:
 # quotient value and every cap 1.
 
 
-def climb(group: Group, params: ClimbParams) -> ClimbResult:
+def climb(group: Group, params: ClimbParams, *, stop=None) -> ClimbResult:
     """Steps: random start; accept the first higher neighbour (cuts=1 scan,
     then cuts=2); teleport at local maxima; stop at altitude n-1 or when the
     accepted-move/teleport budget is spent.  Same seed, same trajectory.
@@ -99,7 +99,8 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
     The loop runs in one call of `_ckernel.terraces_climb`, which calls
     back for each teleport index, one randrange(n) per teleport, and, with
     `record_trace` or `debug_check`, after each move or teleport, to record
-    or recheck the altitude."""
+    or recheck the altitude.  stop, a stop cell (see `_ckernel`), runs the
+    loop without the GIL and raises `_ckernel.Stopped` once it is set."""
     n = group.order
     if n < 2:
         raise ValueError("climb needs order >= 2")
@@ -121,7 +122,7 @@ def climb(group: Group, params: ClimbParams) -> ClimbResult:
 
     found, steps, teleports, _alt = _ckernel.load().climb(
         group, terrace, params.max_cuts, params.max_steps, seq, lambda: rng.randrange(n),
-        step if params.record_trace or params.debug_check else None)
+        step if params.record_trace or params.debug_check else None, stop)
     arr = None
     if found:
         arr = Arrangement(group, tuple(seq))
@@ -135,27 +136,20 @@ def climb_seeds(group: Group, params: ClimbParams, seeds, threads: int = 1) -> C
     """Run one climb per seed; return the first found result in seed order,
     or the last seed's result when no seed finds one.
 
-    With more than one worker (see `enumerate._forked_map`) the seeds run
-    in that many forked processes and are read back in seed order; the
-    first found result is returned as soon as every earlier seed is done,
-    and the seeds still running are stopped.  The result is the one the
-    serial loop returns.
+    With more than one worker (see `enumerate._threaded_map`) the seeds run
+    on that many threads and are read back in seed order; the first found
+    result is returned as soon as every earlier seed is done, and the seeds
+    still running are stopped.  The result is the one the serial loop
+    returns.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-
-    def run(seed):
-        # A result comes back with the found sequence, not the arrangement,
-        # whose group a worker would pickle with its tables.
-        r = climb(group, replace(params, seed=seed))
-        return replace(r, arrangement=None), r.arrangement and r.arrangement.seq
-
-    # Built here, the tables reach every pool worker through the fork.
+    # Built here, before any thread starts, rather than in each thread.
     _ckernel._climb_tables(group, params.mode == "terrace")
-    with _forked_map(threads, run, seeds) as results:
-        for r, seq in results:
-            if seq is not None:
-                r.arrangement = Arrangement(group, seq)
+    with _threaded_map(threads, lambda seed, stop: climb(group, replace(params, seed=seed), stop=stop),
+                       seeds) as results:
+        for r in results:
+            if r.outcome == "found":
                 break
     return r

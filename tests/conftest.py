@@ -198,7 +198,8 @@ def kernels(monkeypatch, python: bool):
     """Run the body on the compiled kernels, or, with python set, on their
     Python twins in `oracles.py`: `enumerate._dfs`, `hillclimb.climb` and
     `orbit._walk` are patched for the body.
-    They are module attributes, so forked pool workers inherit the patch."""
+    They are module attributes, so the threads of a split count see the
+    patch too."""
     # Imported here, not at the top: bench/run.py imports this file for
     # KNOWN_COUNTS, and loading the oracles there would add to the peak RSS
     # it measures.

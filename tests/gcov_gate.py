@@ -12,8 +12,9 @@ loaded the kernel writes its line counts when it exits, into ~/gcov
 (`-dumpdir`), not beside the shared object, so a cache still holds the
 object alone.  `-frandom-seed` gives every build the same notes, so the
 counts of each copy the tests build merge into one file.  Counts from
-forked pool workers and from child processes are not collected: a pool
-worker leaves by `os._exit`, and a child does not load this plugin.
+child processes are not collected, since a child does not load this
+plugin; the threads of a split count or climb run in the test process,
+and theirs are.
 """
 
 import json
@@ -39,13 +40,6 @@ ALLOWED = (
     ("terraces_closure", "goto out;"),
     ("terraces_latin", "return -2;"),
     ("terraces_certify", "return -2;"),
-    # A signal handler raised: the search's and the climb's exits.  Only
-    # the Ctrl-C tests' child processes take them, and their counts are
-    # not collected.
-    ("rec", "s->halt = 3;"),
-    ("rec", "return 0;"),
-    ("terraces_climb", "code = -3;"),
-    ("terraces_climb", "break;"),
     # An arrangement entry outside 0..n-1: `Kernel.square` is only given
     # arrangements that `Arrangement` has checked.
     ("terraces_square", "return -1;"),

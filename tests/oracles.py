@@ -65,9 +65,11 @@ def dfs(
     budget: list[int] | None = None,
     prefix: tuple[int, ...] = (),
     stop_at: int | None = None,
+    stop=None,
 ) -> int:
     """The Python kernel: `enumerate._dfs` without the compiled code, node
-    for node, with the same arguments and result."""
+    for node, with the same arguments and result.  A stop cell is taken
+    and not read: this walk keeps the GIL, so threads run it in turn."""
     n = group.order
     kind = mode.kind
     ldiv = group.ldiv
@@ -395,9 +397,10 @@ def scan(self, npieces: int) -> tuple[tuple[int, ...], int] | None:
     return None
 
 
-def climb(group: Group, params: ClimbParams) -> ClimbResult:
+def climb(group: Group, params: ClimbParams, *, stop=None) -> ClimbResult:
     """The Python climb loop: `hillclimb.climb` step for step, with one
-    randrange(n) drawn at each teleport."""
+    randrange(n) drawn at each teleport.  A stop cell is taken and not
+    read, as in `dfs`."""
     n = group.order
     if n < 2:
         raise ValueError("climb needs order >= 2")

@@ -3,12 +3,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
-import pickle
 import subprocess
+import threading
+from array import array
 from functools import lru_cache
-from types import SimpleNamespace
 
 import pytest
 
@@ -130,9 +129,9 @@ def test_max_witnesses_below_one_rejected(limit):
 
 @pytest.fixture
 def split_small_groups(monkeypatch):
-    """Send counts of every order through the pool, so small groups test
-    the split as well."""
-    monkeypatch.setattr(E, "_FORK_MIN_ORDER", 1)
+    """Split counts of every order over threads, so small groups test the
+    split as well."""
+    monkeypatch.setattr(E, "_SPLIT_MIN_ORDER", 1)
 
 
 def test_parallel_split_matches_single_thread(split_small_groups):
@@ -438,8 +437,8 @@ def test_non_abelian_narcissistic_witnesses_are_pinned():
 
 @pytest.mark.slow
 def test_g21_narcissistic_count_split_and_unsplit():
-    """The full essential G21_1 narcissistic count, in one process and split
-    over live prefixes whose c ledger each worker replays: 88 canonical
+    """The full essential G21_1 narcissistic count, in one walk and split
+    over live prefixes whose c ledger each task replays: 88 canonical
     forms, 3696 = 88 * |Aut(G21_1)| sequences."""
     g = get_group("G21_1")
     mode = EnumMode("narcissistic", essentially_different=True)
@@ -448,33 +447,19 @@ def test_g21_narcissistic_count_split_and_unsplit():
     assert (one.raw_count, one.essential_count) == (two.raw_count, two.essential_count) == (3696, 88)
 
 
-class _FakePool:
-    """Stands in for a process pool: records its size, runs tasks inline
-    and pickles each result, as a pool sends it back to the parent."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes=None, initializer=None, initargs=()):
-        _FakePool.sizes.append(processes)
-        if initializer is not None:
-            initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, tasks):
-        return (pickle.loads(pickle.dumps(fn(task))) for task in tasks)
-
-
 @pytest.fixture
-def fake_pools(monkeypatch):
-    monkeypatch.setattr(_FakePool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=_FakePool))
-    monkeypatch.setattr(E, "_POOL_TASK", None)
-    return _FakePool.sizes
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, recorded as it starts; the
+    threads run as usual."""
+    started: list[threading.Thread] = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
 
 
 def _set_cpus(monkeypatch, affinity: int, host: int) -> None:
@@ -492,43 +477,109 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 3, 64])
-def test_pool_size_is_capped_without_starting_processes(fake_pools, monkeypatch, cpus):
-    """One pool per count_table, of min(threads, usable cpus, tasks)
-    workers, and none when that is 1 or the group is small; climb_seeds
-    caps its pool the same way.  The host count is larger than the
-    affinity mask, which is the one that binds.  No process is started."""
+def test_threaded_map_size_is_capped(started_threads, monkeypatch, cpus):
+    """One threaded map per count_table, of min(threads, usable cpus, tasks)
+    threads, and none when that is 1 or the group is small; climb_seeds
+    caps its map the same way.  The host count is larger than the affinity
+    mask, which is the one that binds, so the threads really run on any
+    host; every one has ended when the call returns."""
     _set_cpus(monkeypatch, affinity=cpus, host=128)
     g = get_group("Z10")
-    assert count_table(g, threads=2) == KNOWN_COUNTS["Z10"]
-    assert fake_pools == []  # Z10 is below _FORK_MIN_ORDER
-    monkeypatch.setattr(E, "_FORK_MIN_ORDER", 10)
+    sizes = []
+
+    def run(call, *args, **kw):
+        started_threads.clear()
+        got = call(*args, **kw)
+        assert not any(t.is_alive() for t in started_threads)
+        if started_threads:
+            sizes.append(len(started_threads))
+        return got
+
+    monkeypatch.setattr(E, "_SPLIT_MIN_ORDER", 11)
+    assert run(count_table, g, threads=2) == KNOWN_COUNTS["Z10"]
+    assert sizes == []  # Z10 is below _SPLIT_MIN_ORDER
+    monkeypatch.setattr(E, "_SPLIT_MIN_ORDER", 10)
     tasks = sum(len(E._live_prefixes(g, EnumMode(k, essentially_different=True), True))
                 for k in ("terrace", "directed"))
-    assert count_table(g, threads=10**6) == KNOWN_COUNTS["Z10"]
-    assert count_table(g, threads=2) == KNOWN_COUNTS["Z10"]
-    want = [w for w in (min(cpus, tasks), min(2, cpus)) if w > 1]
-    assert fake_pools == want
-    fake_pools.clear()
+    assert run(count_table, g, threads=10**6) == KNOWN_COUNTS["Z10"]
+    assert run(count_table, g, threads=2) == KNOWN_COUNTS["Z10"]
+    assert sizes == [w for w in (min(cpus, tasks), min(2, cpus)) if w > 1]
+    sizes.clear()
     params = H.ClimbParams(mode="directed", max_steps=50)
-    H.climb_seeds(get_group("Z6"), params, seeds=[1, 2, 3], threads=10**6)
-    assert fake_pools == [w for w in (min(cpus, 3),) if w > 1]
+    run(H.climb_seeds, get_group("Z6"), params, seeds=[1, 2, 3], threads=10**6)
+    assert sizes == [w for w in (min(cpus, 3),) if w > 1]
 
 
-def test_climb_seeds_pool_stops_at_the_first_find(fake_pools, monkeypatch):
-    """The pool's results are read in seed order and the first found one is
-    returned without asking for the later seeds; it equals the serial result,
-    and its arrangement is on the caller's group: no result pickles one."""
+def test_threaded_climb_seeds_stop_at_the_first_find(monkeypatch):
+    """The map's results are read in seed order and the first found one is
+    returned; it equals the serial result, and its arrangement is on the
+    caller's group, which nothing pickles.  The later seeds here are climbs
+    of E64, which has no terrace, that would take about 20 s each: the
+    stop cell ends them when the map exits, and none runs on after
+    climb_seeds returns."""
+    import time
+
     _set_cpus(monkeypatch, affinity=2, host=2)
-    g = get_group("Q12")
+    g, e64 = get_group("Q12"), get_group("E64")
     params = H.ClimbParams(mode="directed", max_steps=10_000)
     serial = H.climb_seeds(g, params, seeds=[4, 5, 6])
-    ran = []
+    C._climb_tables(e64, True)
+    running = []
     climb = H.climb
-    monkeypatch.setattr(H, "climb", lambda group, p: ran.append(p.seed) or climb(group, p))
+
+    def first_or_long(group, p, stop=None):
+        running.append(p.seed)
+        try:
+            if p.seed == 4:
+                return climb(group, p, stop=stop)
+            return climb(e64, H.ClimbParams(mode="terrace", seed=p.seed, max_steps=200_000), stop=stop)
+        finally:
+            running.remove(p.seed)
+
+    monkeypatch.setattr(H, "climb", first_or_long)
     monkeypatch.setattr(G.Group, "__reduce__", lambda self: pytest.fail("a Group was pickled"))
+    t0 = time.monotonic()
     pooled = H.climb_seeds(g, params, seeds=[4, 5, 6], threads=2)
-    assert fake_pools == [2] and ran == [4] and pooled == serial
-    assert pooled.arrangement.group is g
+    assert time.monotonic() - t0 < 5 and running == []
+    assert pooled == serial and pooled.arrangement.group is g
+
+
+def test_threaded_counts_agree_under_fast_thread_switching(monkeypatch):
+    """More threads than cores, switching every microsecond where they run
+    Python: every count of a split count_table still adds up, so no task is
+    lost or counted twice."""
+    import sys
+
+    _set_cpus(monkeypatch, affinity=8, host=8)
+    monkeypatch.setattr(E, "_SPLIT_MIN_ORDER", 1)
+    want = {spec: count_table(get_group(spec)) for spec in ("Z8", "D8", "Z10", "D10", "Q12")}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert {spec: count_table(get_group(spec), threads=8) for spec in want} == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_set_stop_cell_stops_a_walk_at_its_first_poll():
+    """A walk given a stop cell runs without the GIL; one already set stops
+    it at its first poll, node 2^20, with Stopped, not the MemoryError of an
+    out-of-memory exit.  An unset cell changes no count, node or leaf, and
+    a leaf callback, which takes the GIL back, sees each leaf."""
+    g = get_group("Z13")
+    mode = EnumMode("terrace", essentially_different=True)
+    assert _walk(g, mode, True) == _walk(g, mode, True, stop=array("i", [0])) == (4_183_389, 138_066)
+    budget = [10**12]
+    with pytest.raises(C.Stopped):
+        E._dfs(g, mode, True, budget=budget, stop=array("i", [1]))
+    assert 10**12 - budget[0] == 1 << 20
+    d8 = get_group("D8")
+    free, held = [], []
+    E._dfs(d8, EnumMode("terrace"), sink=held)
+    E._dfs(d8, EnumMode("terrace"), sink=free, stop=array("i", [0]))
+    assert [a.seq for a in free] == [a.seq for a in held]
+    assert len(held) == KNOWN_COUNTS["D8"][0] * len(G.automorphisms(d8))
 
 
 @pytest.mark.parametrize(
@@ -810,6 +861,44 @@ def test_ctrl_c_stops_a_compiled_walk_within_a_second(tmp_path):
     said = f"return code {proc.returncode}, stderr:\n{err}"
     assert "KeyboardInterrupt" in err, said
     assert "Exception ignored" not in err, said
+    assert waited < 1.0, waited
+
+
+def test_ctrl_c_stops_a_threaded_count_within_a_second(tmp_path):
+    """SIGINT during a count split over two threads ends the process with
+    KeyboardInterrupt within a second: the wait for a result raises it, and
+    leaving the map stops and joins both threads, so the process can exit.
+    Nothing is printed from a thread, and no callback swallows it."""
+    import signal
+    import sys
+    import time
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # Two usable CPUs on any host, so that the count starts two threads.
+    code = (SIGINT_RAISES +
+            "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from terraces import _ckernel, groups, enumerate as E\n"
+            "_ckernel.load(); g = groups.parse_group_spec('Z15'); groups.automorphisms(g)\n"
+            "print('ready', flush=True); E.count_table(g, threads=2)\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)  # well inside the count, which takes seconds
+        assert proc.poll() is None
+        t0 = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=30)
+        waited = time.monotonic() - t0
+    finally:
+        proc.kill()
+        proc.wait()
+    err = proc.stderr.read()
+    said = f"return code {proc.returncode}, stderr:\n{err}"
+    assert "KeyboardInterrupt" in err, said
+    assert "Exception ignored" not in err and "Exception in thread" not in err, said
     assert waited < 1.0, waited
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import subprocess
+import threading
 from array import array
 from itertools import accumulate, combinations, product
 from pathlib import Path
@@ -618,15 +619,42 @@ def test_climb_seeds_first_found_wins():
     assert par_result == seq_result and par_result.arrangement.group is g
 
 
-@pytest.mark.skipif(E.usable_cpus() < 2, reason="climb_seeds forks no pool on one CPU")
-def test_climb_seeds_builds_the_tables_before_it_forks():
-    """A fresh group climbed only in pool workers has a climb's tables in
-    the parent, built there once, before the fork, rather than in each
-    worker."""
+def test_threaded_climb_seeds_and_counts_build_the_tables_once_in_the_calling_thread(monkeypatch):
+    """A fresh group climbed or counted only on the map's threads has the
+    tables they read, each built once, in the calling thread, before any
+    thread starts, rather than in each thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    built = []
+    for name, make in list(_ckernel._TABLES.items()):
+        monkeypatch.setitem(_ckernel._TABLES, name,
+                            lambda g, name=name, make=make: built.append((name, threading.current_thread())) or make(g))
+    me = threading.current_thread()
     for mode, names in (("terrace", {"ldiv", "cls", "caps"}), ("directed", {"ldiv", "ids", "ones"})):
         g = G.parse_group_spec("Q12")
+        built.clear()
         r = H.climb_seeds(g, H.ClimbParams(mode=mode, max_steps=10_000), seeds=[4, 5], threads=2)
         assert r.outcome == "found" and set(g._flat) == names, mode
+        assert sorted(name for name, _ in built) == sorted(names) and {t for _, t in built} == {me}, mode
+    monkeypatch.setattr(E, "_SPLIT_MIN_ORDER", 1)
+    g = G.parse_group_spec("Q12")
+    built.clear()
+    assert E.count_table(g, threads=2) == (13470, 372)
+    assert sorted(name for name, _ in built) == sorted(g._flat) and {t for _, t in built} == {me}
+
+
+def test_a_set_stop_cell_stops_a_climb_before_its_first_scan():
+    """A climb given a stop cell runs without the GIL; one already set stops
+    it before its first scan, with Stopped, and leaves seq as it was.  An
+    unset cell changes no step, and the draw and step callbacks, which take
+    the GIL back, see every teleport and move."""
+    seq = array("i", range(8))
+    with pytest.raises(_ckernel.Stopped):  # E8 has no terrace: seq is no answer
+        _ckernel.load().climb(get_group("E8"), True, 2, 1000, seq, lambda: 0, None, array("i", [1]))
+    assert seq == array("i", range(8))
+    for mode in H.MODES:
+        params = H.ClimbParams(mode=mode, seed=1, record_trace=True, debug_check=True)
+        g = get_group("Q12")
+        assert H.climb(g, params, stop=array("i", [0])) == H.climb(g, params), mode
 
 
 @pytest.mark.parametrize("max_steps", [3_000_000_000, 4_294_967_297])
