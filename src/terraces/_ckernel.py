@@ -104,7 +104,7 @@ def _rows(rows) -> array.array:
 
 class _Kind(NamedTuple):
     """A search kind: b bucketed by quotient (directed) or by inverse-pair
-    class; the C source's layer 2 (see layer2 there), 0 none, 1 the classes
+    class; the C source's layer 2 (see walk there), 0 none, 1 the classes
     of b's first half, 2 the narcissistic c_d; a T_k depth k >= 2 (tk)."""
 
     directed: bool

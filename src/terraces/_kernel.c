@@ -53,7 +53,7 @@ static int stopped(const int *stop)
 }
 
 typedef struct {
-    int n, l2, k, end, mirror, naut, nw, nprefix;
+    int n, k, end, mirror, naut, nw, nprefix;
     const int *ldiv, *mul, *bucket, *ctab, *auts, *prefix;
     const int *stop;
     int *rem, *seq, *cur, *m2, *marks, *cval, *act;
@@ -90,35 +90,18 @@ static int mirror(K *s)
     return ok;
 }
 
-/* The layer-2 value of a_{depth+1} = y, or -1 where the kind has none: at
-   depths 1 .. (n - 1) / 2, the class of b for half-and-half (l2 = 1), or
-   c_depth = b_depth c_{depth-1} for the narcissistic kind (l2 = 2). */
-static inline int layer2(const K *s, int depth, int y)
-{
-    const int n = s->n;
-    if (!s->l2 || depth > (n - 1) / 2)
-        return -1;
-    if (s->l2 == 1)
-        return s->ctab[s->seq[depth - 1] * n + y];
-    return s->mul[s->ldiv[s->seq[depth - 1] * n + y] * n + s->cval[depth - 1]];
-}
+typedef long long walk_fn(K *s, int depth, const int *active, int nact);
 
-/* Place a_{depth+1} = y (on = 1) or take it back (on = 0). */
-static inline void place(K *s, int depth, int y, int c2, int on)
-{
-    const int n = s->n;
-    int m;
-    s->rem[s->bucket[s->seq[depth - 1] * n + y]] -= on ? 1 : -1;
-    if (c2 >= 0) {
-        s->m2[c2] = on;
-        s->cval[depth] = c2;
-    }
-    for (m = 2; m <= s->k && m <= depth; m++) /* T_k row m: b^(m) */
-        s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]] = on;
-    s->unused[y >> 6] ^= BIT(y);
-}
-
-/* The candidates y are the unused ids, 64 to a word, in ascending order;
+/* The walk below a node at depth, for one shape: the kind's layer 2, l2,
+   and its T_k depth, k, are constants in each wrapper below, so that the
+   compiler drops the layer-2 and T_k tests a shape never makes; self is
+   the wrapper, for the recursion.  Layer 2 holds, at depths 1 .. (n - 1)
+   / 2, the class of b for half-and-half (l2 = 1), or c_depth = b_depth
+   c_{depth-1} for the narcissistic kind (l2 = 2); row m of marks holds
+   the b^(m) taken, for m = 2 .. k.  The ledger pointers and the node's
+   bucket, b^(2) and layer-2 rows are held in locals, so the compiler need
+   not read them through s again after each store or call.
+   The candidates y are the unused ids, 64 to a word, in ascending order;
    at a depth up to nprefix, the prefix entry is the one candidate, so a
    resumed walk checks and places its prefix as it does every other entry.
    For each word, a first pass tests every candidate against the ledgers
@@ -128,9 +111,17 @@ static inline void place(K *s, int depth, int y, int c2, int on)
    word stays exact while its candidates' subtrees are walked: a child
    takes back every ledger change and unused bit it makes before it
    returns, so the ledgers are those the first pass read. */
-static long long rec(K *s, int depth, const int *active, int nact)
+static inline __attribute__((always_inline)) long long
+walk(K *s, int depth, const int *active, int nact, const int l2, const int k,
+     walk_fn *self)
 {
-    const int n = s->n, kd = s->k < depth ? s->k : depth, *brow;
+    const int n = s->n, kd = k < depth ? k : depth, *const ldiv = s->ldiv;
+    int *const rem = s->rem, *const seq = s->seq, *const marks = s->marks;
+    unsigned long long *const unused = s->unused;
+    const int *const brow = s->bucket + seq[depth - 1] * n; /* b's buckets */
+    const int *const row2 = kd >= 2 ? ldiv + seq[depth - 2] * n : 0; /* b^(2) */
+    const int *const crow = (l2 == 1 ? s->ctab : ldiv) + seq[depth - 1] * n;
+    const int has2 = l2 && depth <= (n - 1) / 2, cv = has2 ? s->cval[depth - 1] : 0;
     int *next = s->act + (size_t)(depth + 1) * s->naut;
     long long total = 0;
     int w, i, m;
@@ -145,20 +136,22 @@ static long long rec(K *s, int depth, const int *active, int nact)
         s->halt = 3;
         return 0;
     }
-    brow = s->bucket + s->seq[depth - 1] * n;
+#define LAYER2(y) (!has2 ? -1 : l2 == 1 ? crow[y] : s->mul[crow[y] * n + cv])
     for (w = 0; w < s->nw; w++) {
-        unsigned long long f = s->unused[w], keep = 0;
+        unsigned long long f = unused[w], keep = 0;
         if (depth <= s->nprefix)
             f &= s->prefix[depth - 1] >> 6 == w ? BIT(s->prefix[depth - 1]) : 0;
         for (; f; f &= f - 1) {
-            int y = 64 * w + __builtin_ctzll(f), c2 = layer2(s, depth, y);
-            int bad = !s->rem[brow[y]] | (c2 >= 0 && s->m2[c2]);
-            for (m = 2; m <= kd; m++)
-                bad |= s->marks[m * n + s->ldiv[s->seq[depth - m] * n + y]];
+            int y = 64 * w + __builtin_ctzll(f), c2 = LAYER2(y);
+            int bad = !rem[brow[y]] | (c2 >= 0 && s->m2[c2]);
+            if (kd >= 2)
+                bad |= marks[2 * n + row2[y]];
+            for (m = 3; m <= kd; m++)
+                bad |= marks[m * n + ldiv[seq[depth - m] * n + y]];
             keep |= (unsigned long long)!bad << (y & 63);
         }
         for (; keep; keep &= keep - 1) {
-            int y = 64 * w + __builtin_ctzll(keep), c2, nn = 0, skip = 0;
+            int y = 64 * w + __builtin_ctzll(keep), b = brow[y], c2, nn = 0, skip = 0;
             /* Orderly test: cut y if an active automorphism maps it lower;
                those that fix it stay active below. */
             for (i = 0; i < nact && !skip; i++) {
@@ -170,12 +163,12 @@ static long long rec(K *s, int depth, const int *active, int nact)
             }
             if (skip)
                 continue;
-            s->seq[depth] = y;
+            seq[depth] = y;
             if (depth == s->end) {
                 if (!s->mirror || mirror(s)) {
                     total++;
                     if (s->leaf != &_Py_NoneStruct) {
-                        memcpy(s->cur, s->seq, (size_t)n * sizeof(int));
+                        memcpy(s->cur, seq, (size_t)n * sizeof(int));
                         if (pycall(s->stop ? &s->ts : 0, s->leaf, 0, 0, 0, 0)) {
                             s->halt = 1;
                             return total;
@@ -184,19 +177,53 @@ static long long rec(K *s, int depth, const int *active, int nact)
                 }
                 continue;
             }
-            c2 = layer2(s, depth, y);
-            place(s, depth, y, c2, 1);
-            total += rec(s, depth + 1, next, nn);
+            /* Place a_{depth+1} = y, walk below it, and take it back. */
+            c2 = LAYER2(y);
+            rem[b]--;
+            if (c2 >= 0) {
+                s->m2[c2] = 1;
+                s->cval[depth] = c2;
+            }
+            if (kd >= 2)
+                marks[2 * n + row2[y]] = 1;
+            for (m = 3; m <= kd; m++)
+                marks[m * n + ldiv[seq[depth - m] * n + y]] = 1;
+            unused[w] ^= BIT(y);
+            total += self(s, depth + 1, next, nn);
             if (s->halt)
                 return total;
-            place(s, depth, y, c2, 0);
+            rem[b]++;
+            if (c2 >= 0)
+                s->m2[c2] = 0;
+            if (kd >= 2)
+                marks[2 * n + row2[y]] = 0;
+            for (m = 3; m <= kd; m++)
+                marks[m * n + ldiv[seq[depth - m] * n + y]] = 0;
+            unused[w] ^= BIT(y);
         }
     }
+#undef LAYER2
     return total;
 }
 
+/* One wrapper per shape of the kinds in `_ckernel._KINDS`: plain
+   (terrace, directed), T2, T_k with k >= 3 (k read at run time),
+   half-and-half and narcissistic.  A kind with a layer 2 takes k = 1
+   (`enumerate.EnumMode` checks it). */
+#define SHAPE(name, l2, k)                                                  \
+    static long long name(K *s, int d, const int *a, int na)               \
+    {                                                                       \
+        return walk(s, d, a, na, l2, k, name);                              \
+    }
+SHAPE(plain, 0, 1)
+SHAPE(t2, 0, 2)
+SHAPE(tk, 0, s->k)
+SHAPE(half, 1, 1)
+SHAPE(narc, 2, 1)
+#undef SHAPE
+
 /* Leaves below a_1 = e and the prefix (a_2, ..., a_{nprefix+1}), none if
-   rec finds it dead or non-canonical, cut at depth end (at order 1, end
+   the walk finds it dead or non-canonical, cut at depth end (at order 1, end
    0: the one leaf (e), which spends no node); -1 when the node budget ran
    out, -2 when memory did, -3 when stopped (see `stopped`).
    The walk updates its own copy of caps, the nrem bucket capacities, and
@@ -217,7 +244,7 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
     K s;
     long long total, left = budget ? *budget : 0;
     int i, w = naut > 0 ? naut : 1;
-    s.n = n, s.l2 = l2, s.k = k, s.end = end, s.nw = (n + 63) / 64;
+    s.n = n, s.k = k, s.end = end, s.nw = (n + 63) / 64;
     s.mirror = l2 == 2 && end == (n - 1) / 2, s.naut = naut;
     s.ldiv = ldiv, s.mul = mul, s.bucket = bucket, s.ctab = ctab;
     s.auts = auts, s.cur = cur, s.budget = budget ? &left : 0;
@@ -251,7 +278,11 @@ long long terraces_dfs(int n, int l2, int k, int end, const int *ldiv,
             pycall(stop ? &s.ts : 0, leaf, 0, 0, 0, 0);
         }
     } else
-        total = rec(&s, 1, s.act, naut);
+        total = (l2 == 1   ? half
+                 : l2 == 2 ? narc
+                 : k == 1  ? plain
+                 : k == 2  ? t2
+                           : tk)(&s, 1, s.act, naut);
     if (stop)
         PyEval_RestoreThread(s.ts);
     if (s.halt == 2)

@@ -80,7 +80,12 @@ def load_config(path: str | None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        setattr(cfg, key, int(value) if key in _INT_FIELDS else value)
+        if key in _INT_FIELDS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} takes an integer, got {value!r}") from None
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -198,7 +203,10 @@ def cmd_climb(args, cfg: RunConfig):
     why = _climb_obstruction(g, args.mode)
     if why:
         raise ValueError(why)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds is not None else [cfg.seed]
+    except ValueError:
+        raise ValueError(f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
     params = ClimbParams(mode=args.mode, max_cuts=args.max_cuts, seed=seeds[0],
                          max_steps=cfg.max_steps, record_trace=args.trace)
     res = climb_seeds(g, params, seeds, threads=cfg.threads)

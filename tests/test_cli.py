@@ -81,6 +81,13 @@ def test_seed_and_seeds_together_exit_2(tmp_path, capsys):
     assert exc.value.code == 2 and "not allowed with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["1,,2", ""])
+def test_malformed_seeds_exit_2(tmp_path, capsys, seeds):
+    code = main(["climb", "--group", "Z10", "--seeds", seeds, "--outdir", str(tmp_path)])
+    assert code == 2 and "--seeds" in capsys.readouterr().err
+    assert not list(tmp_path.glob("climb-*.json"))
+
+
 @pytest.mark.parametrize("cmd", ["enumerate", "search"])
 def test_k_without_tk_mode_exits_2(tmp_path, capsys, cmd):
     code = main([cmd, "--group", "Z5", "--mode", "terrace", "--k", "5", "--outdir", str(tmp_path)])
@@ -467,13 +474,19 @@ def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert flagdir.exists() and list(flagdir.glob("climb-*.json"))
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("text, line, key", [
+    ("does_not_exist = 1\n", 1, "does_not_exist"),
+    ("# two workers\nthreads = two\n", 2, "threads"),
+], ids=["unknown-key", "non-int-value"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, monkeypatch, text, line, key):
+    """An unknown key, or a value an int field cannot take, exits 2 with a
+    message that names the file, the line and the key."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("does_not_exist = 1\n")
+    cfg.write_text(text)
     monkeypatch.setenv("TERRACE_CONFIG", str(cfg))
     code = main(["group", "--group", "Z4", "--outdir", str(tmp_path)])
-    capsys.readouterr()
-    assert code == 2
+    err = capsys.readouterr().err
+    assert code == 2 and f"{cfg}:{line}:" in err and key in err
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -604,14 +604,32 @@ def test_max_nodes_edge(monkeypatch, spec, mode, nodes, found):
                 search_first(g, mode, max_nodes=nodes - 1)
 
 
-def test_g21_t2_first_witness_nodes_are_pinned():
+@pytest.mark.parametrize(
+    "spec, mode, nodes, witness",
+    [
+        ("G21_1", EnumMode("directed_tk", k=2), 1_674_373,
+         (0, 1, 3, 2, 7, 11, 17, 16, 19, 4, 14, 18, 13, 9, 20, 8, 10, 5, 6, 15, 12)),
+        ("Q16", EnumMode("directed_tk", k=2), 124_035,
+         (0, 1, 3, 4, 9, 5, 2, 15, 13, 7, 12, 11, 10, 6, 14, 8)),
+        ("Z14", EnumMode("directed_tk", k=3), 120_402, None),
+        ("G27_4", EnumMode("narcissistic"), 180_415,
+         (0, 1, 3, 2, 4, 8, 17, 6, 23, 11, 18, 25, 22, 7, 19, 16, 5, 12, 9, 26, 15, 24, 10, 21, 20, 13,
+          14)),
+        ("SD(13,3,3)", EnumMode("directed_half_and_half"), 101_190,
+         (0, 1, 3, 2, 4, 7, 11, 5, 8, 12, 6, 9, 13, 18, 10, 16, 23, 15, 22, 17, 14, 19, 27, 24, 37, 33,
+          29, 30, 38, 20, 35, 34, 26, 32, 25, 36, 31, 28, 21)),
+    ],
+    ids=["G21_1-t2", "Q16-t2", "Z14-t3", "G27_4-narcissistic", "SD13-directed_half_and_half"],
+)
+def test_compiled_first_witness_searches_are_pinned(spec, mode, nodes, witness):
     """The agreement tests stop at order 12; past it the compiled kernel is
-    held to a pin: the pruned G21_1 T2 first-witness search visits
-    1,674,373 nodes and finds this witness."""
-    g = get_group("G21_1")
-    nodes, _leaves, found = _trace(g, EnumMode("directed_tk", k=2), True, 1)
-    assert nodes == 1_674_373
-    assert found == [(0, 1, 3, 2, 7, 11, 17, 16, 19, 4, 14, 18, 13, 9, 20, 8, 10, 5, 6, 15, 12)]
+    held to a pin for each shape of its walk (T2, T_k with k >= 3, the
+    narcissistic and the half-and-half layer 2): the first-witness search,
+    pruned by Aut(G) up to order 32 as `search_first` walks it, visits
+    these nodes and finds this witness, or none."""
+    g = get_group(spec)
+    prune = g.order <= G.DEFAULT_AUT_CAP
+    assert _trace(g, mode, prune, 1) == (nodes, witness is not None, [witness] if witness else [])
 
 
 # (nodes, leaves) of the essential terrace walk, then the directed one,
